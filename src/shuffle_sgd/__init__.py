@@ -19,6 +19,7 @@ from .bounds import (
 from .constants import (
     ConstantsReport,
     MaskedGramOperator,
+    block_top_eigenvalues,
     classical_L,
     classical_constant,
     full_gradient_L,
@@ -26,7 +27,6 @@ from .constants import (
     general_hat_L,
     general_tilde_L,
     hat_constant,
-    masked_gram_matvec,
     operator_norm,
     ratio_stats,
     reference_minimizer,

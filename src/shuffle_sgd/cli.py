@@ -214,7 +214,7 @@ def cmd_batch_sweep(args) -> int:
         ratios = []
         for j in range(args.perms):
             perm = shuffle.random_permutation(ds.n, args.seed, j)
-            til = consts.tilde_constant(ds, reg, perm, b, tol=args.tol)
+            til = consts.tilde_constant(ds, reg, perm, b)
             ratios.append(L / til)
         for j, r in enumerate(ratios):
             rows.append((b, j, repr(float(r))))
@@ -289,7 +289,7 @@ def _theoretical_step(ds, model, scheme, b, K, num_perms, seed, tol, proxy):
     if scheme == "IG":
         perm0 = np.arange(ds.n)
         hat = consts.hat_constant(ds, reg, perm0, b, tol=tol)
-        til = consts.tilde_constant(ds, reg, perm0, b, tol=tol)
+        til = consts.tilde_constant(ds, reg, perm0, b)
         ynorm = consts.ystar_weighted_norm(ds, model, x_star, grad_tol=1e-6)
         inp = bd.BoundInputs(n=ds.n, b=b, K=K, hatL=hat, tildeL=til,
                              sigma_star=sig, D=D, ystar_norm=ynorm)

@@ -2,27 +2,27 @@
 
 Let B be the permuted, regularity-weighted data matrix with rows
 b_i = sqrt(w_{perm_i}) a_{perm_i} (w holds L_i for smooth losses, G_i^2 for
-Lipschitz ones) and split the n rows into m = n/b consecutive blocks. Two
-n x n PSD operators drive everything here:
+Lipschitz ones) and split the n rows into m = n/b consecutive blocks B_j.
+The prefix-masked Gram sum
 
-  prefix mode     M = sum_j P_j B B^T P_j, where P_j zeroes the rows before
-                  block j. Entrywise, M = (B B^T) o C with
-                  C[k, l] = min(block(k), block(l)) + 1, which is what the
-                  dense oracle in the tests builds.
-  blockdiag mode  M = sum_j E_j B B^T E_j, keeping only the diagonal blocks.
+  M = sum_j P_j B B^T P_j, where P_j zeroes the rows before block j,
 
-The constants:
+is entrywise M = (B B^T) o C with C[k, l] = min(block(k), block(l)) + 1,
+which is what the dense oracle in the tests builds. The constants:
 
   classical_constant   max_i w_i ||a_i||^2
   full_gradient_L      (1/n) ||B B^T||
-  hat_constant         (1/(m n)) ||prefix-mode M||
+  hat_constant         (1/(m n)) ||M||
   tilde_constant       (1/b) max over blocks of ||B_j B_j^T||
 
 and the general finite-sum variants reduce to the same masked structure on
 the 1-column matrix with rows sqrt(w_{perm_i}).
 
-Spectral norms use power iteration only (matrix-free); the matvec for the
-prefix operator runs in O(nnz(B) + m d) per step via two cumulative passes.
+||M|| comes from power iteration on a matrix-free matvec that costs
+O(nnz(B)) time and memory per step (segmented prefix sums over the
+nonzeros; no m x d buffer). tilde is exact: one sparse product yields all
+m block Grams and a batched symmetric eigensolver takes their top
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -73,50 +73,81 @@ def _weighted_csr(ds: SparseDataset, weights, perm=None) -> sp.csr_matrix:
     return sp.diags(np.sqrt(w)).dot(A).tocsr()
 
 
-class MaskedGramOperator:
-    """Matrix-free n x n operator for the prefix / blockdiag masked Gram sums."""
+def _column_block_runs(B: sp.csr_matrix, batch: int):
+    """B's nonzeros in (column, block) order: values, rows, column pointers,
+    and the end offsets of the runs that share a column and a block.
 
-    def __init__(self, B: sp.csr_matrix, batch: int, mode: str):
-        if mode not in ("prefix", "blockdiag"):
-            raise ValueError("mode must be 'prefix' or 'blockdiag'")
+    CSC lists each column's nonzeros by row, hence by block. Indices come
+    back as intp, so later gathers with them need no conversion."""
+    C = B.tocsc()
+    C.sort_indices()
+    indptr = C.indptr.astype(np.intp)
+    rows = C.indices.astype(np.intp)
+    blk = rows // batch
+    last = np.repeat(indptr[1:], np.diff(indptr)) == np.arange(1, len(rows) + 1)
+    last[:-1] |= blk[1:] != blk[:-1]
+    return C.data, rows, indptr, np.flatnonzero(last) + 1
+
+
+class MaskedGramOperator:
+    """Matrix-free n x n prefix-masked Gram sum (B B^T) o C.
+
+    With W[p] = sum_q (min(p, q) + 1) t_q, where t_q = B_q^T v_q is block q's
+    contribution, row k of the product is b_k . W[block(k)]. Splitting the
+    sum at q = p gives W[p] = (p+1)(T - R_p) + U_p, with T the total of the
+    t_q and R_p / U_p their plain / (q+1)-weighted prefix sums over q <= p.
+    Per column these are segmented prefix sums over the nonzeros in
+    (column, block) order, so a matvec costs O(nnz) time and memory.
+    """
+
+    def __init__(self, B: sp.csr_matrix, batch: int):
         n, d = B.shape
         self.m = _check_batch(n, batch)
         self.B = B.tocsr()
         self.batch = batch
-        self.mode = mode
         self.n, self.d = n, d
-        counts = np.diff(self.B.indptr)
-        rows_nz = np.repeat(np.arange(n), counts)
-        self._blk_nz = rows_nz // batch
-        self._rows_nz = rows_nz
-        self._flat_nz = self._blk_nz * d + self.B.indices
+        self._data, self._rows, indptr, grp_ends = _column_block_runs(self.B, batch)
+        counts = np.diff(indptr)
+        self._blk1 = self._rows // batch + 1.0
+        # exclusive-prefix positions: sums over [col_start, grp_end) give R_p
+        # and U_p, and [grp_end, col_end) gives T - R_p
+        self._col_start = np.repeat(indptr[:-1], counts)
+        self._col_end = np.repeat(indptr[1:], counts)
+        self._grp_end = np.repeat(grp_ends, np.diff(grp_ends, prepend=0))
+        # work buffers reused by every matvec: fresh nnz-sized temporaries
+        # cost more in page faults than the arithmetic on them (so one
+        # instance must not run matvecs from two threads at once)
+        nnz = len(self._data)
+        self._x = np.empty(nnz)
+        self._w = np.empty(nnz)
+        self._s1 = np.zeros(nnz + 1)
+        self._s2 = np.zeros(nnz + 1)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}")
-        B = self.B
-        # per-block contributions t[j] = B_j^T v_j, shape (m, d)
-        weights = B.data * v[self._rows_nz]
-        t = np.bincount(self._flat_nz, weights=weights, minlength=self.m * self.d)
-        t = t.reshape(self.m, self.d)
-        if self.mode == "prefix":
-            # suffix sums S[j] = sum_{q >= j} t[q], then W[p] = sum_{j <= p} S[j]
-            s = np.cumsum(t[::-1], axis=0)[::-1]
-            w = np.cumsum(s, axis=0)
-        else:
-            w = t
-        contrib = B.data * w[self._blk_nz, B.indices]
-        csum = np.concatenate([[0.0], np.cumsum(contrib)])
-        return csum[B.indptr[1:]] - csum[B.indptr[:-1]]
+        x, w, s1, s2 = self._x, self._w, self._s1, self._s2
+        g = self._grp_end
+        # indices are in range by construction; "clip" skips take's bounds
+        # check and the copy that comes with it
+        np.take(v, self._rows, out=x, mode="clip")
+        x *= self._data
+        np.cumsum(x, out=s1[1:])
+        x *= self._blk1
+        np.cumsum(x, out=s2[1:])
+        # w = (p+1) (T - R_p) + U_p, then scaled by the nonzero's value
+        np.take(s1, self._col_end, out=w, mode="clip")
+        w -= np.take(s1, g, out=x, mode="clip")
+        w *= self._blk1
+        w += np.take(s2, g, out=x, mode="clip")
+        w -= np.take(s2, self._col_start, out=x, mode="clip")
+        w *= self._data
+        return np.bincount(self._rows, weights=w, minlength=self.n)
 
     @classmethod
-    def from_dataset(cls, ds, weights, perm, batch, mode="prefix"):
-        return cls(_weighted_csr(ds, weights, perm), batch, mode)
-
-
-def masked_gram_matvec(op: MaskedGramOperator, v: np.ndarray) -> np.ndarray:
-    return op.matvec(v)
+    def from_dataset(cls, ds, weights, perm, batch):
+        return cls(_weighted_csr(ds, weights, perm), batch)
 
 
 class OperatorNormResult(NamedTuple):
@@ -191,35 +222,38 @@ def hat_constant(
 ) -> float:
     """(1/(m n)) || prefix-masked Gram sum || for one permutation."""
     m = _check_batch(ds.n, b)
-    op = MaskedGramOperator.from_dataset(ds, reg.values, perm, b, "prefix")
+    op = MaskedGramOperator.from_dataset(ds, reg.values, perm, b)
     res = operator_norm(op.matvec, ds.n, tol=tol, max_iter=max_iter)
     return res.value / (m * ds.n)
 
 
-def tilde_constant(
-    ds: SparseDataset,
-    reg: RegularityDiag,
-    perm,
-    b: int,
-    tol: float = 1e-6,
-    max_iter: int = 10_000,
-) -> float:
+def block_top_eigenvalues(ds: SparseDataset, weights, perm, b: int) -> np.ndarray:
+    """lambda_max(B_j B_j^T) for each of the m diagonal blocks, exactly.
+
+    Giving each block its own copy of the columns (one per (column, block)
+    pair that occurs) makes one sparse product hold every block Gram; a
+    batched eigvalsh then solves all m b x b problems at once."""
+    m = _check_batch(ds.n, b)
+    data, rows, _, run_ends = _column_block_runs(_weighted_csr(ds, weights, perm), b)
+    # row r of Bt is one (column, block) run: block j's own copy of a column
+    Bt = sp.csr_matrix((data, rows, np.concatenate([[0], run_ends])),
+                       shape=(len(run_ends), ds.n))
+    G = (Bt.T @ Bt).tocoo()
+    grams = np.zeros((m, b, b))
+    grams[G.row // b, G.row % b, G.col % b] = G.data
+    return np.linalg.eigvalsh(grams)[:, -1]
+
+
+def tilde_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int) -> float:
     """(1/b) max over blocks of the block Gram spectral norm.
 
     At b = 1 each block Gram is the scalar w_i ||a_i||^2, so the value is
     exactly the classical constant."""
-    m = _check_batch(ds.n, b)
+    _check_batch(ds.n, b)
     if b == 1:
         p = np.asarray(perm, dtype=np.int64)
         return float(np.max((reg.values * row_sq_norms(ds))[p]))
-    B = _weighted_csr(ds, reg.values, perm)
-    best = 0.0
-    for j in range(m):
-        Bj = B[j * b : (j + 1) * b]
-        G = (Bj @ Bj.T).toarray()
-        res = operator_norm(lambda v, G=G: G @ v, b, tol=tol, max_iter=max_iter)
-        best = max(best, res.value)
-    return best / b
+    return float(np.max(block_top_eigenvalues(ds, reg.values, perm, b))) / b
 
 
 def general_hat_L(
@@ -232,7 +266,7 @@ def general_hat_L(
     n = len(L)
     m = _check_batch(n, b)
     ds = SparseDataset.from_dense(np.ones((n, 1)))
-    op = MaskedGramOperator.from_dataset(ds, L, perm, b, "prefix")
+    op = MaskedGramOperator.from_dataset(ds, L, perm, b)
     res = operator_norm(op.matvec, n, tol=tol, max_iter=max_iter)
     return res.value / (m * n)
 
@@ -352,7 +386,7 @@ def ratio_stats(
     def one(j):
         perm = random_permutation(ds.n, seed, j)
         hat = hat_constant(ds, reg, perm, b, tol=tol, max_iter=max_iter)
-        til = tilde_constant(ds, reg, perm, b, tol=tol, max_iter=max_iter) if compute_tilde else None
+        til = tilde_constant(ds, reg, perm, b) if compute_tilde else None
         return hat, til
 
     if max_workers is not None and max_workers > 1 and num_perms > 1:
@@ -397,7 +431,7 @@ def gbar_estimate(
     for j in range(num_perms):
         perm = random_permutation(ds.n, seed, j)
         hat = hat_constant(ds, reg, perm, b, tol=tol, max_iter=max_iter)
-        til = tilde_constant(ds, reg, perm, b, tol=tol, max_iter=max_iter)
+        til = tilde_constant(ds, reg, perm, b)
         vals.append(math.sqrt(hat * til))
     return float(np.mean(vals))
 

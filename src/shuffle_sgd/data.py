@@ -57,10 +57,15 @@ class SparseDataset:
         if self.indices.size:
             if self.indices.min() < 0 or self.indices.max() >= self.d:
                 raise ValueError("feature index out of range [0, d)")
-        for i in range(n):
-            row = self.indices[self.indptr[i] : self.indptr[i + 1]]
-            if row.size > 1 and not np.all(np.diff(row) > 0):
-                raise ValueError(f"row {i}: indices must be strictly increasing")
+        # a step between neighbouring entries may only fail to increase
+        # where a new row starts
+        bad = np.diff(self.indices) <= 0
+        starts = self.indptr[1:-1]
+        bad[starts[(starts > 0) & (starts <= len(bad))] - 1] = False
+        if bad.any():
+            pos = int(np.argmax(bad)) + 1
+            i = int(np.searchsorted(self.indptr, pos, side="right")) - 1
+            raise ValueError(f"row {i}: indices must be strictly increasing")
 
     @property
     def n(self) -> int:

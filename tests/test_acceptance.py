@@ -72,7 +72,7 @@ def test_c01_oracle_equivalence():
         A = ds.to_dense()
         for b in (1, 2, 4, n):
             hat = ss.hat_constant(ds, reg, perm, b, tol=1e-12, max_iter=300_000)
-            til = ss.tilde_constant(ds, reg, perm, b, tol=1e-12, max_iter=300_000)
+            til = ss.tilde_constant(ds, reg, perm, b)
             hat_ref = oracles.dense_hat(A, w, perm, b)
             til_ref = oracles.dense_tilde(A, w, perm, b)
             worst = max(worst, abs(hat - hat_ref) / hat_ref, abs(til - til_ref) / til_ref)
@@ -183,7 +183,7 @@ def test_c07_batch_size_growth():
     means = []
     for b in b_grid:
         vals = [
-            L / ss.tilde_constant(ds, reg, ss.random_permutation(n, SEED, j), b, tol=1e-8)
+            L / ss.tilde_constant(ds, reg, ss.random_permutation(n, SEED, j), b)
             for j in range(10)
         ]
         means.append(float(np.mean(vals)))
@@ -281,7 +281,7 @@ def test_c11_fixed_order_bound_deterministic():
         D = float(np.linalg.norm(ref.x))
         perm0 = np.arange(n)
         hat = ss.hat_constant(ds, reg, perm0, b, tol=1e-10, max_iter=100_000)
-        til = ss.tilde_constant(ds, reg, perm0, b, tol=1e-10, max_iter=100_000)
+        til = ss.tilde_constant(ds, reg, perm0, b)
         for K in (1, 10, 100):
             inp = ss.BoundInputs(n=n, b=b, K=K, hatL=hat, tildeL=til,
                                  sigma_star=sig, D=D, ystar_norm=ynorm)
@@ -307,7 +307,7 @@ def _rr_bound_check(ds, model, b, K, num_seeds):
     D = float(np.linalg.norm(ref.x))
     perms = list(itertools.permutations(range(n)))
     hat = max(ss.hat_constant(ds, reg, p, b, tol=1e-8, max_iter=20_000) for p in perms)
-    til = max(ss.tilde_constant(ds, reg, p, b, tol=1e-8, max_iter=20_000) for p in perms)
+    til = max(ss.tilde_constant(ds, reg, p, b) for p in perms)
     inp = ss.BoundInputs(n=n, b=b, K=K, hatL=hat, tildeL=til, sigma_star=sig, D=D)
     eta = ss.step_size_smooth_rr(inp)
     rhs = ss.bound_rhs_smooth_rr(inp, eta)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,42 +19,90 @@ def unit_reg(n):
     return RegularityDiag("smooth", np.ones(n))
 
 
+def _edge_dataset(rng):
+    """Random data with an empty row (n > 1) and an all-zero column (d > 1);
+    half of the draws have a single column."""
+    n = int(rng.choice([1, 2, 3, 4, 6, 8, 12]))
+    d = 1 if rng.random() < 0.5 else int(rng.integers(2, 8))
+    A = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.6)
+    if n > 1:
+        A[rng.integers(n)] = 0.0
+    if d > 1:
+        A[:, rng.integers(d)] = 0.0
+    return ss.SparseDataset.from_dense(A)
+
+
 class TestMaskedGramMatvec:
     def test_identity_b1(self):
         ds = ss.SparseDataset.from_dense(np.eye(2))
-        op = MaskedGramOperator.from_dataset(ds, np.ones(2), [0, 1], 1, "prefix")
-        assert np.allclose(ss.masked_gram_matvec(op, np.array([1.0, 1.0])), [1.0, 2.0])
+        op = MaskedGramOperator.from_dataset(ds, np.ones(2), [0, 1], 1)
+        assert np.allclose(op.matvec(np.array([1.0, 1.0])), [1.0, 2.0])
 
     def test_repeated_row(self):
         ds = ss.SparseDataset.from_dense(np.array([[1.0], [1.0]]))
-        op = MaskedGramOperator.from_dataset(ds, np.ones(2), [0, 1], 1, "prefix")
+        op = MaskedGramOperator.from_dataset(ds, np.ones(2), [0, 1], 1)
         # dense masked matrix is [[1,1],[1,2]]
         assert np.allclose(op.matvec(np.array([1.0, 0.0])), [1.0, 1.0])
 
     def test_zero_vector(self, rng):
         ds = random_sparse_dataset(rng, n=8)
-        op = MaskedGramOperator.from_dataset(ds, np.ones(8), rng.permutation(8), 2, "prefix")
+        op = MaskedGramOperator.from_dataset(ds, np.ones(8), rng.permutation(8), 2)
         assert np.allclose(op.matvec(np.zeros(8)), 0.0)
 
     def test_dimension_mismatch(self):
         ds = ss.SparseDataset.from_dense(np.eye(3))
-        op = MaskedGramOperator.from_dataset(ds, np.ones(3), [0, 1, 2], 1, "prefix")
+        op = MaskedGramOperator.from_dataset(ds, np.ones(3), [0, 1, 2], 1)
         with pytest.raises(ValueError):
             op.matvec(np.zeros(4))
 
-    @pytest.mark.parametrize("mode", ["prefix", "blockdiag"])
-    def test_matches_dense_oracle(self, rng, mode):
+    def test_matches_dense_oracle(self, rng):
         for _ in range(25):
             ds = random_sparse_dataset(rng, ensure_nonzero=False)
             w = rng.uniform(0.1, 10.0, ds.n)
             b = int(rng.choice(divisors(ds.n)))
             perm = rng.permutation(ds.n)
-            op = MaskedGramOperator.from_dataset(ds, w, perm, b, mode)
-            build = oracles.dense_prefix_matrix if mode == "prefix" else oracles.dense_blockdiag_matrix
-            M = build(ds.to_dense(), w, perm, b)
+            op = MaskedGramOperator.from_dataset(ds, w, perm, b)
+            M = oracles.dense_prefix_matrix(ds.to_dense(), w, perm, b)
             for _ in range(3):
                 v = rng.standard_normal(ds.n)
                 assert np.allclose(op.matvec(v), M @ v, rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["any", "one", "all"]))
+    def test_matches_dense_oracle_edge_shapes(self, seed, batch):
+        """Empty rows, all-zero columns, d = 1, b = 1 and b = n."""
+        rng = np.random.default_rng(seed)
+        ds = _edge_dataset(rng)
+        b = {"any": int(rng.choice(divisors(ds.n))), "one": 1, "all": ds.n}[batch]
+        w = rng.uniform(0.1, 10.0, ds.n)
+        perm = rng.permutation(ds.n)
+        op = MaskedGramOperator.from_dataset(ds, w, perm, b)
+        M = oracles.dense_prefix_matrix(ds.to_dense(), w, perm, b)
+        V = rng.standard_normal((ds.n, 2))
+        for v in V.T:
+            assert np.allclose(op.matvec(v), M @ v, rtol=1e-10, atol=1e-10)
+
+    def test_matvec_memory_is_order_nnz(self):
+        # m * d * 8 bytes = 3.2 GB here; the matvec must not come near that
+        n, d, k = 2000, 200_000, 10
+        rng = np.random.default_rng(7)
+        # sorted and distinct within each row
+        cols = np.sort(rng.integers(0, d - k, size=(n, k)), axis=1) + np.arange(k)
+        ds = ss.SparseDataset(np.arange(n + 1) * k, cols.ravel(),
+                              rng.standard_normal(n * k), np.ones(n), d)
+        v = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            op = MaskedGramOperator.from_dataset(ds, np.ones(n), rng.permutation(n), 1)
+            _, setup_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            op.matvec(v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.m * op.d * 8 > 1e9
+        assert peak < 16 * ds.nnz * 8
+        assert setup_peak < 64 * ds.nnz * 8
 
 
 class TestOperatorNorm:
@@ -178,11 +227,11 @@ class TestTildeConstant:
 
     def test_identity_b2(self):
         ds = ss.SparseDataset.from_dense(np.eye(2))
-        assert ss.tilde_constant(ds, unit_reg(2), [0, 1], 2, **TIGHT) == pytest.approx(0.5)
+        assert ss.tilde_constant(ds, unit_reg(2), [0, 1], 2) == pytest.approx(0.5)
 
     def test_repeated_row_b2(self):
         ds = ss.SparseDataset.from_dense(np.array([[1.0], [1.0]]))
-        assert ss.tilde_constant(ds, unit_reg(2), [0, 1], 2, **TIGHT) == pytest.approx(1.0)
+        assert ss.tilde_constant(ds, unit_reg(2), [0, 1], 2) == pytest.approx(1.0)
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(15):
@@ -190,9 +239,34 @@ class TestTildeConstant:
             w = rng.uniform(0.1, 10.0, ds.n)
             b = int(rng.choice(divisors(ds.n)))
             perm = rng.permutation(ds.n)
-            mine = ss.tilde_constant(ds, RegularityDiag("smooth", w), perm, b, **TIGHT)
+            mine = ss.tilde_constant(ds, RegularityDiag("smooth", w), perm, b)
             ref = oracles.dense_tilde(ds.to_dense(), w, perm, b)
             assert mine == pytest.approx(ref, rel=1e-7, abs=1e-12)
+
+    def test_block_eigenvalues_match_blockdiag_oracle(self, rng):
+        for _ in range(25):
+            ds = random_sparse_dataset(rng, ensure_nonzero=False)
+            w = rng.uniform(0.1, 10.0, ds.n)
+            b = int(rng.choice(divisors(ds.n)))
+            perm = rng.permutation(ds.n)
+            mine = ss.block_top_eigenvalues(ds, w, perm, b)
+            M = oracles.dense_blockdiag_matrix(ds.to_dense(), w, perm, b)
+            ref = [oracles.top_eig(M[j * b : (j + 1) * b, j * b : (j + 1) * b])
+                   for j in range(ds.n // b)]
+            assert np.allclose(mine, ref, rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["any", "one", "all"]))
+    def test_matches_dense_oracle_edge_shapes(self, seed, batch):
+        """Empty rows, all-zero columns, d = 1, b = 1 and b = n."""
+        rng = np.random.default_rng(seed)
+        ds = _edge_dataset(rng)
+        b = {"any": int(rng.choice(divisors(ds.n))), "one": 1, "all": ds.n}[batch]
+        w = rng.uniform(0.1, 10.0, ds.n)
+        perm = rng.permutation(ds.n)
+        mine = ss.tilde_constant(ds, RegularityDiag("smooth", w), perm, b)
+        ref = oracles.dense_tilde(ds.to_dense(), w, perm, b)
+        assert mine == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
 class TestRelaxationChain:
@@ -210,7 +284,7 @@ class TestRelaxationChain:
         L = ss.classical_L(ds, reg)
         assert hat <= trace + 1e-9 * max(L, 1.0)
         assert trace <= ds.n * L + 1e-9  # trace of the weighted Gram over n
-        til = ss.tilde_constant(ds, reg, perm, b, tol=1e-8, max_iter=50_000)
+        til = ss.tilde_constant(ds, reg, perm, b)
         assert til <= L + 1e-9 * max(L, 1.0)
 
 

@@ -174,3 +174,26 @@ class TestImmutability:
             ds.values[0] = 99.0
         with pytest.raises(ValueError):
             ds.labels[0] = 99.0
+
+
+class TestRowOrderCheck:
+    def test_accepts_decrease_across_row_boundary(self):
+        # rows [2], [], [0, 1]: the drop 2 -> 0 is a new row, not disorder
+        ds = ss.SparseDataset([0, 1, 1, 3], [2, 0, 1], [1.0, 1.0, 1.0], [0.0] * 3, 3)
+        assert ds.nnz == 3
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_per_row_check(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        counts = rng.integers(0, 4, n)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        indices = rng.integers(0, 4, int(indptr[-1]))
+        bad = [i for i in range(n)
+               if np.any(np.diff(indices[indptr[i]:indptr[i + 1]]) <= 0)]
+        args = (indptr, indices, np.ones(len(indices)), np.zeros(n), 4)
+        if bad:
+            with pytest.raises(ValueError, match=f"^row {bad[0]}: indices must be strictly increasing$"):
+                ss.SparseDataset(*args)
+        else:
+            ss.SparseDataset(*args)

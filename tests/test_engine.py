@@ -133,7 +133,7 @@ class TestRun:
             for j in range(20)
         )
         til = max(
-            ss.tilde_constant(ds, reg, ss.random_permutation(4, 0, j), 2, tol=1e-9)
+            ss.tilde_constant(ds, reg, ss.random_permutation(4, 0, j), 2)
             for j in range(20)
         )
         eta = ss.step_size_smooth_rr(ss.BoundInputs(n=4, b=2, K=30, hatL=hat, tildeL=til))
@@ -161,7 +161,7 @@ class TestTheoreticalStepConvergence:
             for j in range(30)
         )
         til = max(
-            ss.tilde_constant(ds, reg, ss.random_permutation(12, 0, j), 3, tol=1e-8)
+            ss.tilde_constant(ds, reg, ss.random_permutation(12, 0, j), 3)
             for j in range(30)
         )
         sig = ss.sigma_star(ds, m, ref.x, grad_tol=1e-5)
