@@ -20,7 +20,6 @@ from .constants import (
     ConstantsReport,
     MaskedGramOperator,
     block_top_eigenvalues,
-    classical_L,
     classical_constant,
     full_gradient_L,
     gbar_estimate,

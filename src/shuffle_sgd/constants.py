@@ -194,10 +194,6 @@ def classical_constant(ds: SparseDataset, reg: RegularityDiag) -> float:
     return float(np.max(reg.values * row_sq_norms(ds)))
 
 
-def classical_L(ds: SparseDataset, reg: RegularityDiag) -> float:
-    return classical_constant(ds, reg)
-
-
 def full_gradient_L(
     ds: SparseDataset, reg: RegularityDiag, tol: float = 1e-6, max_iter: int = 10_000
 ) -> float:
@@ -473,6 +469,31 @@ class MinimizerResult(NamedTuple):
     converged: bool
 
 
+# Gradient-descent iterations before a logistic run checks for separability.
+_SEPARABILITY_CHECK_AT = 5_000
+
+
+def _logistic_unbounded(ds: SparseDataset, m: LossModel) -> bool:
+    """True when the logistic objective has no finite minimizer.
+
+    That is exactly when some u has margins t_i a_i^T u >= 0 for all i and
+    > 0 for at least one: f then decreases forever along u. One LP finds
+    the largest margin sum over that cone within the box -1 <= u <= 1; the
+    margins are recomputed here and must clear thresholds relative to the
+    largest possible sum over the box, sum_i |t_i| ||a_i||_1.
+    """
+    from scipy.optimize import linprog
+
+    TA = sp.diags(m.targets) @ ds.to_csr()
+    scale = float(abs(TA).sum())
+    res = linprog(-np.asarray(TA.sum(axis=0)).ravel(), A_ub=-TA, b_ub=np.zeros(ds.n),
+                  bounds=(-1.0, 1.0), method="highs")
+    if res.status != 0:
+        return False
+    margins = TA @ res.x
+    return margins.min() >= -1e-9 * scale and margins.sum() > 1e-6 * scale
+
+
 def reference_minimizer(
     ds: SparseDataset,
     m: LossModel,
@@ -481,7 +502,12 @@ def reference_minimizer(
     x0: np.ndarray | None = None,
 ) -> MinimizerResult:
     """Full gradient descent with step 1/L_full and Armijo halving, run until
-    ||grad f|| <= tol. Supplies the optimum for variance/dual-norm constants."""
+    ||grad f|| <= tol. Supplies the optimum for variance/dual-norm constants.
+
+    A logistic run still short of tol after _SEPARABILITY_CHECK_AT iterations
+    solves one LP; if it finds a direction of unbounded descent (separable
+    data, no finite minimizer) the run returns converged=False there instead
+    of iterating to max_iter. Runs that converge sooner never pay for it."""
     if not m.smooth:
         raise ValueError("reference minimizer requires a smooth loss family")
     from .losses import regularity
@@ -500,6 +526,9 @@ def reference_minimizer(
         gn = float(np.linalg.norm(g))
         if gn <= tol:
             return MinimizerResult(x, gn, it - 1, True)
+        if (it == _SEPARABILITY_CHECK_AT and m.family == "logistic"
+                and _logistic_unbounded(ds, m)):
+            return MinimizerResult(x, gn, it - 1, False)
         eta = base_step
         gsq = gn * gn
         for _ in range(60):

@@ -139,25 +139,38 @@ class SparseDataset:
 
 @dataclass
 class PermutedView:
-    """A dataset with its rows reordered by a permutation; row i is base row perm[i]."""
+    """A dataset with its rows reordered by a permutation; row i is base row perm[i].
+
+    The permuted CSR arrays are gathered once, so rows lo:hi are the
+    contiguous nonzero range [indptr[lo], indptr[hi]) of `indices`/`values`,
+    and `rows` holds the (permuted) row of every nonzero.
+    """
 
     base: SparseDataset
     perm: np.ndarray
-    _csr: sp.csr_matrix | None = field(default=None, repr=False)
+    indptr: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.perm = np.asarray(self.perm, dtype=np.int64)
-        n = self.base.n
+        base = self.base
+        n = base.n
         if self.perm.shape != (n,) or not np.array_equal(np.sort(self.perm), np.arange(n)):
             raise ValueError("perm must be a permutation of range(n)")
+        starts = base.indptr[:-1][self.perm]
+        lengths = base.indptr[1:][self.perm] - starts
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=self.indptr[1:])
+        self.rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        src = np.repeat(starts - self.indptr[:-1], lengths)
+        src += np.arange(base.nnz, dtype=np.int64)
+        self.indices = base.indices[src]
+        self.values = base.values[src]
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         return self.base.row(int(self.perm[i]))
-
-    def to_csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            self._csr = self.base.to_csr()[self.perm]
-        return self._csr
 
 
 def _parse_token(tok: str, line_no: int):

@@ -47,6 +47,8 @@ class RunConfig:
     record_inner: bool = False
 
     def step_schedule(self) -> np.ndarray:
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
         steps = np.asarray(self.step, dtype=np.float64)
         if steps.ndim == 0:
             steps = np.full(self.epochs, float(steps))
@@ -54,8 +56,6 @@ class RunConfig:
             raise ConfigError("step must be a scalar or one value per epoch")
         if np.any(steps <= 0):
             raise ConfigError("step sizes must be positive")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
         return steps
 
 
@@ -84,6 +84,20 @@ class RunResult:
         return self.iterates[-1]
 
 
+def _block_entries(view: PermutedView, block: int, b: int):
+    """(row within the block, column, value) of every nonzero of one block:
+    a contiguous slice of the view's permuted CSR arrays, no matrix built."""
+    lo = block * b
+    s, e = view.indptr[lo], view.indptr[lo + b]
+    return view.rows[s:e] - lo, view.indices[s:e], view.values[s:e]
+
+
+def _block_sum(view: PermutedView, block: int, y_block: np.ndarray, b: int) -> np.ndarray:
+    """sum_j y_j a_{pi_j} over the block's rows, as a dense d-vector."""
+    rows, cols, vals = _block_entries(view, block, b)
+    return np.bincount(cols, weights=vals * y_block[rows], minlength=view.base.d)
+
+
 def dual_block_update(m: LossModel, view: PermutedView, block: int, x: np.ndarray,
                       b: int) -> np.ndarray:
     """Loss (sub)derivatives for the rows of one block at the current point.
@@ -91,18 +105,16 @@ def dual_block_update(m: LossModel, view: PermutedView, block: int, x: np.ndarra
     Returns the pre-chain-rule scalars l'_{pi_j}(a_{pi_j}^T x); the data
     rows enter in the primal step. Blocks are numbered 0..m-1.
     """
-    lo, hi = block * b, (block + 1) * b
-    A = view.to_csr()
-    z = A[lo:hi] @ x
-    return derivative_vec(m, view.perm[lo:hi], z)
+    rows, cols, vals = _block_entries(view, block, b)
+    z = np.bincount(rows, weights=vals * x[cols], minlength=b)
+    return derivative_vec(m, view.perm[block * b : (block + 1) * b], z)
 
 
 def primal_block_step(x: np.ndarray, view: PermutedView, block: int,
                       y_block: np.ndarray, step: float, b: int) -> np.ndarray:
-    """x - (step/b) sum_j y_j a_{pi_j} over the block's rows (sparse axpy)."""
-    lo, hi = block * b, (block + 1) * b
-    A = view.to_csr()
-    return x - (step / b) * (A[lo:hi].T @ y_block)
+    """x - (step/b) sum_j y_j a_{pi_j} over the block's rows: O(nnz of the
+    block + d)."""
+    return x - (step / b) * _block_sum(view, block, y_block, b)
 
 
 def _finalize(iterates, steps, traces, objectives, m, ds):
@@ -169,10 +181,9 @@ def run(ds: SparseDataset, model: LossModel, plan: ShufflePlan, cfg: RunConfig) 
                 inner_iterates=inner,
             )
             if cfg.record_inner:
-                A = view.to_csr()
                 t1 = 0.0
                 for i in range(m_blocks):
-                    g_i = A[i * b : (i + 1) * b].T @ duals[i]
+                    g_i = _block_sum(view, i, duals[i], b)
                     t1 += float(g_i @ (x - inner[i + 1]))
                 trace.retraction_term = eta / n * t1
             traces.append(trace)

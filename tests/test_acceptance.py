@@ -90,7 +90,7 @@ def test_c02_relaxation_chain():
         ds = _random_instance(rng, n, d)
         w = rng.uniform(0.1, 10.0, n)
         reg = RegularityDiag("smooth", w)
-        L = ss.classical_L(ds, reg)
+        L = ss.classical_constant(ds, reg)
         trace = float(np.sum(w * ss.row_sq_norms(ds)) / n)
         assert trace <= L * n + 1e-9 * L
         bs = divisors(n)
@@ -117,7 +117,7 @@ def test_c03_reductions():
         ref = oracles.dense_full_gradient(ds.to_dense(), w)
         assert abs(hat_full - ref) <= 1e-8 * max(ref, 1e-300)
         til_one = ss.tilde_constant(ds, reg, perm, 1)
-        L = ss.classical_L(ds, reg)
+        L = ss.classical_constant(ds, reg)
         assert abs(til_one - L) <= 1e-8 * L
     _report("C3 reductions", "(50 instances, b=n and b=1)")
 
@@ -131,7 +131,7 @@ def test_c04_identity_closed_form():
         for _ in range(5):
             perm = rng.permutation(n)
             hat = ss.hat_constant(ds, reg, perm, 1, tol=1e-11, max_iter=200_000)
-            ratio = ss.classical_L(ds, reg) / hat
+            ratio = ss.classical_constant(ds, reg) / hat
             assert abs(ratio - n) <= 1e-6 * n
     _report("C4 identity-closed-form", "(n in {2, 8, 32})")
 

@@ -191,6 +191,15 @@ class TestOptimize:
         payload = json.loads((tmp_path / "ms.json").read_text())
         assert len(payload["final_gaps"]) == 3
 
+    def test_negative_epochs_exit_2(self, identity6, tmp_path, capsys):
+        code = main([
+            "optimize", "--input", str(identity6), "--loss", "squared",
+            "--b", "1", "--epochs", "-1", "--step", "0.2",
+            "--seeds", "0", "--out", str(tmp_path / "neg"),
+        ])
+        assert code == 2
+        assert "epochs" in capsys.readouterr().err
+
     def test_divergent_step_all_seeds_exit_1(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         A = 100.0 * rng.standard_normal((4, 2))

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shuffle_sgd as ss
-from shuffle_sgd.constants import MaskedGramOperator, StationarityError
+from shuffle_sgd.constants import (
+    _SEPARABILITY_CHECK_AT,
+    MaskedGramOperator,
+    StationarityError,
+    _logistic_unbounded,
+)
 from shuffle_sgd.losses import LossModel, RegularityDiag
 
 import oracles
@@ -138,15 +143,15 @@ class TestOperatorNorm:
 class TestClassicalAndFull:
     def test_classical_identity(self):
         ds = ss.SparseDataset.from_dense(np.eye(2))
-        assert ss.classical_L(ds, unit_reg(2)) == 1.0
+        assert ss.classical_constant(ds, unit_reg(2)) == 1.0
 
     def test_classical_scaled_rows(self):
         ds = ss.SparseDataset.from_dense(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        assert ss.classical_L(ds, unit_reg(2)) == 4.0
+        assert ss.classical_constant(ds, unit_reg(2)) == 4.0
 
     def test_classical_weighted(self):
         ds = ss.SparseDataset.from_dense(np.eye(2))
-        assert ss.classical_L(ds, RegularityDiag("smooth", [4.0, 1.0])) == 4.0
+        assert ss.classical_constant(ds, RegularityDiag("smooth", [4.0, 1.0])) == 4.0
 
     def test_full_gradient_identity(self):
         ds = ss.SparseDataset.from_dense(np.eye(2))
@@ -163,11 +168,11 @@ class TestClassicalAndFull:
     def test_permutation_invariance(self, rng):
         ds = random_sparse_dataset(rng)
         reg = RegularityDiag("smooth", rng.uniform(0.1, 5.0, ds.n))
-        base_L = ss.classical_L(ds, reg)
+        base_L = ss.classical_constant(ds, reg)
         perm = rng.permutation(ds.n)
         permuted = ss.SparseDataset.from_dense(ds.to_dense()[perm], labels=ds.labels[perm])
         reg_p = RegularityDiag("smooth", reg.values[perm])
-        assert ss.classical_L(permuted, reg_p) == pytest.approx(base_L, rel=1e-12)
+        assert ss.classical_constant(permuted, reg_p) == pytest.approx(base_L, rel=1e-12)
         assert ss.full_gradient_L(permuted, reg_p, **TIGHT) == pytest.approx(
             ss.full_gradient_L(ds, reg, **TIGHT), rel=1e-8
         )
@@ -223,7 +228,7 @@ class TestTildeConstant:
             ds = random_sparse_dataset(rng)
             reg = RegularityDiag("smooth", rng.uniform(0.1, 10.0, ds.n))
             til = ss.tilde_constant(ds, reg, rng.permutation(ds.n), 1)
-            assert til == pytest.approx(ss.classical_L(ds, reg), rel=1e-12)
+            assert til == pytest.approx(ss.classical_constant(ds, reg), rel=1e-12)
 
     def test_identity_b2(self):
         ds = ss.SparseDataset.from_dense(np.eye(2))
@@ -281,7 +286,7 @@ class TestRelaxationChain:
         perm = rng.permutation(ds.n)
         hat = ss.hat_constant(ds, reg, perm, b, tol=1e-8, max_iter=50_000)
         trace = float(np.sum(w * ss.row_sq_norms(ds)) / ds.n)
-        L = ss.classical_L(ds, reg)
+        L = ss.classical_constant(ds, reg)
         assert hat <= trace + 1e-9 * max(L, 1.0)
         assert trace <= ds.n * L + 1e-9  # trace of the weighted Gram over n
         til = ss.tilde_constant(ds, reg, perm, b)
@@ -452,6 +457,27 @@ class TestReferenceMinimizer:
         m = LossModel.for_dataset("logistic", ds)
         res = ss.reference_minimizer(ds, m, tol=1e-10, max_iter=200)
         assert not res.converged
+
+    def test_overlapping_logistic_not_flagged_unbounded(self, rng):
+        # noisy labels make the classes overlap: the separability LP finds no
+        # direction of unbounded descent, and gradient descent converges
+        for _ in range(5):
+            A = rng.standard_normal((12, 3))
+            t = np.where(A @ np.array([1.0, -0.5, 0.25]) > 0, 1.0, -1.0)
+            flips = rng.random(12) < 0.35
+            t[flips] = -t[flips]
+            ds = ss.SparseDataset.from_dense(A, labels=t)
+            m = LossModel.for_dataset("logistic", ds)
+            assert not _logistic_unbounded(ds, m)
+            ref = ss.reference_minimizer(ds, m, tol=1e-8)
+            assert ref.converged and ref.iterations > 0
+
+    def test_separable_logistic_stops_at_separability_check(self):
+        ds = ss.SparseDataset.from_dense(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                                         labels=[1.0, 1.0, 1.0])
+        ref = ss.reference_minimizer(ds, LossModel.for_dataset("logistic", ds))
+        assert not ref.converged
+        assert ref.iterations == _SEPARABILITY_CHECK_AT - 1
 
 
 class TestGbar:

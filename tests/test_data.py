@@ -159,7 +159,11 @@ class TestPermutedView:
             vi, vv = view.row(i)
             bi, bv = ds.row(int(perm[i]))
             assert np.array_equal(vi, bi) and np.array_equal(vv, bv)
-        assert np.allclose(view.to_csr().toarray(), ds.to_dense()[perm])
+        ref = ds.to_csr()[perm]
+        assert np.array_equal(view.indptr, ref.indptr)
+        assert np.array_equal(view.indices, ref.indices)
+        assert np.array_equal(view.values, ref.data)
+        assert np.array_equal(view.rows, np.repeat(np.arange(ds.n), np.diff(ref.indptr)))
 
     def test_rejects_non_bijection(self, rng):
         ds = random_sparse_dataset(rng, n=4)

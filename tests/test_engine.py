@@ -54,6 +54,49 @@ class TestBlockOps:
         same = ss.primal_block_step(x0, view, 0, np.zeros(1), 0.7, 1)
         assert np.array_equal(same, x0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 6),
+        st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        st.sampled_from(["1", "n", "any"]),
+    )
+    def test_block_ops_match_dense_rows(self, seed, n, d, density, batch):
+        # truly sparse rows (empty ones included) against dense A[perm]; with
+        # b >= 2 rows of one block share columns, which bincount accumulates
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
+        A[rng.random(n) < 0.3] = 0.0
+        t = rng.standard_normal(n)
+        ds = ss.SparseDataset.from_rows([(np.flatnonzero(r), r[r != 0]) for r in A], t, d=d)
+        m = LossModel.for_dataset("squared", ds)
+        b = {"1": 1, "n": n}.get(batch) or int(rng.choice(divisors(n)))
+        perm = rng.permutation(n)
+        view = ss.PermutedView(ds, perm)
+        x = rng.standard_normal(d)
+        for i in range(n // b):
+            rows = perm[i * b : (i + 1) * b]
+            blk = A[rows]
+            # squared loss: y_j = a_j^T x - t_j
+            y = ss.dual_block_update(m, view, i, x, b)
+            assert y.shape == (b,)
+            assert np.max(np.abs(y - (blk @ x - t[rows]))) <= 1e-12 * (1.0 + np.abs(blk).sum())
+            y_any = rng.standard_normal(b)
+            got = ss.primal_block_step(x, view, i, y_any, 0.7, b)
+            ref = x - (0.7 / b) * (blk.T @ y_any)
+            assert got.shape == (d,)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("epochs", [-1, 0])
+    @pytest.mark.parametrize("step", [0.1, np.array([0.1])])
+    def test_nonpositive_epochs_rejected_first(self, epochs, step):
+        cfg = RunConfig(batch=1, epochs=epochs, step=step, x0=np.zeros(1))
+        with pytest.raises(ConfigError, match="epochs must be >= 1"):
+            cfg.step_schedule()
+
 
 class TestRun:
     def test_scalar_problem(self):
