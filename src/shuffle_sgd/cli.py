@@ -277,13 +277,14 @@ def cmd_histogram(args) -> int:
     return 0
 
 
-def _theoretical_step(ds, model, scheme, b, K, num_perms, seed, tol, proxy):
-    """Assemble BoundInputs and the matching step size for a smooth run."""
+def _minimizer_record(ref) -> dict:
+    return {"reason": ref.reason, "iterations": ref.iterations, "grad_norm": ref.grad_norm}
+
+
+def _theoretical_step(ds, model, x_star, scheme, b, K, num_perms, seed, tol, proxy):
+    """Assemble BoundInputs and the matching step size for a smooth run
+    whose minimizer is x_star."""
     reg = losses.regularity(model)
-    ref = consts.reference_minimizer(ds, model, tol=1e-10)
-    if not ref.converged:
-        raise CliError("reference minimizer did not converge; cannot size the step", code=1)
-    x_star = ref.x
     sig = consts.sigma_star(ds, model, x_star, grad_tol=1e-6)
     D = float(np.linalg.norm(x_star))  # x0 = 0
     if scheme == "IG":
@@ -293,12 +294,12 @@ def _theoretical_step(ds, model, scheme, b, K, num_perms, seed, tol, proxy):
         ynorm = consts.ystar_weighted_norm(ds, model, x_star, grad_tol=1e-6)
         inp = bd.BoundInputs(n=ds.n, b=b, K=K, hatL=hat, tildeL=til,
                              sigma_star=sig, D=D, ystar_norm=ynorm)
-        return bd.step_size_ig(inp), inp, x_star
+        return bd.step_size_ig(inp), inp
     report = consts.ratio_stats(ds, reg, b=b, num_perms=num_perms, seed=seed, tol=tol)
     hat = _proxy_value(report.hatL, proxy)
     til = _proxy_value(report.tildeL, proxy)
     inp = bd.BoundInputs(n=ds.n, b=b, K=K, hatL=hat, tildeL=til, sigma_star=sig, D=D)
-    return bd.step_size_smooth_rr(inp), inp, x_star
+    return bd.step_size_smooth_rr(inp), inp
 
 
 def _proxy_value(summary: dict, proxy: str) -> float:
@@ -324,26 +325,24 @@ def cmd_optimize(args) -> int:
     if args.b < 1 or ds.n % args.b != 0:
         raise CliError(f"batch size {args.b} must divide n={ds.n}")
 
-    x_star = None
-    f_star = None
-    if args.step == "theoretical":
-        if not model.smooth:
-            raise CliError("theoretical step for nonsmooth losses needs verify-bound --planted")
-        eta, inp, x_star = _theoretical_step(
-            ds, model, args.scheme, args.b, args.epochs, args.perms, args.seed, args.tol,
-            args.proxy,
-        )
-        f_star = losses.objective(model, ds, x_star)
-    else:
+    if args.step != "theoretical":
         try:
             eta = float(args.step)
         except ValueError:
             raise CliError("--step expects a float or 'theoretical'")
-        if model.smooth:
-            ref = consts.reference_minimizer(ds, model, tol=1e-10)
-            if ref.converged:
-                x_star = ref.x
-                f_star = losses.objective(model, ds, x_star)
+    elif not model.smooth:
+        raise CliError("theoretical step for nonsmooth losses needs verify-bound --planted")
+    ref = consts.reference_minimizer(ds, model, tol=1e-10) if model.smooth else None
+    if args.step == "theoretical":
+        if not ref.converged:
+            raise CliError(
+                f"reference minimizer stopped ({ref.reason}); cannot size the step", code=1
+            )
+        eta, _ = _theoretical_step(
+            ds, model, ref.x, args.scheme, args.b, args.epochs, args.perms, args.seed,
+            args.tol, args.proxy,
+        )
+    f_star = losses.objective(model, ds, ref.x) if ref is not None and ref.converged else None
 
     trace = not args.no_trace
 
@@ -396,6 +395,7 @@ def cmd_optimize(args) -> int:
         "config": _config_echo(args),
         "step_size": eta,
         "diverged": {str(k): v for k, v in diverged.items()},
+        "minimizer": _minimizer_record(ref) if ref is not None else None,
     }
     if final_gaps:
         payload["final_gaps"] = {str(k): v for k, v in final_gaps.items()}
@@ -443,6 +443,7 @@ def cmd_verify_bound(args) -> int:
         ds, x_star = _planted_hinge(n, d, args.seed)
         model = losses.LossModel.for_dataset("hinge", ds)
         f_star = 0.0
+        ref = None  # the planted optimum is known
         reg = losses.regularity(model)
         gbar = consts.gbar_estimate(ds, reg, b, args.perms, seed=args.seed, tol=args.tol)
         D = float(np.linalg.norm(x_star))
@@ -455,21 +456,21 @@ def cmd_verify_bound(args) -> int:
         if not model.smooth:
             raise CliError(f"--bound {args.bound} needs a smooth loss")
         scheme = "IG" if kind.endswith("ig") else "RR"
-        try:
-            eta, inp, x_star = _theoretical_step(
-                ds, model, scheme, b, K, args.perms, args.seed, args.tol, args.proxy
-            )
-        except CliError as exc:
-            if exc.code == 1:
-                _write_json(args.out + ".json", {
-                    "schema_version": SCHEMA_VERSION,
-                    "config": _config_echo(args),
-                    "verdict": "inconclusive",
-                    "reason": str(exc),
-                })
-                print("verdict=inconclusive")
-                return 1
-            raise
+        ref = consts.reference_minimizer(ds, model, tol=1e-10)
+        if not ref.converged:
+            _write_json(args.out + ".json", {
+                "schema_version": SCHEMA_VERSION,
+                "config": _config_echo(args),
+                "verdict": "inconclusive",
+                "reason": f"reference minimizer stopped ({ref.reason}); cannot size the step",
+                "minimizer": _minimizer_record(ref),
+            })
+            print("verdict=inconclusive")
+            return 1
+        x_star = ref.x
+        eta, inp = _theoretical_step(
+            ds, model, x_star, scheme, b, K, args.perms, args.seed, args.tol, args.proxy
+        )
         f_star = losses.objective(model, ds, x_star)
         if kind == "general_rr":
             Lvals = losses.regularity(model).values * row_sq_norms(ds)
@@ -530,6 +531,7 @@ def cmd_verify_bound(args) -> int:
         "margin": rhs - mean_gap,
         "num_runs": len(gaps),
         "verdict": "holds" if holds else "violated",
+        "minimizer": _minimizer_record(ref) if ref is not None else None,
     }
     _write_json(args.out + ".json", payload)
     print(f"verdict={payload['verdict']} mean_gap={mean_gap:.6g} rhs={rhs:.6g}")
@@ -547,7 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-6, help="power-iteration tolerance")
+        sp.add_argument("--tol", type=float, default=1e-6,
+                        help="relative stopping tolerance of the power iterations for "
+                        "hat and full_gradient_L, and for general_hat_L in verify-bound; "
+                        "batch-sweep computes only the exact tilde and ignores it")
         sp.add_argument("--out", required=True, help="output path prefix")
 
     sp = sub.add_parser("analyze", help="per-permutation hat/tilde constants for one dataset")

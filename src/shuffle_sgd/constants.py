@@ -466,7 +466,14 @@ class MinimizerResult(NamedTuple):
     x: np.ndarray
     grad_norm: float
     iterations: int
-    converged: bool
+    # why the run stopped: "converged" (||grad|| <= tol), "no_finite_minimizer"
+    # (the separability LP found a direction of unbounded descent) or
+    # "max_iter" (out of iterations)
+    reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
 
 
 # Gradient-descent iterations before a logistic run checks for separability.
@@ -506,8 +513,8 @@ def reference_minimizer(
 
     A logistic run still short of tol after _SEPARABILITY_CHECK_AT iterations
     solves one LP; if it finds a direction of unbounded descent (separable
-    data, no finite minimizer) the run returns converged=False there instead
-    of iterating to max_iter. Runs that converge sooner never pay for it."""
+    data) the run stops there with reason "no_finite_minimizer" instead of
+    iterating to max_iter. Runs that converge sooner never pay for it."""
     if not m.smooth:
         raise ValueError("reference minimizer requires a smooth loss family")
     from .losses import regularity
@@ -517,7 +524,7 @@ def reference_minimizer(
     x = np.zeros(ds.d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     if Lf == 0.0:
         g = full_gradient(m, ds, x)
-        return MinimizerResult(x, float(np.linalg.norm(g)), 0, True)
+        return MinimizerResult(x, float(np.linalg.norm(g)), 0, "converged")
     base_step = 1.0 / Lf
     fx = objective(m, ds, x)
     it = 0
@@ -525,10 +532,10 @@ def reference_minimizer(
         g = full_gradient(m, ds, x)
         gn = float(np.linalg.norm(g))
         if gn <= tol:
-            return MinimizerResult(x, gn, it - 1, True)
+            return MinimizerResult(x, gn, it - 1, "converged")
         if (it == _SEPARABILITY_CHECK_AT and m.family == "logistic"
                 and _logistic_unbounded(ds, m)):
-            return MinimizerResult(x, gn, it - 1, False)
+            return MinimizerResult(x, gn, it - 1, "no_finite_minimizer")
         eta = base_step
         gsq = gn * gn
         for _ in range(60):
@@ -544,4 +551,4 @@ def reference_minimizer(
         x, fx = x_new, f_new
     g = full_gradient(m, ds, x)
     gn = float(np.linalg.norm(g))
-    return MinimizerResult(x, gn, it, gn <= tol)
+    return MinimizerResult(x, gn, it, "converged" if gn <= tol else "max_iter")

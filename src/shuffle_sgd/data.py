@@ -9,7 +9,8 @@ across threads.
 from __future__ import annotations
 
 import gzip
-import io
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,35 +191,24 @@ def _parse_token(tok: str, line_no: int):
     return idx - 1, val
 
 
-def parse_libsvm(source, d: int | None = None) -> SparseDataset:
-    """Parse LIBSVM text: one `<label> <idx>:<val> ...` record per line.
+def _parse_lines(raw: bytes):
+    """Line-by-line parse of LIBSVM bytes into (labels, indptr, indices, values).
 
-    `source` may be a str, bytes, or binary/text file object. Indices are
-    1-based in the file and stored 0-based; out-of-order pairs are sorted,
-    duplicates on one line are an error. Blank lines and `#` comment
-    suffixes are skipped. By default d is the largest index seen; pass `d`
-    to widen it (an override smaller than the data is an error). Gzip and
-    bzip2 input are detected by magic bytes.
+    This is the reference for the bulk parser and the path that names the
+    line of a fault: it runs only on input `_parse_bulk` refuses. Only the
+    text before a `#` has to be UTF-8.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        if source[:2] == b"\x1f\x8b":
-            source = gzip.decompress(source)
-        elif source[:3] == b"BZh":
-            import bz2
-
-            source = bz2.decompress(source)
-        text = source.decode("utf-8")
-    else:
-        text = source
-
     rows, labels = [], []
-    for line_no, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for line_no, line in enumerate(raw.split(b"\n"), start=1):
+        data = line.split(b"#", 1)[0]
+        try:
+            toks = data.decode("utf-8").split()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"invalid UTF-8 byte 0x{data[exc.start]:02x} at column {exc.start + 1}", line_no
+            ) from None
+        if not toks:
             continue
-        toks = line.split()
         try:
             label = float(toks[0])
         except ValueError:
@@ -236,17 +226,193 @@ def parse_libsvm(source, d: int | None = None) -> SparseDataset:
             raise ParseError(f"duplicate feature index {dup}", line_no)
         rows.append((idx, val))
         labels.append(label)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([r[0].size for r in rows], out=indptr[1:])
+    return (
+        np.asarray(labels, dtype=np.float64),
+        indptr,
+        np.concatenate([r[0] for r in rows] or [np.zeros(0, np.int64)]),
+        np.concatenate([r[1] for r in rows] or [np.zeros(0)]),
+    )
 
-    if not rows:
+
+# Bytes the bulk parser takes at once, rounded down to a line end. Its
+# temporaries peak near three times this size whatever the input size, which
+# keeps its peak below the line parser's from inputs of about 4 MB.
+_CHUNK_BYTES = 1 << 20
+# The bytes the bulk parser accepts outside comments: anything else ("nan",
+# "1_0", non-ASCII space, ...) is left to the line parser.
+_BULK_BYTES = b"0123456789+-.eE: \t\n\r\x0b\x0c"
+_COMMENT = re.compile(rb"#[^\n]*")
+# int64 holds every 18-digit index; longer ones go to the line parser.
+_MAX_INDEX_DIGITS = 18
+
+
+class _Refused(Exception):
+    """The bulk parser does not accept this input; the line parser decides."""
+
+
+def _token_bounds(buf: np.ndarray):
+    """Start and end offsets of the tokens: the runs of bytes above space."""
+    word = np.zeros(buf.size + 2, dtype=bool)
+    np.greater(buf, 32, out=word[1:-1])
+    edge = word[1:] != word[:-1]
+    del word
+    edges = np.flatnonzero(edge)
+    return edges[0::2], edges[1::2]
+
+
+def _parse_chunk(chunk: bytearray):
+    """Labels, per-row pair counts, 0-based indices and values of whole lines.
+
+    The first token of a line is its label; every other token must hold one
+    colon with digits before it and text after it. The index digits and the
+    colons are then blanked in place, so one `np.fromstring` reads exactly
+    the labels and values, and reads one number per token only if each
+    token is a number as `float` would take it.
+    """
+    if b"#" in chunk:
+        chunk = bytearray(_COMMENT.sub(b"", chunk))
+    if chunk.translate(None, _BULK_BYTES):
+        raise _Refused
+    buf = np.frombuffer(chunk, dtype=np.uint8)
+    starts, ends = _token_bounds(buf)
+    line = np.searchsorted(np.flatnonzero(buf == 10), starts)
+    is_label = np.ones(starts.size, dtype=bool)
+    np.not_equal(line[1:], line[:-1], out=is_label[1:])
+    del line
+    # the pair tokens, found twice: as non-label tokens and as colon holders
+    colons = np.flatnonzero(buf == 58)
+    pair_tok = np.flatnonzero(~is_label)
+    if not np.array_equal(np.searchsorted(starts, colons, side="right") - 1, pair_tok):
+        raise _Refused
+    width = colons - starts[pair_tok]
+    if pair_tok.size and (
+        width.min() < 1
+        or width.max() > _MAX_INDEX_DIGITS
+        or (ends[pair_tok] - colons).min() < 2
+    ):
+        raise _Refused
+    ntok = starts.size
+    del starts, ends
+    idx = np.zeros(colons.size, dtype=np.int64)
+    for k in range(int(width.max(initial=0)), 0, -1):  # the digit k places before the colon
+        has = width >= k
+        at = colons[has] - k
+        digit = buf[at] - 48
+        if (digit > 9).any():
+            raise _Refused
+        idx *= 10
+        idx[has] += digit
+        buf[at] = 32
+    buf[colons] = 32
+    del width, colons
+    if idx.size and idx.min() < 1:
+        raise _Refused
+    idx -= 1
+    nums = np.zeros(0)
+    if ntok:
+        buf.flags.writeable = False
+        try:
+            with warnings.catch_warnings():
+                # older numpy stops at unmatched text with a warning; the
+                # count check below refuses that the same way
+                warnings.simplefilter("ignore", DeprecationWarning)
+                nums = np.fromstring(buf, sep=" ")
+        except ValueError:
+            raise _Refused from None
+        if nums.size != ntok:
+            raise _Refused
+    labels, val = nums[is_label], nums[~is_label]
+    counts = np.diff(np.flatnonzero(is_label), append=ntok) - 1
+    # neighbouring pairs share a row exactly when their tokens are adjacent
+    same_row = np.diff(pair_tok) == 1
+    if (same_row & (np.diff(idx) <= 0)).any():
+        row = pair_tok - np.arange(pair_tok.size)
+        order = np.lexsort((idx, row))
+        idx, val = idx[order], val[order]
+        if (same_row & (np.diff(idx) == 0)).any():
+            raise _Refused
+    return labels, counts, idx, val
+
+
+def _parse_bulk(raw: bytes):
+    """(labels, indptr, indices, values) of `raw`, parsed in whole-line chunks.
+
+    Raises `_Refused` on any input that `_parse_lines` might not parse to
+    the same arrays, so that the line parser decides it.
+    """
+    nnz_cap = raw.count(b":")
+    rows_cap = raw.count(b"\n") + 1
+    labels, counts = np.empty(rows_cap), np.empty(rows_cap, dtype=np.int64)
+    indices, values = np.empty(nnz_cap, dtype=np.int64), np.empty(nnz_cap)
+    view = memoryview(raw)
+    n = nnz = pos = 0
+    while pos < len(raw):
+        end = len(raw)
+        if end - pos > _CHUNK_BYTES:
+            end = raw.rfind(b"\n", pos, pos + _CHUNK_BYTES) + 1
+            if end == 0:  # a line longer than a chunk
+                end = raw.find(b"\n", pos + _CHUNK_BYTES) + 1 or len(raw)
+        lab, cnt, idx, val = _parse_chunk(bytearray(view[pos:end]))
+        labels[n:n + lab.size] = lab
+        counts[n:n + cnt.size] = cnt
+        indices[nnz:nnz + idx.size] = idx
+        values[nnz:nnz + val.size] = val
+        n += lab.size
+        nnz += idx.size
+        pos = end
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts[:n], out=indptr[1:])
+    return labels[:n], indptr, indices[:nnz], values[:nnz]
+
+
+def _as_bytes(source) -> bytes:
+    if hasattr(source, "read"):
+        source = source.read()
+    if isinstance(source, str):
+        return source.encode("utf-8", "surrogatepass")
+    if source[:2] == b"\x1f\x8b":
+        return gzip.decompress(source)
+    if source[:3] == b"BZh":
+        import bz2
+
+        return bz2.decompress(source)
+    return source
+
+
+def _dataset(labels, indptr, indices, values, d: int | None) -> SparseDataset:
+    if not labels.size:
         raise ParseError("no data records found")
-    max_idx = max((int(r[0][-1]) for r in rows if r[0].size), default=-1)
+    max_idx = int(indices.max()) if indices.size else -1
     if d is None:
         if max_idx < 0:
             raise ParseError("no features present; pass an explicit feature count")
         d = max_idx + 1
     elif d < max_idx + 1:
         raise ParseError(f"feature count override {d} smaller than max index {max_idx + 1}")
-    return SparseDataset.from_rows(rows, labels, d=d)
+    return SparseDataset(indptr=indptr, indices=indices, values=values, labels=labels, d=d)
+
+
+def parse_libsvm(source, d: int | None = None) -> SparseDataset:
+    """Parse LIBSVM text: one `<label> <idx>:<val> ...` record per line.
+
+    `source` may be a str, bytes, or binary/text file object. Indices are
+    1-based in the file and stored 0-based; out-of-order pairs are sorted,
+    duplicates on one line are an error. Blank lines and `#` comment
+    suffixes are skipped. By default d is the largest index seen; pass `d`
+    to widen it (an override smaller than the data is an error). Gzip and
+    bzip2 input are detected by magic bytes.
+
+    Valid input is parsed in bulk with numpy; input the bulk parser refuses
+    is parsed line by line, which raises `ParseError` naming the bad line.
+    """
+    raw = _as_bytes(source)
+    try:
+        parts = _parse_bulk(raw)
+    except _Refused:
+        parts = _parse_lines(raw)
+    return _dataset(*parts, d)
 
 
 def load_libsvm(path, d: int | None = None) -> SparseDataset:

@@ -49,6 +49,13 @@ class TestAnalyze:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_input_exit_2_names_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.svm"
+        bad.write_bytes(b"1 1:1\n\xff 2:1\n")
+        code = main(["analyze", "--input", str(bad), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "line 2: invalid UTF-8" in capsys.readouterr().err
+
     def test_deterministic_bytes(self, identity6, tmp_path):
         args = [
             "analyze", "--input", str(identity6), "--b", "2",
@@ -179,6 +186,23 @@ class TestOptimize:
         assert all(b <= a + 1e-12 for a, b in zip(f_vals, f_vals[1:]))
         payload = json.loads((tmp_path / "run.json").read_text())
         assert payload["mean_final_gap"] >= -1e-12
+        assert payload["minimizer"]["reason"] == "converged"
+
+    def test_minimizer_reason_in_json(self, tmp_path):
+        # overlapping logistic classes have a finite minimizer; hinge runs none
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((12, 3))
+        t = np.where(rng.random(12) < 0.5, -1.0, 1.0)
+        p = tmp_path / "mix.svm"
+        p.write_text(ss.serialize_libsvm(ss.SparseDataset.from_dense(A, labels=t)))
+        for loss, want in (("logistic", "converged"), ("hinge", None)):
+            code = main([
+                "optimize", "--input", str(p), "--loss", loss, "--b", "1",
+                "--epochs", "1", "--step", "0.1", "--out", str(tmp_path / loss),
+            ])
+            assert code == 0
+            record = json.loads((tmp_path / f"{loss}.json").read_text())["minimizer"]
+            assert (record and record["reason"]) == want
 
     def test_fixed_step_multi_seed(self, identity6, tmp_path):
         out = tmp_path / "ms"
@@ -247,6 +271,7 @@ class TestVerifyBound:
         payload = json.loads((tmp_path / "v.json").read_text())
         assert payload["verdict"] == "holds"
         assert payload["empirical_mean_gap"] <= payload["rhs"]
+        assert payload["minimizer"]["reason"] == "converged"
 
     def test_rr_monte_carlo(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -299,6 +324,7 @@ class TestVerifyBound:
         assert code == 1
         payload = json.loads((tmp_path / "inc.json").read_text())
         assert payload["verdict"] == "inconclusive"
+        assert payload["minimizer"]["reason"] == "no_finite_minimizer"
 
     def test_unknown_bound_kind(self, tmp_path):
         code = main([

@@ -426,7 +426,7 @@ class TestReferenceMinimizer:
         ds = ss.SparseDataset.from_dense(np.eye(2), labels=[1.0, 2.0])
         m = LossModel.for_dataset("squared", ds)
         res = ss.reference_minimizer(ds, m, tol=1e-10)
-        assert res.converged
+        assert res.converged and res.reason == "converged"
         assert np.allclose(res.x, [1.0, 2.0], atol=1e-8)
 
     def test_normal_equations(self):
@@ -456,7 +456,7 @@ class TestReferenceMinimizer:
         ds = ss.SparseDataset.from_dense(np.array([[1.0], [2.0]]), labels=[1.0, 1.0])
         m = LossModel.for_dataset("logistic", ds)
         res = ss.reference_minimizer(ds, m, tol=1e-10, max_iter=200)
-        assert not res.converged
+        assert not res.converged and res.reason == "max_iter"
 
     def test_overlapping_logistic_not_flagged_unbounded(self, rng):
         # noisy labels make the classes overlap: the separability LP finds no
@@ -471,12 +471,13 @@ class TestReferenceMinimizer:
             assert not _logistic_unbounded(ds, m)
             ref = ss.reference_minimizer(ds, m, tol=1e-8)
             assert ref.converged and ref.iterations > 0
+            assert ref.reason == "converged"
 
     def test_separable_logistic_stops_at_separability_check(self):
         ds = ss.SparseDataset.from_dense(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
                                          labels=[1.0, 1.0, 1.0])
         ref = ss.reference_minimizer(ds, LossModel.for_dataset("logistic", ds))
-        assert not ref.converged
+        assert not ref.converged and ref.reason == "no_finite_minimizer"
         assert ref.iterations == _SEPARABILITY_CHECK_AT - 1
 
 

@@ -1,10 +1,13 @@
 import gzip
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import shuffle_sgd as ss
+from shuffle_sgd import data
 from shuffle_sgd.data import ParseError
 
 from conftest import random_sparse_dataset
@@ -80,6 +83,118 @@ class TestParseLibsvm:
         ds = ss.parse_libsvm("1 1:1\n0\n")
         idx, val = ds.row(1)
         assert idx.size == 0 and val.size == 0
+
+    def test_non_utf8_reports_line(self):
+        with pytest.raises(ParseError, match="^line 2: invalid UTF-8 byte 0xff"):
+            ss.parse_libsvm(b"1 1:1\n\xff 2:1\n")
+
+
+def loop_parse(raw, d=None):
+    """The line parser alone, as the reference for the bulk parser."""
+    return data._dataset(*data._parse_lines(raw), d)
+
+
+def outcome(parse, raw, d):
+    try:
+        ds = parse(raw, d)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "ok", ds.d, *(a.dtype.str + a.tobytes().hex()
+                          for a in (ds.indptr, ds.indices, ds.values, ds.labels))
+
+
+def rcv1_text(n, d, k, seed):
+    """rcv1-shaped LIBSVM bytes: k sorted nonzeros per row, repr values."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(n):
+        cols = np.sort(rng.choice(d, k, replace=False)) + 1
+        pairs = " ".join(f"{j}:{v!r}" for j, v in zip(cols.tolist(), rng.random(k).tolist()))
+        lines.append(f"{float(rng.choice([-1.0, 1.0]))!r} {pairs}\n")
+    return "".join(lines).encode()
+
+
+def _number(draw):
+    x = draw(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+    fmt = draw(st.sampled_from(["{!r}", "+{!r}", "{:e}", "{:E}", "{:.0f}", "{:.3f}", "00{!r}"]))
+    text = fmt.format(abs(x) if fmt.startswith(("+", "00")) else x)
+    return text.replace("0.", ".", 1) if draw(st.booleans()) and text.startswith("0.") else text
+
+
+@st.composite
+def libsvm_text(draw):
+    """Valid LIBSVM bytes in varied layout, and a d override (None or wide enough)."""
+    space = st.text(" \t", min_size=1, max_size=3)
+    lines, max_idx = [], 0
+    for _ in range(draw(st.integers(1, 6))):
+        for _ in range(draw(st.integers(0, 2))):  # blank and comment-only lines
+            lines.append(draw(st.sampled_from(["", "  \t", "# note", " #1 2:3"])))
+        cols = draw(st.lists(st.integers(1, 40), unique=True, max_size=6))
+        max_idx = max([max_idx, *cols])
+        toks = [_number(draw)] + [
+            f"{'0' * draw(st.integers(0, 2))}{j}:{_number(draw)}" for j in cols
+        ]
+        line = "".join(draw(space) + t for t in toks) if draw(st.booleans()) else " ".join(toks)
+        if draw(st.booleans()):
+            line += draw(space)
+        if draw(st.booleans()):
+            line += draw(st.sampled_from(["#", "# a:b 1:2", " # caf\u00e9"]))
+        lines.append(line)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    d = draw(st.sampled_from([None, max_idx + 2, max(max_idx, 1)]))
+    return text.encode(), d
+
+
+class TestBulkParse:
+    """parse_libsvm's bulk path against the line parser it falls back to."""
+
+    @given(libsvm_text(), st.sampled_from([1, 5, 64, data._CHUNK_BYTES]))
+    def test_valid_text_matches_loop_on_bulk_path(self, case, chunk):
+        raw, d = case
+        expected = outcome(loop_parse, raw, d)
+        with mock.patch.object(data, "_CHUNK_BYTES", chunk), \
+                mock.patch.object(data, "_parse_lines", side_effect=AssertionError("loop ran")):
+            assert outcome(ss.parse_libsvm, raw, d) == expected
+
+    @given(libsvm_text(), st.sampled_from([1, 5, data._CHUNK_BYTES]),
+           st.sampled_from(["insert", "delete", "replace"]),
+           st.sampled_from(list(b":.e-+#\nx\xa0")), st.floats(0, 1, exclude_max=True))
+    def test_one_byte_mutation_matches_loop(self, case, chunk, op, byte, where):
+        raw, d = case
+        at = int(where * (len(raw) + (op == "insert")))
+        if op == "insert":
+            raw = raw[:at] + bytes([byte]) + raw[at:]
+        elif op == "delete":
+            raw = raw[:at] + raw[at + 1:]
+        else:
+            raw = raw[:at] + bytes([byte]) + raw[at + 1:]
+        expected = outcome(loop_parse, raw, d)
+        with mock.patch.object(data, "_CHUNK_BYTES", chunk):
+            assert outcome(ss.parse_libsvm, raw, d) == expected
+
+    def test_rcv1_shaped_never_enters_loop(self):
+        raw = rcv1_text(300, 23500, 74, seed=5)
+        expected = outcome(loop_parse, raw, None)
+        with mock.patch.object(data, "_CHUNK_BYTES", 1 << 14), \
+                mock.patch.object(data, "_parse_lines", side_effect=AssertionError("loop ran")):
+            assert outcome(ss.parse_libsvm, raw, None) == expected
+
+    def test_peak_memory_not_above_loop(self):
+        raw = rcv1_text(2300, 23500, 74, seed=6)
+        assert len(raw) >= 4 << 20
+
+        def peak(parse):
+            tracemalloc.start()
+            try:
+                parse(raw)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with mock.patch.object(data, "_parse_lines", side_effect=AssertionError("loop ran")):
+            bulk = peak(ss.parse_libsvm)
+        assert bulk <= peak(loop_parse)
 
 
 class TestRoundTrip:
