@@ -4,14 +4,10 @@ evaluators for the matching step sizes and convergence guarantees."""
 
 from .bounds import (
     BoundInputs,
-    bound_rhs_general_ig,
-    bound_rhs_general_rr,
     bound_rhs_ig,
     bound_rhs_nonsmooth,
     bound_rhs_smooth_rr,
     gradient_query_complexity,
-    step_size_general_ig,
-    step_size_general_rr,
     step_size_ig,
     step_size_nonsmooth,
     step_size_smooth_rr,

@@ -6,7 +6,8 @@ steps eta_k with H_K = sum eta_k, D = ||x0 - x*||, sigma_star the RMS
 component gradient norm at the optimum, hatL/tildeL the masked-Gram
 constants (worst-case or sampled proxies), ystar_norm = ||y*|| weighted by
 inverse smoothness (fixed-order runs only), Gbar the permutation mean of
-sqrt(hatG * tildeG) (nonsmooth runs).
+sqrt(hatG * tildeG) (nonsmooth runs). The finite-sum guarantees use the
+same step and RHS functions, with the finite-sum constants in hatL/tildeL.
 
 All RHS helpers return the bound on the (expected) suboptimality of the
 averaged output, i.e. the raw telescoped bound divided by H_K. Division
@@ -163,25 +164,6 @@ def bound_rhs_nonsmooth(inp: BoundInputs, eta) -> float:
         return 0.0
     err = float(np.sum(steps**2)) * 2.0 * inp.n * inp.Gbar / inp.b
     return (inp.b * inp.D**2 / (2.0 * inp.n) + err) / H
-
-
-# The finite-sum variants share the GLM arithmetic with the masked constants
-# replaced by their finite-sum counterparts; callers put those in hatL/tildeL.
-
-def step_size_general_rr(inp: BoundInputs) -> float:
-    return step_size_smooth_rr(inp)
-
-
-def bound_rhs_general_rr(inp: BoundInputs, eta) -> float:
-    return bound_rhs_smooth_rr(inp, eta)
-
-
-def step_size_general_ig(inp: BoundInputs) -> float:
-    return step_size_ig(inp)
-
-
-def bound_rhs_general_ig(inp: BoundInputs, eta) -> float:
-    return bound_rhs_ig(inp, eta)
 
 
 GUARANTEE_KINDS = ("rr", "ig", "nonsmooth", "general_rr", "general_ig")

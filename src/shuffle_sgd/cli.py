@@ -302,21 +302,26 @@ def _theoretical_step(ds, model, x_star, scheme, b, K, num_perms, seed, tol, pro
     return bd.step_size_smooth_rr(inp), inp
 
 
+# --proxy values besides "max": the sampled deciles, q0 (min) to q100 (max).
+DECILE_PROXIES = tuple(f"q{10 * i}" for i in range(11))
+
+
+def _check_proxy(proxy: str):
+    if proxy != "max" and proxy not in DECILE_PROXIES:
+        raise CliError(f"unknown proxy {proxy!r}; use max or one of {', '.join(DECILE_PROXIES)}")
+
+
 def _proxy_value(summary: dict, proxy: str) -> float:
     """Pick the constant fed to step sizes from sampled per-permutation values:
-    the sampled max (default, matching a deterministic constant step) or an
-    upper decile."""
+    the sampled max (default, matching a deterministic constant step) or a
+    decile."""
     if proxy == "max":
         return summary["max"]
-    if proxy.startswith("q"):
-        q = int(proxy[1:])
-        if not 0 <= q <= 100:
-            raise CliError("quantile proxy must be q0..q100")
-        return summary["deciles"][q // 10]
-    raise CliError(f"unknown proxy {proxy!r} (use max or q90-style deciles)")
+    return summary["deciles"][DECILE_PROXIES.index(proxy)]
 
 
 def cmd_optimize(args) -> int:
+    _check_proxy(args.proxy)
     ds = _load_dataset(args)
     model = losses.LossModel.for_dataset(args.loss, ds)
     seeds = _int_list(args.seeds)
@@ -430,8 +435,13 @@ def cmd_verify_bound(args) -> int:
     kind = args.bound.replace("-", "_")
     if kind not in bd.GUARANTEE_KINDS:
         raise CliError(f"--bound must be one of {bd.GUARANTEE_KINDS}")
-    seeds = list(range(args.seeds))
+    if args.seeds < 1:
+        raise CliError("provide at least one run seed")
+    _check_proxy(args.proxy)
     b, K = args.b, args.epochs
+    scheme = "IG" if kind.endswith("ig") else "RR"
+    # IG runs are deterministic: one run suffices
+    seeds = [0] if scheme == "IG" else list(range(args.seeds))
 
     if kind == "nonsmooth":
         if not args.planted:
@@ -455,7 +465,6 @@ def cmd_verify_bound(args) -> int:
         model = losses.LossModel.for_dataset(args.loss, ds)
         if not model.smooth:
             raise CliError(f"--bound {args.bound} needs a smooth loss")
-        scheme = "IG" if kind.endswith("ig") else "RR"
         ref = consts.reference_minimizer(ds, model, tol=1e-10)
         if not ref.converged:
             _write_json(args.out + ".json", {
@@ -472,25 +481,19 @@ def cmd_verify_bound(args) -> int:
             ds, model, x_star, scheme, b, K, args.perms, args.seed, args.tol, args.proxy
         )
         f_star = losses.objective(model, ds, x_star)
-        if kind == "general_rr":
+        step_size, bound_rhs = ((bd.step_size_ig, bd.bound_rhs_ig) if scheme == "IG"
+                                else (bd.step_size_smooth_rr, bd.bound_rhs_smooth_rr))
+        if kind.startswith("general"):
+            # the same guarantees with the finite-sum constants of
+            # L_i = w_i ||a_i||^2: at the identity order for IG, else the
+            # sampled max
             Lvals = losses.regularity(model).values * row_sq_norms(ds)
-            hats, tils = [], []
-            for j in range(args.perms):
-                perm = shuffle.random_permutation(ds.n, args.seed, j)
-                hats.append(consts.general_hat_L(Lvals, perm, b, tol=args.tol))
-                tils.append(consts.general_tilde_L(Lvals, perm, b))
-            inp.hatL, inp.tildeL = max(hats), max(tils)
-            eta = bd.step_size_general_rr(inp)
-        elif kind == "general_ig":
-            Lvals = losses.regularity(model).values * row_sq_norms(ds)
-            perm0 = np.arange(ds.n)
-            inp.hatL = consts.general_hat_L(Lvals, perm0, b, tol=args.tol)
-            inp.tildeL = consts.general_tilde_L(Lvals, perm0, b)
-            eta = bd.step_size_general_ig(inp)
-        if kind in ("ig", "general_ig"):
-            rhs = (bd.bound_rhs_ig if kind == "ig" else bd.bound_rhs_general_ig)(inp, eta)
-        else:
-            rhs = (bd.bound_rhs_smooth_rr if kind == "rr" else bd.bound_rhs_general_rr)(inp, eta)
+            perms = ([np.arange(ds.n)] if scheme == "IG" else
+                     [shuffle.random_permutation(ds.n, args.seed, j) for j in range(args.perms)])
+            inp.hatL = max(consts.general_hat_L(Lvals, p, b, tol=args.tol) for p in perms)
+            inp.tildeL = max(consts.general_tilde_L(Lvals, p, b) for p in perms)
+            eta = step_size(inp)
+        rhs = bound_rhs(inp, eta)
 
     def glm_oracle(i, x):
         lo, hi = ds.indptr[i], ds.indptr[i + 1]
@@ -498,10 +501,6 @@ def cmd_verify_bound(args) -> int:
         z = float(ds.values[lo:hi] @ x[ds.indices[lo:hi]])
         g[ds.indices[lo:hi]] = losses.loss_derivative(model, i, z) * ds.values[lo:hi]
         return g
-
-    scheme = "IG" if kind.endswith("ig") else "RR"
-    if kind.endswith("ig"):
-        seeds = seeds[:1]  # deterministic: one run suffices
 
     def run_one(s):
         plan = shuffle.ShufflePlan(scheme, ds.n, K, seed=s)
@@ -611,7 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seeds", default="0", help="comma-separated run seeds")
     sp.add_argument("--perms", type=int, default=50,
                     help="permutations sampled for step-size constants")
-    sp.add_argument("--proxy", default="max", help="constant proxy: max or q90-style decile")
+    sp.add_argument("--proxy", default="max",
+                    help="constant proxy: max or a decile q0, q10, ..., q100")
     sp.add_argument("--no-trace", action="store_true", help="skip inner-iterate traces")
     common(sp)
     sp.set_defaults(func=cmd_optimize)
@@ -630,7 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seeds", type=int, default=100, help="number of independent runs")
     sp.add_argument("--perms", type=int, default=100,
                     help="permutations for constant estimation")
-    sp.add_argument("--proxy", default="max")
+    sp.add_argument("--proxy", default="max",
+                    help="constant proxy: max or a decile q0, q10, ..., q100")
     common(sp)
     sp.set_defaults(func=cmd_verify_bound)
 

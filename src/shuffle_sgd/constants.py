@@ -27,7 +27,6 @@ eigenvalues.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -422,14 +421,10 @@ def gbar_estimate(
     max_iter: int = 10_000,
 ) -> float:
     """Sample mean of sqrt(hat_pi * tilde_pi) over uniform permutations
-    (the permutation expectation entering the nonsmooth guarantee)."""
-    vals = []
-    for j in range(num_perms):
-        perm = random_permutation(ds.n, seed, j)
-        hat = hat_constant(ds, reg, perm, b, tol=tol, max_iter=max_iter)
-        til = tilde_constant(ds, reg, perm, b)
-        vals.append(math.sqrt(hat * til))
-    return float(np.mean(vals))
+    (the permutation expectation entering the nonsmooth guarantee), from
+    the same permutations as ratio_stats."""
+    report = ratio_stats(ds, reg, b, num_perms, seed=seed, tol=tol, max_iter=max_iter)
+    return float(np.mean(np.sqrt(report.hatL_values * report.tildeL_values)))
 
 
 def sigma_star(

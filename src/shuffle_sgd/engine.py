@@ -23,7 +23,7 @@ which holds exactly for every epoch and is used as a self-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,35 +117,23 @@ def primal_block_step(x: np.ndarray, view: PermutedView, block: int,
     return x - (step / b) * _block_sum(view, block, y_block, b)
 
 
-def _finalize(iterates, steps, traces, objectives, m, ds):
-    H = float(np.sum(steps))
-    avg = np.zeros_like(iterates[0])
-    for eta, xk in zip(steps, iterates[1:]):
-        avg += eta * xk
-    avg /= H
-    return RunResult(
-        iterates=iterates,
-        averaged=avg,
-        traces=traces,
-        objectives=np.asarray(objectives),
-        objective_avg=objective(m, ds, avg),
-        step_sizes=steps,
-    )
+def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
+            objective_fn) -> RunResult:
+    """The epoch loop shared by run() and run_general().
 
-
-def run(ds: SparseDataset, model: LossModel, plan: ShufflePlan, cfg: RunConfig) -> RunResult:
-    """Execute shuffled SGD for cfg.epochs epochs and record per-epoch traces."""
-    n = ds.n
+    start_epoch(perm) returns the epoch's block step, (i, x, eta) ->
+    (x_next, block duals), and the recompute of block i's gradient
+    aggregate from those duals, which the retraction term needs."""
     b = cfg.batch
     if b < 1 or n % b != 0:
         raise ConfigError(f"batch size {b} must divide n = {n}")
     if plan.n != n:
-        raise ConfigError("shuffle plan row count does not match the dataset")
+        raise ConfigError(f"shuffle plan row count {plan.n} does not match n = {n}")
     m_blocks = n // b
     steps = cfg.step_schedule()
     x = np.asarray(cfg.x0, dtype=np.float64).copy()
-    if x.shape != (ds.d,):
-        raise ConfigError(f"x0 must have dimension d = {ds.d}")
+    if x.shape != (d,):
+        raise ConfigError(f"x0 must have dimension d = {d}")
 
     iterates = [x.copy()]
     traces = []
@@ -154,15 +142,13 @@ def run(ds: SparseDataset, model: LossModel, plan: ShufflePlan, cfg: RunConfig) 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.epochs + 1):
             eta = float(steps[k - 1])
-            perm = permutation_for(plan, k)
-            view = PermutedView(ds, perm)
+            step, block_grad = start_epoch(permutation_for(plan, k))
             x_start = x.copy()
             sq_steps = 0.0
             inner = [x.copy()] if cfg.record_inner else None
             duals = [] if cfg.record_inner else None
             for i in range(m_blocks):
-                y_blk = dual_block_update(model, view, i, x, b)
-                x_new = primal_block_step(x, view, i, y_blk, eta, b)
+                x_new, y_blk = step(i, x, eta)
                 delta = x_new - x
                 sq_steps += float(delta @ delta)
                 if cfg.record_inner:
@@ -183,13 +169,40 @@ def run(ds: SparseDataset, model: LossModel, plan: ShufflePlan, cfg: RunConfig) 
             if cfg.record_inner:
                 t1 = 0.0
                 for i in range(m_blocks):
-                    g_i = _block_sum(view, i, duals[i], b)
-                    t1 += float(g_i @ (x - inner[i + 1]))
+                    t1 += float(block_grad(i, duals[i]) @ (x - inner[i + 1]))
                 trace.retraction_term = eta / n * t1
             traces.append(trace)
             iterates.append(x.copy())
-            objectives.append(objective(model, ds, x))
-    return _finalize(iterates, steps, traces, objectives, model, ds)
+            objectives.append(objective_fn(x))
+
+    avg = np.zeros(d)
+    for eta, xk in zip(steps, iterates[1:]):
+        avg += eta * xk
+    avg /= float(np.sum(steps))
+    return RunResult(
+        iterates=iterates,
+        averaged=avg,
+        traces=traces,
+        objectives=np.asarray(objectives),
+        objective_avg=objective_fn(avg),
+        step_sizes=steps,
+    )
+
+
+def run(ds: SparseDataset, model: LossModel, plan: ShufflePlan, cfg: RunConfig) -> RunResult:
+    """Execute shuffled SGD for cfg.epochs epochs and record per-epoch traces."""
+    b = cfg.batch
+
+    def start_epoch(perm):
+        view = PermutedView(ds, perm)
+
+        def step(i, x, eta):
+            y_blk = dual_block_update(model, view, i, x, b)
+            return primal_block_step(x, view, i, y_blk, eta, b), y_blk
+
+        return step, lambda i, y_blk: _block_sum(view, i, y_blk, b)
+
+    return _epochs(ds.n, ds.d, plan, cfg, start_epoch, lambda x: objective(model, ds, x))
 
 
 def run_general(grad_oracle, n: int, d: int, plan: ShufflePlan, cfg: RunConfig,
@@ -198,73 +211,20 @@ def run_general(grad_oracle, n: int, d: int, plan: ShufflePlan, cfg: RunConfig,
 
     The inner step averages the oracle outputs over each block, which
     coincides with run() when the oracle is i, x -> l_i'(a_i^T x) a_i.
+    Objectives are NaN without an objective_fn.
     """
     b = cfg.batch
-    if b < 1 or n % b != 0:
-        raise ConfigError(f"batch size {b} must divide n = {n}")
-    if plan.n != n:
-        raise ConfigError("shuffle plan row count does not match the oracle size")
-    m_blocks = n // b
-    steps = cfg.step_schedule()
-    x = np.asarray(cfg.x0, dtype=np.float64).copy()
-    if x.shape != (d,):
-        raise ConfigError(f"x0 must have dimension d = {d}")
 
-    iterates = [x.copy()]
-    traces = []
-    objectives = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, cfg.epochs + 1):
-            eta = float(steps[k - 1])
-            perm = permutation_for(plan, k)
-            x_start = x.copy()
-            sq_steps = 0.0
-            inner = [x.copy()] if cfg.record_inner else None
-            blocks = [] if cfg.record_inner else None
-            for i in range(m_blocks):
-                g = np.zeros(d)
-                for j in perm[i * b : (i + 1) * b]:
-                    g += grad_oracle(int(j), x)
-                x_new = x - (eta / b) * g
-                delta = x_new - x
-                sq_steps += float(delta @ delta)
-                if cfg.record_inner:
-                    inner.append(x_new.copy())
-                    blocks.append(g)
-                x = x_new
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(k)
-            disp = x - x_start
-            trace = EpochTrace(
-                epoch=k,
-                step_size=eta,
-                squared_steps=sq_steps,
-                displacement_sq=float(disp @ disp),
-                dual_blocks=blocks,
-                inner_iterates=inner,
-            )
-            if cfg.record_inner:
-                t1 = 0.0
-                for i in range(m_blocks):
-                    t1 += float(blocks[i] @ (x - inner[i + 1]))
-                trace.retraction_term = eta / n * t1
-            traces.append(trace)
-            iterates.append(x.copy())
-            objectives.append(objective_fn(x) if objective_fn is not None else float("nan"))
+    def start_epoch(perm):
+        def step(i, x, eta):
+            g = np.zeros(d)
+            for j in perm[i * b : (i + 1) * b]:
+                g += grad_oracle(int(j), x)
+            return x - (eta / b) * g, g
 
-    H = float(np.sum(steps))
-    avg = np.zeros(d)
-    for eta, xk in zip(steps, iterates[1:]):
-        avg += eta * xk
-    avg /= H
-    return RunResult(
-        iterates=iterates,
-        averaged=avg,
-        traces=traces,
-        objectives=np.asarray(objectives),
-        objective_avg=objective_fn(avg) if objective_fn is not None else float("nan"),
-        step_sizes=steps,
-    )
+        return step, lambda i, g: g
+
+    return _epochs(n, d, plan, cfg, start_epoch, objective_fn or (lambda x: float("nan")))
 
 
 def retraction_residual(trace: EpochTrace, b: int, n: int) -> float:

@@ -125,20 +125,15 @@ class TestNonsmoothPair:
 
 
 class TestGeneralVariants:
-    def test_same_arithmetic_as_glm(self):
-        inp = BoundInputs(n=4, b=2, K=1, hatL=0.5, tildeL=2.0, sigma_star=1.0, D=1.0)
-        assert ss.bound_rhs_general_rr(inp, 0.05) == ss.bound_rhs_smooth_rr(inp, 0.05)
-        assert ss.step_size_general_rr(inp) == ss.step_size_smooth_rr(inp)
-
     def test_plug_in(self):
         # n=4, b=2, tildeL^g=2, sigma*^2=1, eta=0.05, K=1, D=1
         inp = BoundInputs(n=4, b=2, K=1, tildeL=2.0, sigma_star=1.0, D=1.0)
         expected = (0.25 + 0.05**3 * 2.0 * 2.0 * 6.0 / (6.0 * 4.0 * 3.0)) / 0.05
-        assert ss.bound_rhs_general_rr(inp, 0.05) == pytest.approx(expected)
+        assert ss.bound_rhs_smooth_rr(inp, 0.05) == pytest.approx(expected)
 
     def test_interpolation(self):
         inp = BoundInputs(n=4, b=2, K=2, tildeL=2.0, sigma_star=0.0, D=1.0)
-        assert ss.bound_rhs_general_rr(inp, 0.05) == pytest.approx(
+        assert ss.bound_rhs_smooth_rr(inp, 0.05) == pytest.approx(
             2 * 1.0 / (2 * 4) / (2 * 0.05)
         )
 

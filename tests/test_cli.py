@@ -239,6 +239,21 @@ class TestOptimize:
         assert "diverged" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("scheme", ["RR", "IG"])  # IG uses no proxy, but checks it
+    @pytest.mark.parametrize("proxy, want", [
+        ("q90", 0), ("q95", 2), ("qx", 2), ("q110", 2),
+    ])
+    def test_proxy_must_be_a_decile(self, identity6, tmp_path, capsys, scheme, proxy, want):
+        code = main([
+            "optimize", "--input", str(identity6), "--loss", "squared", "--scheme", scheme,
+            "--b", "1", "--epochs", "1", "--step", "theoretical", "--perms", "3",
+            "--proxy", proxy, "--out", str(tmp_path / "px"),
+        ])
+        assert code == want
+        if want:
+            assert "q0, q10, q20" in capsys.readouterr().err
+
+
 class TestWorkerPoolDeterminism:
     def test_optimize_identical_across_thread_counts(self, identity6, tmp_path, monkeypatch):
         outs = []
@@ -325,6 +340,26 @@ class TestVerifyBound:
         payload = json.loads((tmp_path / "inc.json").read_text())
         assert payload["verdict"] == "inconclusive"
         assert payload["minimizer"]["reason"] == "no_finite_minimizer"
+
+    def test_zero_seeds_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "ls.svm"
+        p.write_text("1 1:1\n2 1:2\n")
+        code = main([
+            "verify-bound", "--bound", "rr", "--input", str(p), "--loss", "squared",
+            "--seeds", "0", "--out", str(tmp_path / "z"),
+        ])
+        assert code == 2
+        assert "at least one run seed" in capsys.readouterr().err
+        assert not (tmp_path / "z.json").exists()
+
+    def test_nonsmooth_zero_perms_exit_2(self, tmp_path, capsys):
+        code = main([
+            "verify-bound", "--bound", "nonsmooth", "--planted", "--gaussian", "6,2",
+            "--b", "1", "--epochs", "2", "--seeds", "2", "--perms", "0",
+            "--out", str(tmp_path / "np"),
+        ])
+        assert code == 2
+        assert "num_perms must be >= 1" in capsys.readouterr().err
 
     def test_unknown_bound_kind(self, tmp_path):
         code = main([

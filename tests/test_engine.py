@@ -289,13 +289,19 @@ class TestRunGeneral:
             return ss.loss_derivative(m, i, float(A[i] @ x)) * A[i]
 
         plan = ShufflePlan("SO", 6, 2, seed=9)
-        cfg = RunConfig(2, 2, 0.04, np.zeros(3))
+        cfg = RunConfig(2, 2, 0.04, np.zeros(3), record_inner=True)
         direct = ss.run(ds, m, plan, cfg)
         general = ss.run_general(
             oracle, 6, 3, plan, cfg, objective_fn=lambda x: ss.objective(m, ds, x)
         )
         assert np.allclose(direct.final, general.final, rtol=1e-12, atol=1e-14)
         assert np.allclose(direct.averaged, general.averaged, rtol=1e-12, atol=1e-14)
+        for td, tg in zip(direct.traces, general.traces, strict=True):
+            assert len(td.inner_iterates) == len(tg.inner_iterates) == 6 // 2 + 1
+            for xd, xg in zip(td.inner_iterates, tg.inner_iterates):
+                assert np.allclose(xd, xg, rtol=1e-12, atol=1e-14)
+            for name in ("squared_steps", "displacement_sq", "retraction_term"):
+                assert getattr(td, name) == pytest.approx(getattr(tg, name), rel=1e-12)
 
     def test_general_retraction_identity(self, rng):
         def oracle(i, x):
@@ -305,3 +311,22 @@ class TestRunGeneral:
         res = ss.run_general(oracle, 4, 3, ShufflePlan("RR", 4, 2, seed=5), cfg)
         for tr in res.traces:
             assert ss.retraction_residual(tr, 2, 4) <= 1e-10
+
+
+@pytest.mark.parametrize("entry", ["run", "run_general"])
+@pytest.mark.parametrize("plan_n, batch, x0_dim, match", [
+    (6, 4, 2, "must divide"),  # b does not divide n
+    (4, 2, 2, "shuffle plan"),  # the plan is for another n
+    (6, 2, 3, "x0"),  # x0 has the wrong dimension
+])
+def test_entry_points_check_config(entry, plan_n, batch, x0_dim, match, rng):
+    ds, m = least_squares(rng, 6, 2)
+    plan = ShufflePlan("RR", plan_n, 1)
+    cfg = RunConfig(batch, 1, 0.1, np.zeros(x0_dim))
+    A = ds.to_dense()
+    with pytest.raises(ConfigError, match=match):
+        if entry == "run":
+            ss.run(ds, m, plan, cfg)
+        else:
+            ss.run_general(lambda i, x: ss.loss_derivative(m, i, float(A[i] @ x)) * A[i],
+                           ds.n, ds.d, plan, cfg)
