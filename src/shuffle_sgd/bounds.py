@@ -62,18 +62,30 @@ def _schedule(eta, K) -> np.ndarray:
     return steps
 
 
+def _cube_root_cap(eta: float, num: float, denom: float) -> float:
+    """min(eta, (num / denom)^(1/3)). With denom = 0 there is no cap, and a
+    cap that is not positive (num = 0, as when D = 0) is ignored."""
+    if denom > 0:
+        cap = (num / denom) ** (1.0 / 3.0)
+        if cap > 0:
+            eta = min(eta, cap)
+    return eta
+
+
+def _warn_above_ceiling(inp: BoundInputs, steps: np.ndarray):
+    if inp.hatL > 0 and inp.tildeL > 0 and np.any(steps > base_step(inp) * (1 + 1e-12)):
+        warnings.warn(
+            "step size exceeds b/(n sqrt(2 hatL tildeL)); the guarantee does not apply",
+            stacklevel=3,
+        )
+
+
 def step_size_smooth_rr(inp: BoundInputs) -> float:
     """Constant step for uniformly shuffled runs: the ceiling capped by the
     variance-balancing cube root; the cap is +inf when (n - b) sigma* = 0."""
     n, b, K = inp.n, inp.b, inp.K
-    eta = base_step(inp)
-    if (n - b) > 0 and inp.sigma_star > 0 and inp.D > 0:
-        denom = n * (n - b) * (n + b) * inp.tildeL * K * inp.sigma_star**2
-        if denom > 0:
-            cap = (3.0 * b**3 * (n - 1) * inp.D**2 / denom) ** (1.0 / 3.0)
-            if cap > 0:
-                eta = min(eta, cap)
-    return eta
+    denom = n * (n - b) * (n + b) * inp.tildeL * K * inp.sigma_star**2
+    return _cube_root_cap(base_step(inp), 3.0 * b**3 * (n - 1) * inp.D**2, denom)
 
 
 def bound_rhs_smooth_rr(inp: BoundInputs, eta) -> float:
@@ -81,13 +93,7 @@ def bound_rhs_smooth_rr(inp: BoundInputs, eta) -> float:
     [ b D^2 / (2n) + sum_k eta_k^3 tildeL (n-b)(n+b) sigma*^2 / (6 b^2 (n-1)) ] / H_K."""
     n, b = inp.n, inp.b
     steps = _schedule(eta, inp.K)
-    if inp.hatL > 0 and inp.tildeL > 0:
-        ceiling = base_step(inp)
-        if np.any(steps > ceiling * (1 + 1e-12)):
-            warnings.warn(
-                "step size exceeds b/(n sqrt(2 hatL tildeL)); the guarantee does not apply",
-                stacklevel=2,
-            )
+    _warn_above_ceiling(inp, steps)
     H = float(np.sum(steps))
     head = b * inp.D**2 / (2.0 * n)
     if n > b and n > 1 and inp.sigma_star > 0:
@@ -105,24 +111,13 @@ def step_size_ig(inp: BoundInputs) -> float:
     comparing hatL ||y*||^2 against ((n-b)^2 / n) sigma*^2, matching the
     smaller argument of the min in the fixed-order bound."""
     n, b, K = inp.n, inp.b, inp.K
-    eta = base_step(inp)
-    if inp.D == 0:
-        return eta
     ysq = inp.ystar_norm**2
     ssq = inp.sigma_star**2
     if inp.hatL * ysq <= ((n - b) ** 2 / n) * ssq:
         denom = 2.0 * n**2 * inp.hatL * inp.tildeL * K * ysq
-        if denom > 0:
-            cap = (b**3 * inp.D**2 / denom) ** (1.0 / 3.0)
-            if cap > 0:
-                eta = min(eta, cap)
     else:
         denom = 2.0 * n * (n - b) ** 2 * inp.tildeL * K * ssq
-        if denom > 0:
-            cap = (b**3 * inp.D**2 / denom) ** (1.0 / 3.0)
-            if cap > 0:
-                eta = min(eta, cap)
-    return eta
+    return _cube_root_cap(base_step(inp), b**3 * inp.D**2, denom)
 
 
 def bound_rhs_ig(inp: BoundInputs, eta) -> float:
@@ -131,13 +126,7 @@ def bound_rhs_ig(inp: BoundInputs, eta) -> float:
                                 eta_k^3 (n-b)^2 tildeL sigma*^2 / b^2 ) ] / H_K."""
     n, b = inp.n, inp.b
     steps = _schedule(eta, inp.K)
-    if inp.hatL > 0 and inp.tildeL > 0:
-        ceiling = base_step(inp)
-        if np.any(steps > ceiling * (1 + 1e-12)):
-            warnings.warn(
-                "step size exceeds b/(n sqrt(2 hatL tildeL)); the guarantee does not apply",
-                stacklevel=2,
-            )
+    _warn_above_ceiling(inp, steps)
     cubes = float(np.sum(steps**3))
     term_y = cubes * n * inp.hatL * inp.tildeL * inp.ystar_norm**2 / b**2
     term_s = cubes * (n - b) ** 2 * inp.tildeL * inp.sigma_star**2 / b**2

@@ -1,11 +1,12 @@
 """Command-line drivers for constants analysis, sweeps, optimizer runs, and
 bound verification.
 
-Every command is deterministic given its full flag set; independent trials
-(permutations, seeds) run on a worker pool capped by SHUFFLE_SGD_THREADS
-and are written in trial order. Numeric outputs go to CSV (LF endings,
-`.` decimal); each command also writes a JSON report carrying
-schema_version and the effective configuration for provenance.
+Every command is deterministic given its full flag set. The permutation
+trials of analyze, gaussian-sweep and histogram run on a worker pool capped
+by SHUFFLE_SGD_THREADS and are written in trial order; run seeds go one
+after another. Numeric outputs go to CSV (LF endings, `.` decimal); each
+command also writes a JSON report carrying schema_version and the effective
+configuration for provenance.
 
 Exit codes: 0 success, 1 verdict failure (a verified bound was violated or
 could not be certified), 2 usage / IO / parse errors.
@@ -35,6 +36,10 @@ SCHEMA_VERSION = 1
 DEFAULT_COST_BUDGET = 2e10
 _ASSUMED_ITERS = 500
 
+# A traced optimize run keeps epochs * (n/b + 1) inner iterates of d floats
+# for each seed; refuse runs whose trace would exceed this many bytes.
+TRACE_BYTES_LIMIT = 2**30
+
 
 class CliError(Exception):
     def __init__(self, message, code=2):
@@ -43,6 +48,7 @@ class CliError(Exception):
 
 
 def _max_workers() -> int | None:
+    """Permutation workers for ratio_stats, from SHUFFLE_SGD_THREADS."""
     raw = os.environ.get("SHUFFLE_SGD_THREADS")
     if not raw:
         return None
@@ -50,21 +56,6 @@ def _max_workers() -> int | None:
         return max(1, int(raw))
     except ValueError:
         raise CliError(f"SHUFFLE_SGD_THREADS must be an integer, got {raw!r}")
-
-
-def _fan_out(fn, items):
-    """Run independent trials on the worker pool, yielding results in trial
-    order (each trial derives its own PRNG streams, so scheduling cannot
-    change any output)."""
-    workers = _max_workers()
-    if workers is None or workers <= 1 or len(items) <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items)
 
 
 def _load_dataset(args) -> SparseDataset:
@@ -329,6 +320,13 @@ def cmd_optimize(args) -> int:
         raise CliError("provide at least one run seed")
     if args.b < 1 or ds.n % args.b != 0:
         raise CliError(f"batch size {args.b} must divide n={ds.n}")
+    trace = not args.no_trace
+    trace_bytes = args.epochs * (ds.n // args.b + 1) * ds.d * 8
+    if trace and trace_bytes > TRACE_BYTES_LIMIT:
+        raise CliError(
+            f"a traced run would keep {trace_bytes / 1e9:.3g} GB of inner iterates per seed "
+            f"(limit {TRACE_BYTES_LIMIT / 1e9:.3g} GB); rerun with --no-trace"
+        )
 
     if args.step != "theoretical":
         try:
@@ -349,9 +347,10 @@ def cmd_optimize(args) -> int:
         )
     f_star = losses.objective(model, ds, ref.x) if ref is not None and ref.converged else None
 
-    trace = not args.no_trace
-
-    def run_one(s):
+    rows = [("seed", "epoch", "f_x", "f_avg", "retraction_residual")]
+    final_gaps = {}
+    diverged = {}
+    for s in seeds:
         plan = shuffle.ShufflePlan(args.scheme, ds.n, args.epochs, seed=s)
         cfg = engine.RunConfig(
             batch=args.b, epochs=args.epochs, step=eta, x0=np.zeros(ds.d), record_inner=trace
@@ -359,8 +358,8 @@ def cmd_optimize(args) -> int:
         try:
             result = engine.run(ds, model, plan, cfg)
         except engine.DivergenceError as exc:
-            return s, None, exc.epoch
-        seed_rows = []
+            diverged[s] = exc.epoch
+            continue
         avg = np.zeros(ds.d)
         hsum = 0.0
         for k in range(1, args.epochs + 1):
@@ -373,23 +372,10 @@ def cmd_optimize(args) -> int:
                 if trace
                 else float("nan")
             )
-            seed_rows.append(
-                (s, k, repr(float(result.objectives[k - 1])), repr(f_avg), repr(res))
-            )
-        gap = float(result.objective_avg - f_star) if f_star is not None else None
-        return s, (seed_rows, gap), None
-
-    rows = [("seed", "epoch", "f_x", "f_avg", "retraction_residual")]
-    final_gaps = {}
-    diverged = {}
-    for s, ok, bad_epoch in _fan_out(run_one, seeds):
-        if ok is None:
-            diverged[s] = bad_epoch
-            continue
-        seed_rows, gap = ok
-        rows.extend(seed_rows)
-        if gap is not None:
-            final_gaps[s] = gap
+            rows.append((s, k, repr(float(result.objectives[k - 1])), repr(f_avg), repr(res)))
+        if f_star is not None:
+            final_gaps[s] = float(result.objective_avg - f_star)
+        del result  # free this seed's trace before the next run builds its own
 
     if len(diverged) == len(seeds):
         print("all seeds diverged", file=sys.stderr)
@@ -502,7 +488,8 @@ def cmd_verify_bound(args) -> int:
         g[ds.indices[lo:hi]] = losses.loss_derivative(model, i, z) * ds.values[lo:hi]
         return g
 
-    def run_one(s):
+    gaps = []
+    for s in seeds:
         plan = shuffle.ShufflePlan(scheme, ds.n, K, seed=s)
         cfg = engine.RunConfig(batch=b, epochs=K, step=eta, x0=np.zeros(ds.d))
         if kind.startswith("general"):
@@ -512,9 +499,7 @@ def cmd_verify_bound(args) -> int:
             )
         else:
             result = engine.run(ds, model, plan, cfg)
-        return float(result.objective_avg - f_star)
-
-    gaps = list(_fan_out(run_one, seeds))
+        gaps.append(float(result.objective_avg - f_star))
 
     mean_gap = float(np.mean(gaps))
     sem = float(np.std(gaps) / math.sqrt(len(gaps))) if len(gaps) > 1 else 0.0

@@ -28,7 +28,7 @@ eigenvalues.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,7 +36,8 @@ import scipy.sparse as sp
 
 from . import prng
 from .data import SparseDataset, row_sq_norms
-from .losses import LossModel, RegularityDiag, conjugate_pair, full_gradient, objective
+from .losses import (LossModel, RegularityDiag, conjugate_pair, full_gradient, objective,
+                     regularity)
 from .shuffle import random_permutation
 
 SCHEMA_VERSION = 1
@@ -301,10 +302,8 @@ class ConstantsReport:
     ratio_summary: dict
     tildeL: dict | None = None
     tildeL_values: np.ndarray | None = None
-    sigma_star: float | None = None
-    ystar_norm: float | None = None
     schema_version: int = SCHEMA_VERSION
-    trace_bound: float = field(default=float("nan"))
+    trace_bound: float = float("nan")
 
     def __post_init__(self):
         # Relaxation chain: every sampled hat value sits below the trace
@@ -333,10 +332,6 @@ class ConstantsReport:
         if self.tildeL is not None:
             out["tildeL"] = self.tildeL
             out["tildeL_values"] = [float(v) for v in self.tildeL_values]
-        if self.sigma_star is not None:
-            out["sigma_star"] = self.sigma_star
-        if self.ystar_norm is not None:
-            out["ystar_norm"] = self.ystar_norm
         return out
 
     def to_csv_rows(self) -> list:
@@ -427,15 +422,18 @@ def gbar_estimate(
     return float(np.mean(np.sqrt(report.hatL_values * report.tildeL_values)))
 
 
+def _check_stationary(ds: SparseDataset, m: LossModel, x_star: np.ndarray, grad_tol: float):
+    gn = float(np.linalg.norm(full_gradient(m, ds, x_star)))
+    if gn > grad_tol:
+        raise StationarityError(gn, grad_tol)
+
+
 def sigma_star(
     ds: SparseDataset, m: LossModel, x_star: np.ndarray, grad_tol: float = 1e-8
 ) -> float:
     """Root-mean-square component gradient norm at the minimizer:
     sqrt((1/n) sum_i (l_i'(a_i^T x*))^2 ||a_i||^2). Verifies stationarity."""
-    g = full_gradient(m, ds, x_star)
-    gn = float(np.linalg.norm(g))
-    if gn > grad_tol:
-        raise StationarityError(gn, grad_tol)
+    _check_stationary(ds, m, x_star, grad_tol)
     y = conjugate_pair(m, ds, x_star)
     return float(np.sqrt(np.mean(y * y * row_sq_norms(ds))))
 
@@ -443,18 +441,12 @@ def sigma_star(
 def ystar_weighted_norm(ds: SparseDataset, m: LossModel, x_star: np.ndarray,
                         grad_tol: float = 1e-8) -> float:
     """Inverse-smoothness weighted norm of the optimal dual vector:
-    sqrt(sum_i y*_i^2 / L_i)."""
+    sqrt(sum_i y*_i^2 / L_i). Verifies stationarity."""
     if not m.smooth:
         raise ValueError("weighted dual norm requires a smooth loss family")
-    g = full_gradient(m, ds, x_star)
-    gn = float(np.linalg.norm(g))
-    if gn > grad_tol:
-        raise StationarityError(gn, grad_tol)
-    from .losses import regularity
-
+    _check_stationary(ds, m, x_star, grad_tol)
     y = conjugate_pair(m, ds, x_star)
-    L = regularity(m).values
-    return float(np.sqrt(np.sum(y * y / L)))
+    return float(np.sqrt(np.sum(y * y / regularity(m).values)))
 
 
 class MinimizerResult(NamedTuple):
@@ -512,8 +504,6 @@ def reference_minimizer(
     iterating to max_iter. Runs that converge sooner never pay for it."""
     if not m.smooth:
         raise ValueError("reference minimizer requires a smooth loss family")
-    from .losses import regularity
-
     reg = regularity(m)
     Lf = full_gradient_L(ds, reg, tol=1e-10, max_iter=50_000)
     x = np.zeros(ds.d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()

@@ -66,7 +66,6 @@ class EpochTrace:
     squared_steps: float
     displacement_sq: float
     retraction_term: float | None = None
-    dual_blocks: list | None = None
     inner_iterates: list | None = None
 
 
@@ -163,7 +162,6 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
                 step_size=eta,
                 squared_steps=sq_steps,
                 displacement_sq=float(disp @ disp),
-                dual_blocks=duals,
                 inner_iterates=inner,
             )
             if cfg.record_inner:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,10 +53,14 @@ class TestSmoothRRBound:
         inp = BoundInputs(n=2, b=1, K=1, tildeL=1.0, sigma_star=1.0, D=1.0)
         assert ss.bound_rhs_smooth_rr(inp, 0.1) == pytest.approx(2.505)
 
-    def test_warns_above_ceiling(self):
+    @pytest.mark.parametrize("rhs", [ss.bound_rhs_smooth_rr, ss.bound_rhs_ig], ids=["rr", "ig"])
+    def test_warns_above_ceiling(self, rhs):
         inp = BoundInputs(n=4, b=1, K=1, hatL=1.0, tildeL=1.0, sigma_star=0.0, D=1.0)
-        with pytest.warns(UserWarning):
-            ss.bound_rhs_smooth_rr(inp, 10.0)
+        with pytest.warns(UserWarning, match="guarantee does not apply"):
+            rhs(inp, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rhs(inp, base_step(inp))
 
     def test_monotone_in_K_at_constant_step(self):
         vals = []

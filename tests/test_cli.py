@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import shuffle_sgd as ss
+from shuffle_sgd import cli
 from shuffle_sgd.cli import main
 
 
@@ -224,6 +226,42 @@ class TestOptimize:
         assert code == 2
         assert "epochs" in capsys.readouterr().err
 
+    def test_oversized_trace_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli.consts, "reference_minimizer", reached)
+        monkeypatch.setattr(cli.engine, "run", reached)
+        # epochs * (n/b + 1) * d * 8 = 1e6 * 5 * 50 * 8 bytes = 2 GB of inner iterates
+        argv = [
+            "optimize", "--gaussian", "4,50", "--loss", "squared", "--b", "1",
+            "--epochs", str(10**6), "--out", str(tmp_path / "big"),
+        ]
+        assert main(argv) == 2
+        assert "rerun with --no-trace" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(Reached):  # untraced, the same run goes ahead
+            main(argv + ["--no-trace"])
+
+    def test_keeps_one_seed_trace_at_a_time(self, tmp_path):
+        def peak(seeds):
+            tracemalloc.start()
+            code = main([
+                "optimize", "--gaussian", "64,200", "--loss", "hinge", "--b", "1",
+                "--epochs", "4", "--step", "0.01", "--seeds", seeds,
+                "--out", str(tmp_path / "pk"),
+            ])
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert code == 0
+            return peak_bytes
+
+        trace_bytes = 4 * (64 + 1) * 200 * 8
+        assert peak("0,1,2") <= peak("0") + trace_bytes / 2
+
     def test_divergent_step_all_seeds_exit_1(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         A = 100.0 * rng.standard_normal((4, 2))
@@ -255,19 +293,40 @@ class TestOptimize:
 
 
 class TestWorkerPoolDeterminism:
-    def test_optimize_identical_across_thread_counts(self, identity6, tmp_path, monkeypatch):
+    def test_analyze_identical_across_thread_counts(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        p = tmp_path / "g.svm"
+        ds = ss.SparseDataset.from_dense(rng.standard_normal((12, 4)))
+        p.write_text(ss.serialize_libsvm(ds))
         outs = []
         for threads in ("1", "4"):
             monkeypatch.setenv("SHUFFLE_SGD_THREADS", threads)
-            out = tmp_path / f"t{threads}"
             code = main([
-                "optimize", "--input", str(identity6), "--loss", "squared",
-                "--scheme", "RR", "--b", "2", "--epochs", "4", "--step", "0.05",
-                "--seeds", "0,1,2,3", "--out", str(out),
+                "analyze", "--input", str(p), "--b", "2", "--num-perms", "8",
+                "--seed", "5", "--out", str(tmp_path / f"t{threads}"),
             ])
             assert code == 0
             outs.append((tmp_path / f"t{threads}.csv").read_bytes())
         assert outs[0] == outs[1]
+        # distinct per-permutation values, so a reordering would show
+        hats = [line.split(b",")[1] for line in outs[0].splitlines()[1:]]
+        assert len(set(hats)) == len(hats)
+
+    def test_non_integer_threads_exit_2(self, identity6, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SHUFFLE_SGD_THREADS", "two")
+        code = main([
+            "analyze", "--input", str(identity6), "--num-perms", "2", "--out", str(tmp_path / "r"),
+        ])
+        assert code == 2
+        assert "SHUFFLE_SGD_THREADS must be an integer" in capsys.readouterr().err
+
+    def test_run_seeds_do_not_read_threads(self, identity6, tmp_path, monkeypatch):
+        monkeypatch.setenv("SHUFFLE_SGD_THREADS", "two")
+        code = main([
+            "optimize", "--input", str(identity6), "--loss", "squared", "--b", "2",
+            "--epochs", "2", "--step", "0.2", "--seeds", "0,1", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 0
 
 
 class TestVerifyBound:
