@@ -31,10 +31,12 @@ from .data import ParseError, SparseDataset, gen_gaussian, load_libsvm, row_sq_n
 
 SCHEMA_VERSION = 1
 
-# Refuse permutation studies whose rough cost estimate (nnz * perms * assumed
-# power-iteration sweeps) exceeds this many operations, unless --force.
+# Refuse permutation studies whose rough cost estimate exceeds this many
+# operations, unless --force. Per permutation, a hat solve of S Lanczos steps
+# costs S matvecs (nnz each) plus 4 k n for reorthogonalising step k against
+# the basis, 2 S^2 n in all, and tilde's batched eigvalsh costs n b^2.
 DEFAULT_COST_BUDGET = 2e10
-_ASSUMED_ITERS = 500
+_ASSUMED_LANCZOS_STEPS = 100
 
 # A traced optimize run keeps epochs * (n/b + 1) inner iterates of d floats
 # for each seed; refuse runs whose trace would exceed this many bytes.
@@ -82,8 +84,9 @@ def _unit_regularity(ds: SparseDataset) -> losses.RegularityDiag:
     return losses.RegularityDiag("smooth", np.ones(ds.n))
 
 
-def _check_budget(ds, num_perms, args):
-    est = ds.nnz * num_perms * _ASSUMED_ITERS
+def _check_budget(ds, num_perms, b, args):
+    S = _ASSUMED_LANCZOS_STEPS
+    est = num_perms * (S * ds.nnz + 2 * S * S * ds.n + ds.n * b * b)
     budget = getattr(args, "max_cost", None) or DEFAULT_COST_BUDGET
     if est > budget and not getattr(args, "force", False):
         raise CliError(
@@ -119,7 +122,7 @@ def _int_list(text) -> list:
 def cmd_analyze(args) -> int:
     t0 = time.time()
     ds = _load_dataset(args)
-    _check_budget(ds, args.num_perms, args)
+    _check_budget(ds, args.num_perms, args.b, args)
     reg = _unit_regularity(ds)
     report = consts.ratio_stats(
         ds,
@@ -195,7 +198,7 @@ def cmd_batch_sweep(args) -> int:
     if bad:
         divisors = [k for k in range(1, ds.n + 1) if ds.n % k == 0]
         raise CliError(f"batch sizes {bad} do not divide n={ds.n}; valid divisors: {divisors}")
-    _check_budget(ds, args.perms * len(b_grid), args)
+    _check_budget(ds, args.perms * len(b_grid), max(b_grid), args)
     reg = _unit_regularity(ds)
     L = consts.classical_constant(ds, reg)
     rows = [("b", "perm_index", "ratio")]
@@ -235,7 +238,7 @@ def cmd_histogram(args) -> int:
     if args.bins < 1:
         raise CliError("bins must be >= 1")
     ds = _load_dataset(args)
-    _check_budget(ds, args.num_perms, args)
+    _check_budget(ds, args.num_perms, args.b, args)
     reg = _unit_regularity(ds)
     report = consts.ratio_stats(
         ds,
@@ -248,7 +251,13 @@ def cmd_histogram(args) -> int:
         max_workers=_max_workers(),
     )
     ratios = report.ratios
-    density, edges = np.histogram(ratios, bins=args.bins, density=True)
+    lo, hi = float(np.min(ratios)), float(np.max(ratios))
+    if hi - lo <= 1e-12 * hi:
+        # ratios that agree to roundoff are one value: give it the unit-wide
+        # range np.histogram gives equal values, not bins narrower than the
+        # spacing of floats, which it refuses
+        lo, hi = lo - 0.5, hi + 0.5
+    density, edges = np.histogram(ratios, bins=args.bins, range=(lo, hi), density=True)
     rows = [("bin_left", "bin_right", "density")]
     for i in range(len(density)):
         rows.append((repr(float(edges[i])), repr(float(edges[i + 1])), repr(float(density[i]))))
@@ -318,6 +327,9 @@ def cmd_optimize(args) -> int:
     seeds = _int_list(args.seeds)
     if not seeds:
         raise CliError("provide at least one run seed")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise CliError(f"run seed {repeated[0]} is repeated in --seeds")
     if args.b < 1 or ds.n % args.b != 0:
         raise CliError(f"batch size {args.b} must divide n={ds.n}")
     trace = not args.no_trace
@@ -417,6 +429,18 @@ def _planted_hinge(n, d, seed, margin=2.0):
     return ds, x_star
 
 
+def _inconclusive(args, reason, ref) -> int:
+    _write_json(args.out + ".json", {
+        "schema_version": SCHEMA_VERSION,
+        "config": _config_echo(args),
+        "verdict": "inconclusive",
+        "reason": reason,
+        "minimizer": _minimizer_record(ref) if ref is not None else None,
+    })
+    print("verdict=inconclusive")
+    return 1
+
+
 def cmd_verify_bound(args) -> int:
     kind = args.bound.replace("-", "_")
     if kind not in bd.GUARANTEE_KINDS:
@@ -429,57 +453,55 @@ def cmd_verify_bound(args) -> int:
     # IG runs are deterministic: one run suffices
     seeds = [0] if scheme == "IG" else list(range(args.seeds))
 
-    if kind == "nonsmooth":
-        if not args.planted:
-            raise CliError("nonsmooth verification needs --planted (known optimum)")
-        try:
-            n, d = (int(t) for t in args.gaussian.split(","))
-        except (AttributeError, ValueError):
-            raise CliError("--gaussian N,D is required with --planted")
-        ds, x_star = _planted_hinge(n, d, args.seed)
-        model = losses.LossModel.for_dataset("hinge", ds)
-        f_star = 0.0
-        ref = None  # the planted optimum is known
-        reg = losses.regularity(model)
-        gbar = consts.gbar_estimate(ds, reg, b, args.perms, seed=args.seed, tol=args.tol)
-        D = float(np.linalg.norm(x_star))
-        inp = bd.BoundInputs(n=ds.n, b=b, K=K, D=D, Gbar=gbar)
-        eta = bd.step_size_nonsmooth(inp)
-        rhs = bd.bound_rhs_nonsmooth(inp, eta)
-    else:
-        ds = _load_dataset(args)
-        model = losses.LossModel.for_dataset(args.loss, ds)
-        if not model.smooth:
-            raise CliError(f"--bound {args.bound} needs a smooth loss")
-        ref = consts.reference_minimizer(ds, model, tol=1e-10)
-        if not ref.converged:
-            _write_json(args.out + ".json", {
-                "schema_version": SCHEMA_VERSION,
-                "config": _config_echo(args),
-                "verdict": "inconclusive",
-                "reason": f"reference minimizer stopped ({ref.reason}); cannot size the step",
-                "minimizer": _minimizer_record(ref),
-            })
-            print("verdict=inconclusive")
-            return 1
-        x_star = ref.x
-        eta, inp = _theoretical_step(
-            ds, model, x_star, scheme, b, K, args.perms, args.seed, args.tol, args.proxy
-        )
-        f_star = losses.objective(model, ds, x_star)
-        step_size, bound_rhs = ((bd.step_size_ig, bd.bound_rhs_ig) if scheme == "IG"
-                                else (bd.step_size_smooth_rr, bd.bound_rhs_smooth_rr))
-        if kind.startswith("general"):
-            # the same guarantees with the finite-sum constants of
-            # L_i = w_i ||a_i||^2: at the identity order for IG, else the
-            # sampled max
-            Lvals = losses.regularity(model).values * row_sq_norms(ds)
-            perms = ([np.arange(ds.n)] if scheme == "IG" else
-                     [shuffle.random_permutation(ds.n, args.seed, j) for j in range(args.perms)])
-            inp.hatL = max(consts.general_hat_L(Lvals, p, b, tol=args.tol) for p in perms)
-            inp.tildeL = max(consts.general_tilde_L(Lvals, p, b) for p in perms)
-            eta = step_size(inp)
-        rhs = bound_rhs(inp, eta)
+    # a constant whose spectral solve did not converge cannot size the step
+    ref = None  # stays None for --planted: the optimum is known
+    try:
+        if kind == "nonsmooth":
+            if not args.planted:
+                raise CliError("nonsmooth verification needs --planted (known optimum)")
+            try:
+                n, d = (int(t) for t in args.gaussian.split(","))
+            except (AttributeError, ValueError):
+                raise CliError("--gaussian N,D is required with --planted")
+            ds, x_star = _planted_hinge(n, d, args.seed)
+            model = losses.LossModel.for_dataset("hinge", ds)
+            f_star = 0.0
+            reg = losses.regularity(model)
+            gbar = consts.gbar_estimate(ds, reg, b, args.perms, seed=args.seed, tol=args.tol)
+            D = float(np.linalg.norm(x_star))
+            inp = bd.BoundInputs(n=ds.n, b=b, K=K, D=D, Gbar=gbar)
+            eta = bd.step_size_nonsmooth(inp)
+            rhs = bd.bound_rhs_nonsmooth(inp, eta)
+        else:
+            ds = _load_dataset(args)
+            model = losses.LossModel.for_dataset(args.loss, ds)
+            if not model.smooth:
+                raise CliError(f"--bound {args.bound} needs a smooth loss")
+            ref = consts.reference_minimizer(ds, model, tol=1e-10)
+            if not ref.converged:
+                return _inconclusive(
+                    args, f"reference minimizer stopped ({ref.reason}); cannot size the step", ref)
+            x_star = ref.x
+            eta, inp = _theoretical_step(
+                ds, model, x_star, scheme, b, K, args.perms, args.seed, args.tol, args.proxy
+            )
+            f_star = losses.objective(model, ds, x_star)
+            step_size, bound_rhs = ((bd.step_size_ig, bd.bound_rhs_ig) if scheme == "IG"
+                                    else (bd.step_size_smooth_rr, bd.bound_rhs_smooth_rr))
+            if kind.startswith("general"):
+                # the same guarantees with the finite-sum constants of
+                # L_i = w_i ||a_i||^2: at the identity order for IG, else the
+                # sampled max
+                Lvals = losses.regularity(model).values * row_sq_norms(ds)
+                perms = ([np.arange(ds.n)] if scheme == "IG" else
+                         [shuffle.random_permutation(ds.n, args.seed, j)
+                          for j in range(args.perms)])
+                inp.hatL = max(consts.general_hat_L(Lvals, p, b, tol=args.tol) for p in perms)
+                inp.tildeL = max(consts.general_tilde_L(Lvals, p, b) for p in perms)
+                eta = step_size(inp)
+            rhs = bound_rhs(inp, eta)
+    except consts.ConvergenceError as exc:
+        return _inconclusive(args, str(exc), ref)
 
     def glm_oracle(i, x):
         lo, hi = ds.indptr[i], ds.indptr[i + 1]
@@ -534,9 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--tol", type=float, default=1e-6,
-                        help="relative stopping tolerance of the power iterations for "
-                        "hat and full_gradient_L, and for general_hat_L in verify-bound; "
-                        "batch-sweep computes only the exact tilde and ignores it")
+                        help="Lanczos stops once the Ritz residual of the top eigenvalue "
+                        "is at most tol times that value (hat, full_gradient_L, and "
+                        "general_hat_L in verify-bound); a solve that does not get "
+                        "there is an error. batch-sweep computes only the exact tilde "
+                        "and ignores it")
         sp.add_argument("--out", required=True, help="output path prefix")
 
     sp = sub.add_parser("analyze", help="per-permutation hat/tilde constants for one dataset")
@@ -631,6 +655,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except consts.ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ParseError, shuffle.ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

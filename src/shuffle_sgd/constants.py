@@ -18,15 +18,19 @@ which is what the dense oracle in the tests builds. The constants:
 and the general finite-sum variants reduce to the same masked structure on
 the 1-column matrix with rows sqrt(w_{perm_i}).
 
-||M|| comes from power iteration on a matrix-free matvec that costs
-O(nnz(B)) time and memory per step (segmented prefix sums over the
-nonzeros; no m x d buffer). tilde is exact: one sparse product yields all
-m block Grams and a batched symmetric eigensolver takes their top
-eigenvalues.
+||M|| and ||B B^T|| come from Lanczos with full reorthogonalisation on a
+matrix-free matvec; the prefix-masked one costs O(nnz(B)) time and memory
+per step (segmented prefix sums over the nonzeros; no m x d buffer). A
+solve stops once the Ritz residual is at most tol times the Ritz value,
+and a constant whose solve did not get there raises ConvergenceError
+instead of returning a possibly low value. tilde is exact: one sparse
+product yields all m block Grams and a batched symmetric eigensolver takes
+their top eigenvalues.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -153,7 +157,22 @@ class MaskedGramOperator:
 class OperatorNormResult(NamedTuple):
     value: float
     converged: bool
-    iterations: int
+    iterations: int  # matvecs
+    residual: float  # Ritz residual ||A y - theta y|| of the returned value
+
+
+class ConvergenceError(RuntimeError):
+    """A spectral solve behind a constant stopped before its residual test
+    held, so its value may sit below the constant by more than tol."""
+
+    def __init__(self, solve: str, res: OperatorNormResult, tol: float):
+        self.solve = solve
+        self.iterations = res.iterations
+        self.residual = res.residual
+        super().__init__(
+            f"{solve}: Lanczos did not converge in {res.iterations} matvecs "
+            f"(Ritz residual {res.residual:.3e} > tol * value = {tol * res.value:.3e})"
+        )
 
 
 def operator_norm(
@@ -163,30 +182,55 @@ def operator_norm(
     max_iter: int = 10_000,
     seed: int = 0,
 ) -> OperatorNormResult:
-    """Largest eigenvalue of a symmetric PSD operator by power iteration.
+    """Largest eigenvalue of a symmetric PSD operator by Lanczos.
 
-    Starts from a seeded random unit vector and stops once successive
-    Rayleigh quotients satisfy |lam_{t+1} - lam_t| <= tol * lam_{t+1}.
-    The returned value never exceeds the true norm (Rayleigh quotient of a
-    PSD operator), so chain-inequality checks cannot fail spuriously.
+    Starts from a seeded random unit vector and keeps the Krylov basis
+    fully reorthogonalised (two classical Gram-Schmidt passes per step).
+    The value is the top eigenvalue theta of the tridiagonal projection T_k,
+    and the run stops once the Ritz residual beta_k |s_k| (s the top
+    eigenvector of T_k) is at most tol * theta, or once the Krylov space is
+    exhausted (k = dim or beta_k = 0), where theta is exact. From a random
+    start this finds the top eigenvalue with high probability (Kuczynski and
+    Wozniakowski, 1992). A Ritz value never exceeds the top eigenvalue in
+    exact arithmetic (in floating point by about 1e-15 relative), so
+    chain-inequality checks cannot fail spuriously. `iterations` counts
+    matvecs; a NaN or inf from the operator ends the run unconverged.
     """
     rng = prng.generator(prng.substream(seed, prng.DOMAIN_POWER))
-    v = prng.random_unit_vector(rng, dim)
-    lam_prev = None
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        w = matvec(v)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            # v lies in the kernel; for a PSD operator met from a random
-            # start this means the operator is (numerically) zero.
-            return OperatorNormResult(0.0, True, it)
-        lam = float(v @ w)
-        v = w / nrm
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-            return OperatorNormResult(max(lam, 0.0), True, it)
-        lam_prev = lam
-    return OperatorNormResult(max(lam, 0.0), False, max_iter)
+    steps = min(dim, max_iter)
+    # the basis rows; grown by doubling, so it holds O(k * dim) floats after
+    # k steps rather than a min(dim, max_iter) * dim block allocated up front
+    Q = np.empty((min(steps, 16), dim))
+    Q[0] = prng.random_unit_vector(rng, dim)
+    alpha, beta = [], []
+    for k in range(1, steps + 1):
+        basis = Q[:k]
+        w = matvec(Q[k - 1])
+        h = basis @ w
+        w = w - h @ basis  # a new array: the matvec's output may alias its input
+        w -= (basis @ w) @ basis
+        alpha.append(float(h[-1]))
+        beta.append(float(np.linalg.norm(w)))
+        # the top eigenpair of T_k, read from its lower triangle only
+        evals, evecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+        theta = float(evals[-1])
+        resid = beta[-1] * abs(float(evecs[-1, -1]))
+        if k == dim or beta[-1] == 0.0 or resid <= tol * theta:
+            return OperatorNormResult(max(theta, 0.0), True, k, resid)
+        if k == steps or not math.isfinite(resid):
+            break  # out of steps, or NaN/inf from the operator: no estimate
+        if k == len(Q):
+            grown = np.empty((min(2 * k, steps), dim))
+            grown[:k] = Q
+            Q = grown
+        np.divide(w, beta[-1], out=Q[k])
+    return OperatorNormResult(max(theta, 0.0), False, k, resid)
+
+
+def _converged_value(solve: str, res: OperatorNormResult, tol: float) -> float:
+    if not res.converged:
+        raise ConvergenceError(solve, res, tol)
+    return res.value
 
 
 def classical_constant(ds: SparseDataset, reg: RegularityDiag) -> float:
@@ -205,7 +249,7 @@ def full_gradient_L(
         return B @ (Bt @ v)
 
     res = operator_norm(mv, ds.n, tol=tol, max_iter=max_iter)
-    return res.value / ds.n
+    return _converged_value("full_gradient_L", res, tol) / ds.n
 
 
 def hat_constant(
@@ -220,7 +264,7 @@ def hat_constant(
     m = _check_batch(ds.n, b)
     op = MaskedGramOperator.from_dataset(ds, reg.values, perm, b)
     res = operator_norm(op.matvec, ds.n, tol=tol, max_iter=max_iter)
-    return res.value / (m * ds.n)
+    return _converged_value("hat_constant", res, tol) / (m * ds.n)
 
 
 def block_top_eigenvalues(ds: SparseDataset, weights, perm, b: int) -> np.ndarray:
@@ -264,7 +308,7 @@ def general_hat_L(
     ds = SparseDataset.from_dense(np.ones((n, 1)))
     op = MaskedGramOperator.from_dataset(ds, L, perm, b)
     res = operator_norm(op.matvec, n, tol=tol, max_iter=max_iter)
-    return res.value / (m * n)
+    return _converged_value("general_hat_L", res, tol) / (m * n)
 
 
 def general_tilde_L(L_values, perm, b: int) -> float:

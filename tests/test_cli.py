@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,21 @@ from shuffle_sgd.cli import main
 def write_identity_dataset(path, n):
     lines = [f"0 {i + 1}:1\n" for i in range(n)]
     path.write_text("".join(lines))
+
+
+def unconverged_from(monkeypatch, call):
+    """Make every spectral solve from the call-th one on report that it
+    stopped after 7 matvecs with Ritz residual 0.25."""
+    real = ss.constants.operator_norm
+    count = [0]
+
+    def solve(*args, **kwargs):
+        count[0] += 1
+        res = real(*args, **kwargs)
+        return res if count[0] < call else res._replace(
+            converged=False, iterations=7, residual=0.25)
+
+    monkeypatch.setattr(ss.constants, "operator_norm", solve)
 
 
 @pytest.fixture
@@ -82,6 +98,27 @@ class TestAnalyze:
         ])
         assert code == 0
 
+    def test_budget_counts_tilde_eigvalsh(self, tmp_path, capsys):
+        # n = 200: the Lanczos terms are about 4e6 ops; b = 200 adds n b^2 = 8e6
+        big = tmp_path / "big.svm"
+        write_identity_dataset(big, 200)
+        argv = ["analyze", "--input", str(big), "--num-perms", "1", "--max-cost", "1e7",
+                "--out", str(tmp_path / "r")]
+        assert main(argv + ["--b", "200"]) == 2
+        assert "--force" in capsys.readouterr().err
+        assert main(argv + ["--b", "1"]) == 0
+
+    @pytest.mark.parametrize("fail_from, solve", [(1, "full_gradient_L"), (2, "hat_constant")])
+    def test_unconverged_solve_exit_1(self, identity6, tmp_path, capsys, monkeypatch,
+                                      fail_from, solve):
+        unconverged_from(monkeypatch, fail_from)
+        code = main(["analyze", "--input", str(identity6), "--b", "2", "--num-perms", "3",
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{solve}: Lanczos did not converge in 7 matvecs" in err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestGaussianSweep:
     def test_single_point_and_determinism(self, tmp_path):
@@ -139,6 +176,22 @@ class TestHistogram:
         rows = (tmp_path / "h.csv").read_text().splitlines()[1:]
         densities = [float(r.split(",")[2]) for r in rows]
         assert sum(1 for v in densities if v > 0) == 1
+
+    def test_ratios_equal_to_roundoff_share_one_bin(self, identity6, tmp_path, monkeypatch):
+        # hat values of identity data agree to a few ulps across permutations:
+        # too close together for 30 bins with distinct float edges
+        ratios = 6.0 + np.array([0.0, 2.0, -2.0, 4.0]) * np.spacing(6.0)
+        monkeypatch.setattr(cli.consts, "ratio_stats",
+                            lambda *args, **kwargs: SimpleNamespace(ratios=ratios))
+        code = main(["histogram", "--input", str(identity6), "--num-perms", "4",
+                     "--out", str(tmp_path / "h")])
+        assert code == 0
+        rows = [r.split(",") for r in (tmp_path / "h.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 30
+        assert float(rows[0][0]) == ratios.min() - 0.5
+        assert float(rows[-1][1]) == ratios.max() + 0.5
+        mass = sum((float(hi) - float(lo)) * float(dens) for lo, hi, dens in rows)
+        assert mass == pytest.approx(1.0, rel=1e-12)
 
     def test_density_normalized(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -216,6 +269,26 @@ class TestOptimize:
         assert code == 0
         payload = json.loads((tmp_path / "ms.json").read_text())
         assert len(payload["final_gaps"]) == 3
+
+    def test_repeated_seed_exit_2(self, identity6, tmp_path, capsys):
+        code = main([
+            "optimize", "--input", str(identity6), "--loss", "squared", "--b", "1",
+            "--epochs", "2", "--step", "0.2", "--seeds", "3,0,1,0",
+            "--out", str(tmp_path / "dup"),
+        ])
+        assert code == 2
+        assert "run seed 0 is repeated" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [identity6]
+
+    def test_unconverged_constant_exit_1(self, identity6, tmp_path, capsys, monkeypatch):
+        unconverged_from(monkeypatch, 1)  # the reference minimizer's full_gradient_L
+        code = main([
+            "optimize", "--input", str(identity6), "--loss", "squared", "--b", "1",
+            "--epochs", "2", "--step", "theoretical", "--out", str(tmp_path / "nc"),
+        ])
+        assert code == 1
+        assert "full_gradient_L: Lanczos did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "nc.json").exists()
 
     def test_negative_epochs_exit_2(self, identity6, tmp_path, capsys):
         code = main([
@@ -399,6 +472,34 @@ class TestVerifyBound:
         payload = json.loads((tmp_path / "inc.json").read_text())
         assert payload["verdict"] == "inconclusive"
         assert payload["minimizer"]["reason"] == "no_finite_minimizer"
+
+    @pytest.mark.parametrize("bound, fail_from, solve, minimizer", [
+        # calls: the minimizer's full_gradient_L, then ratio_stats' one, then
+        # the 4 sampled hats, then general_hat_L for the 4 permutations
+        ("rr", 1, "full_gradient_L", None),
+        ("rr", 3, "hat_constant", "converged"),
+        ("general-rr", 7, "general_hat_L", "converged"),
+        ("nonsmooth", 1, "full_gradient_L", None),
+    ])
+    def test_inconclusive_when_a_constant_does_not_converge(
+            self, tmp_path, capsys, monkeypatch, bound, fail_from, solve, minimizer):
+        rng = np.random.default_rng(9)
+        ds = ss.SparseDataset.from_dense(rng.standard_normal((6, 2)),
+                                         labels=rng.standard_normal(6))
+        p = tmp_path / "ls.svm"
+        p.write_text(ss.serialize_libsvm(ds))
+        data = (["--planted", "--gaussian", "6,2"] if bound == "nonsmooth"
+                else ["--input", str(p), "--loss", "squared"])
+        unconverged_from(monkeypatch, fail_from)
+        code = main(["verify-bound", "--bound", bound, *data, "--b", "2", "--epochs", "2",
+                     "--seeds", "2", "--perms", "4", "--out", str(tmp_path / "nc")])
+        assert code == 1
+        assert capsys.readouterr().out.strip() == "verdict=inconclusive"
+        payload = json.loads((tmp_path / "nc.json").read_text())
+        assert payload["verdict"] == "inconclusive"
+        assert payload["reason"].startswith(f"{solve}: Lanczos did not converge in 7 matvecs")
+        assert "Ritz residual 2.500e-01" in payload["reason"]
+        assert (payload["minimizer"] and payload["minimizer"]["reason"]) == minimizer
 
     def test_zero_seeds_exit_2(self, tmp_path, capsys):
         p = tmp_path / "ls.svm"

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shuffle_sgd as ss
+from shuffle_sgd import constants
 from shuffle_sgd.constants import (
     _SEPARABILITY_CHECK_AT,
+    ConvergenceError,
     MaskedGramOperator,
     StationarityError,
     _logistic_unbounded,
@@ -135,9 +137,90 @@ class TestOperatorNorm:
             assert res.value <= true * (1 + 1e-12)
 
     def test_max_iter_flag(self):
-        M = np.diag([1.0, 0.999999])
-        res = ss.operator_norm(lambda v: M @ v, 2, tol=1e-16, max_iter=3)
+        # 3 steps cannot resolve a top eigenvalue 1e-6 away from the next
+        M = np.diag(np.r_[np.linspace(0.0, 0.999999, 49), 1.0])
+        res = ss.operator_norm(lambda v: M @ v, 50, tol=1e-10, max_iter=3)
         assert not res.converged
+        assert res.iterations == 3
+        assert res.residual > 1e-10 * res.value
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40),
+           st.sampled_from(["random", "rank_deficient", "zero", "repeated", "clustered",
+                            "masked_gram"]))
+    def test_matches_dense_eigvalsh(self, seed, n, kind):
+        """Never above lambda_max, and within tol of it once converged."""
+        rng = np.random.default_rng(seed)
+        if kind == "masked_gram":
+            ds = random_sparse_dataset(rng, n=n, ensure_nonzero=False)
+            w = rng.uniform(0.1, 10.0, n)
+            b = int(rng.choice(divisors(n)))
+            perm = rng.permutation(n)
+            M = oracles.dense_prefix_matrix(ds.to_dense(), w, perm, b)
+            matvec = MaskedGramOperator.from_dataset(ds, w, perm, b).matvec
+        else:
+            lam = rng.uniform(0.0, 1.0, n)
+            if kind == "rank_deficient":
+                lam[rng.random(n) < 0.7] = 0.0
+            elif kind == "zero":
+                lam[:] = 0.0
+            elif kind == "repeated":
+                lam[: int(rng.integers(1, n + 1))] = 1.0
+            elif kind == "clustered":
+                lam[:2] = [1.0, 1.0 - 1e-9][:n]
+            U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            M = (U * lam) @ U.T
+            matvec = lambda v: M @ v  # noqa: E731
+        tol = 1e-8
+        top = oracles.top_eig(M)
+        res = ss.operator_norm(matvec, n, tol=tol)
+        assert res.converged
+        assert res.value <= top * (1 + 1e-12) + 1e-300
+        assert res.value >= top * (1 - tol)
+        assert res.iterations <= n
+
+    def test_nan_operator_stops_unconverged_at_once(self):
+        # NaN data must not run max_iter steps and grow a max_iter * dim basis
+        res = ss.operator_norm(lambda v: np.full_like(v, np.nan), 5000)
+        assert not res.converged and res.iterations == 1
+        assert math.isnan(res.residual)
+
+    def test_basis_memory_grows_with_the_steps(self):
+        # min(dim, max_iter) = 10 000 basis rows would be 16 GB here
+        n = 200_000
+        diag = np.r_[np.random.default_rng(3).uniform(0.0, 1.0, n - 1), 3.0]
+        tracemalloc.start()
+        try:
+            res = ss.operator_norm(lambda v: diag * v, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.converged and 5 <= res.iterations <= 16
+        assert peak <= 3 * res.iterations * n * 8
+
+
+class TestNonConvergedConstants:
+    """A solve that stops short of its residual test must not become a constant."""
+
+    @pytest.fixture
+    def unconverged(self, monkeypatch):
+        def fake(matvec, dim, tol=1e-6, max_iter=10_000, seed=0):
+            return ss.constants.OperatorNormResult(1.0, False, 7, 0.25)
+
+        monkeypatch.setattr(constants, "operator_norm", fake)
+
+    @pytest.mark.parametrize("solve", ["full_gradient_L", "hat_constant", "general_hat_L"])
+    def test_raises_with_matvecs_and_residual(self, unconverged, solve):
+        ds = ss.SparseDataset.from_dense(np.eye(4))
+        calls = {
+            "full_gradient_L": lambda: ss.full_gradient_L(ds, unit_reg(4)),
+            "hat_constant": lambda: ss.hat_constant(ds, unit_reg(4), np.arange(4), 2),
+            "general_hat_L": lambda: ss.general_hat_L(np.ones(4), np.arange(4), 2),
+        }
+        with pytest.raises(ConvergenceError, match=solve) as info:
+            calls[solve]()
+        assert info.value.solve == solve
+        assert info.value.iterations == 7 and info.value.residual == 0.25
 
 
 class TestClassicalAndFull:
