@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .shuffle import check_batch
+
 
 @dataclass
 class BoundInputs:
@@ -39,8 +41,7 @@ class BoundInputs:
     def __post_init__(self):
         if self.n < 1 or self.K < 1:
             raise ValueError("n and K must be >= 1")
-        if self.b < 1 or self.n % self.b != 0:
-            raise ValueError(f"batch size {self.b} must divide n = {self.n}")
+        check_batch(self.n, self.b)
         for name in ("hatL", "tildeL", "sigma_star", "D", "ystar_norm", "Gbar"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")

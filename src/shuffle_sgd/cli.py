@@ -29,18 +29,12 @@ from . import constants as consts
 from . import engine, losses, shuffle
 from .data import ParseError, SparseDataset, gen_gaussian, load_libsvm, row_sq_norms
 
-SCHEMA_VERSION = 1
-
 # Refuse permutation studies whose rough cost estimate exceeds this many
 # operations, unless --force. Per permutation, a hat solve of S Lanczos steps
 # costs S matvecs (nnz each) plus 4 k n for reorthogonalising step k against
 # the basis, 2 S^2 n in all, and tilde's batched eigvalsh costs n b^2.
 DEFAULT_COST_BUDGET = 2e10
 _ASSUMED_LANCZOS_STEPS = 100
-
-# A traced optimize run keeps epochs * (n/b + 1) inner iterates of d floats
-# for each seed; refuse runs whose trace would exceed this many bytes.
-TRACE_BYTES_LIMIT = 2**30
 
 
 class CliError(Exception):
@@ -181,7 +175,7 @@ def cmd_gaussian_sweep(args) -> int:
     _write_json(
         args.out + ".json",
         {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": consts.SCHEMA_VERSION,
             "config": _config_echo(args),
             "grid": grid,
             "mean_ratios": means,
@@ -194,10 +188,8 @@ def cmd_gaussian_sweep(args) -> int:
 def cmd_batch_sweep(args) -> int:
     ds = _load_dataset(args)
     b_grid = _int_list(args.b_grid)
-    bad = [b for b in b_grid if b < 1 or ds.n % b != 0]
-    if bad:
-        divisors = [k for k in range(1, ds.n + 1) if ds.n % k == 0]
-        raise CliError(f"batch sizes {bad} do not divide n={ds.n}; valid divisors: {divisors}")
+    for b in b_grid:
+        shuffle.check_batch(ds.n, b)
     _check_budget(ds, args.perms * len(b_grid), max(b_grid), args)
     reg = _unit_regularity(ds)
     L = consts.classical_constant(ds, reg)
@@ -223,7 +215,7 @@ def cmd_batch_sweep(args) -> int:
     _write_json(
         args.out + ".json",
         {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": consts.SCHEMA_VERSION,
             "config": _config_echo(args),
             "b_grid": b_grid,
             "mean_ratios": means,
@@ -267,7 +259,7 @@ def cmd_histogram(args) -> int:
     _write_json(
         args.out + ".json",
         {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": consts.SCHEMA_VERSION,
             "config": _config_echo(args),
             "mean_ratio": mean,
             "coefficient_of_variation": cv,
@@ -330,15 +322,8 @@ def cmd_optimize(args) -> int:
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         raise CliError(f"run seed {repeated[0]} is repeated in --seeds")
-    if args.b < 1 or ds.n % args.b != 0:
-        raise CliError(f"batch size {args.b} must divide n={ds.n}")
+    shuffle.check_batch(ds.n, args.b)
     trace = not args.no_trace
-    trace_bytes = args.epochs * (ds.n // args.b + 1) * ds.d * 8
-    if trace and trace_bytes > TRACE_BYTES_LIMIT:
-        raise CliError(
-            f"a traced run would keep {trace_bytes / 1e9:.3g} GB of inner iterates per seed "
-            f"(limit {TRACE_BYTES_LIMIT / 1e9:.3g} GB); rerun with --no-trace"
-        )
 
     if args.step != "theoretical":
         try:
@@ -365,7 +350,7 @@ def cmd_optimize(args) -> int:
     for s in seeds:
         plan = shuffle.ShufflePlan(args.scheme, ds.n, args.epochs, seed=s)
         cfg = engine.RunConfig(
-            batch=args.b, epochs=args.epochs, step=eta, x0=np.zeros(ds.d), record_inner=trace
+            batch=args.b, epochs=args.epochs, step=eta, x0=np.zeros(ds.d), trace=trace
         )
         try:
             result = engine.run(ds, model, plan, cfg)
@@ -387,14 +372,13 @@ def cmd_optimize(args) -> int:
             rows.append((s, k, repr(float(result.objectives[k - 1])), repr(f_avg), repr(res)))
         if f_star is not None:
             final_gaps[s] = float(result.objective_avg - f_star)
-        del result  # free this seed's trace before the next run builds its own
 
     if len(diverged) == len(seeds):
         print("all seeds diverged", file=sys.stderr)
         return 1
     _write_csv(args.out + ".csv", rows)
     payload = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": consts.SCHEMA_VERSION,
         "config": _config_echo(args),
         "step_size": eta,
         "diverged": {str(k): v for k, v in diverged.items()},
@@ -431,7 +415,7 @@ def _planted_hinge(n, d, seed, margin=2.0):
 
 def _inconclusive(args, reason, ref) -> int:
     _write_json(args.out + ".json", {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": consts.SCHEMA_VERSION,
         "config": _config_echo(args),
         "verdict": "inconclusive",
         "reason": reason,
@@ -527,7 +511,7 @@ def cmd_verify_bound(args) -> int:
     sem = float(np.std(gaps) / math.sqrt(len(gaps))) if len(gaps) > 1 else 0.0
     holds = mean_gap <= rhs
     payload = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": consts.SCHEMA_VERSION,
         "config": _config_echo(args),
         "bound": kind,
         "step_size": eta,
@@ -621,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="permutations sampled for step-size constants")
     sp.add_argument("--proxy", default="max",
                     help="constant proxy: max or a decile q0, q10, ..., q100")
-    sp.add_argument("--no-trace", action="store_true", help="skip inner-iterate traces")
+    sp.add_argument("--no-trace", action="store_true", help="skip the retraction-identity check")
     common(sp)
     sp.set_defaults(func=cmd_optimize)
 

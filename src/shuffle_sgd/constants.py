@@ -42,7 +42,7 @@ from . import prng
 from .data import SparseDataset, row_sq_norms
 from .losses import (LossModel, RegularityDiag, conjugate_pair, full_gradient, objective,
                      regularity)
-from .shuffle import random_permutation
+from .shuffle import check_batch, random_permutation
 
 SCHEMA_VERSION = 1
 
@@ -55,13 +55,6 @@ class StationarityError(ValueError):
         super().__init__(
             f"point is not stationary: ||grad f|| = {grad_norm:.3e} > tol = {tol:.3e}"
         )
-
-
-def _check_batch(n: int, b: int) -> int:
-    if b < 1 or n % b != 0:
-        divisors = [k for k in range(1, n + 1) if n % k == 0]
-        raise ValueError(f"batch size {b} must divide n = {n}; valid: {divisors}")
-    return n // b
 
 
 def _weighted_csr(ds: SparseDataset, weights, perm=None) -> sp.csr_matrix:
@@ -106,7 +99,7 @@ class MaskedGramOperator:
 
     def __init__(self, B: sp.csr_matrix, batch: int):
         n, d = B.shape
-        self.m = _check_batch(n, batch)
+        self.m = check_batch(n, batch)
         self.B = B.tocsr()
         self.batch = batch
         self.n, self.d = n, d
@@ -261,7 +254,7 @@ def hat_constant(
     max_iter: int = 10_000,
 ) -> float:
     """(1/(m n)) || prefix-masked Gram sum || for one permutation."""
-    m = _check_batch(ds.n, b)
+    m = check_batch(ds.n, b)
     op = MaskedGramOperator.from_dataset(ds, reg.values, perm, b)
     res = operator_norm(op.matvec, ds.n, tol=tol, max_iter=max_iter)
     return _converged_value("hat_constant", res, tol) / (m * ds.n)
@@ -273,7 +266,7 @@ def block_top_eigenvalues(ds: SparseDataset, weights, perm, b: int) -> np.ndarra
     Giving each block its own copy of the columns (one per (column, block)
     pair that occurs) makes one sparse product hold every block Gram; a
     batched eigvalsh then solves all m b x b problems at once."""
-    m = _check_batch(ds.n, b)
+    m = check_batch(ds.n, b)
     data, rows, _, run_ends = _column_block_runs(_weighted_csr(ds, weights, perm), b)
     # row r of Bt is one (column, block) run: block j's own copy of a column
     Bt = sp.csr_matrix((data, rows, np.concatenate([[0], run_ends])),
@@ -289,7 +282,7 @@ def tilde_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int) -> floa
 
     At b = 1 each block Gram is the scalar w_i ||a_i||^2, so the value is
     exactly the classical constant."""
-    _check_batch(ds.n, b)
+    check_batch(ds.n, b)
     if b == 1:
         p = np.asarray(perm, dtype=np.int64)
         return float(np.max((reg.values * row_sq_norms(ds))[p]))
@@ -304,7 +297,7 @@ def general_hat_L(
     contributes eigenvalue 1)."""
     L = np.asarray(L_values, dtype=np.float64)
     n = len(L)
-    m = _check_batch(n, b)
+    m = check_batch(n, b)
     ds = SparseDataset.from_dense(np.ones((n, 1)))
     op = MaskedGramOperator.from_dataset(ds, L, perm, b)
     res = operator_norm(op.matvec, n, tol=tol, max_iter=max_iter)
@@ -315,7 +308,7 @@ def general_tilde_L(L_values, perm, b: int) -> float:
     """Exact closed form: max over blocks of the mean of L along the permutation."""
     L = np.asarray(L_values, dtype=np.float64)
     n = len(L)
-    m = _check_batch(n, b)
+    m = check_batch(n, b)
     Lp = L[np.asarray(perm, dtype=np.int64)]
     return float(np.max(Lp.reshape(m, b).mean(axis=1)))
 
@@ -412,7 +405,7 @@ def ratio_stats(
     """
     if num_perms < 1:
         raise ValueError("num_perms must be >= 1")
-    _check_batch(ds.n, b)
+    check_batch(ds.n, b)
     L = classical_constant(ds, reg)
     L_full = full_gradient_L(ds, reg, tol=tol, max_iter=max_iter)
     trace_bound = float(np.sum(reg.values * row_sq_norms(ds)) / ds.n)

@@ -9,6 +9,7 @@ across threads.
 from __future__ import annotations
 
 import gzip
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -186,6 +187,8 @@ def _parse_token(tok: str, line_no: int):
         val = float(parts[1])
     except ValueError:
         raise ParseError(f"non-numeric feature value {parts[1]!r}", line_no) from None
+    if not math.isfinite(val):
+        raise ParseError(f"non-finite feature value {parts[1]!r}", line_no)
     if idx <= 0:
         raise ParseError(f"feature index must be >= 1, got {idx}", line_no)
     return idx - 1, val
@@ -213,6 +216,8 @@ def _parse_lines(raw: bytes):
             label = float(toks[0])
         except ValueError:
             raise ParseError(f"non-numeric label {toks[0]!r}", line_no) from None
+        if not math.isfinite(label):
+            raise ParseError(f"non-finite label {toks[0]!r}", line_no)
         idx, val = [], []
         for tok in toks[1:]:
             i, v = _parse_token(tok, line_no)
@@ -269,7 +274,8 @@ def _parse_chunk(chunk: bytearray):
     colon with digits before it and text after it. The index digits and the
     colons are then blanked in place, so one `np.fromstring` reads exactly
     the labels and values, and reads one number per token only if each
-    token is a number as `float` would take it.
+    token is a number as `float` would take it. A number that overflows to
+    inf is refused, so that the line parser names its line.
     """
     if b"#" in chunk:
         chunk = bytearray(_COMMENT.sub(b"", chunk))
@@ -321,7 +327,7 @@ def _parse_chunk(chunk: bytearray):
                 nums = np.fromstring(buf, sep=" ")
         except ValueError:
             raise _Refused from None
-        if nums.size != ntok:
+        if nums.size != ntok or not np.isfinite(nums).all():
             raise _Refused
     labels, val = nums[is_label], nums[~is_label]
     counts = np.diff(np.flatnonzero(is_label), append=ntok) - 1
@@ -399,7 +405,8 @@ def parse_libsvm(source, d: int | None = None) -> SparseDataset:
 
     `source` may be a str, bytes, or binary/text file object. Indices are
     1-based in the file and stored 0-based; out-of-order pairs are sorted,
-    duplicates on one line are an error. Blank lines and `#` comment
+    duplicates on one line are an error, and so is a label or value that is
+    not finite (nan, inf, or a number that overflows). Blank lines and `#` comment
     suffixes are skipped. By default d is the largest index seen; pass `d`
     to widen it (an override smaller than the data is an error). Gzip and
     bzip2 input are detected by magic bytes.

@@ -11,14 +11,16 @@ data-weighted sum:
 The composition is exactly vanilla mini-batch shuffled SGD. The returned
 output is the step-size weighted average of the epoch iterates.
 
-Traced epochs additionally record the quantities entering the retraction
-identity: with inner iterates x_0..x_m (x_m the epoch end) and block
-gradient aggregates g_i = (b/eta)(x_{i-1} - x_i),
+Traced epochs also check the retraction identity: with inner iterates
+x_0..x_m (x_m the epoch end) and block gradient aggregates
+g_i = (b/eta)(x_{i-1} - x_i),
 
     (eta/n) sum_i <g_i, x_m - x_i>
         = (b/2n) sum_i ||x_{i-1} - x_i||^2 - (b/2n) ||x_0 - x_m||^2,
 
-which holds exactly for every epoch and is used as a self-check.
+which holds exactly for every epoch. The left side is streamed as
+<sum_i g_i, x_m - x_0> - sum_i <g_i, x_i - x_0>, so a traced epoch keeps
+O(d) state and stores no inner iterate; an untraced one does no trace work.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .data import PermutedView, SparseDataset
 from .losses import LossModel, derivative_vec, objective
-from .shuffle import ConfigError, ShufflePlan, permutation_for
+from .shuffle import ConfigError, ShufflePlan, check_batch, permutation_for
 
 
 class DivergenceError(RuntimeError):
@@ -44,7 +46,7 @@ class RunConfig:
     epochs: int
     step: float | np.ndarray
     x0: np.ndarray
-    record_inner: bool = False
+    trace: bool = False
 
     def step_schedule(self) -> np.ndarray:
         if self.epochs < 1:
@@ -65,15 +67,14 @@ class EpochTrace:
     step_size: float
     squared_steps: float
     displacement_sq: float
-    retraction_term: float | None = None
-    inner_iterates: list | None = None
+    retraction_term: float
 
 
 @dataclass
 class RunResult:
     iterates: list  # x_0 .. x_K
     averaged: np.ndarray
-    traces: list
+    traces: list  # one EpochTrace per epoch if cfg.trace, else empty
     objectives: np.ndarray  # f(x_k) for k = 1..K
     objective_avg: float
     step_sizes: np.ndarray
@@ -123,12 +124,9 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
     start_epoch(perm) returns the epoch's block step, (i, x, eta) ->
     (x_next, block duals), and the recompute of block i's gradient
     aggregate from those duals, which the retraction term needs."""
-    b = cfg.batch
-    if b < 1 or n % b != 0:
-        raise ConfigError(f"batch size {b} must divide n = {n}")
+    m_blocks = check_batch(n, cfg.batch)
     if plan.n != n:
         raise ConfigError(f"shuffle plan row count {plan.n} does not match n = {n}")
-    m_blocks = n // b
     steps = cfg.step_schedule()
     x = np.asarray(cfg.x0, dtype=np.float64).copy()
     if x.shape != (d,):
@@ -142,34 +140,30 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
         for k in range(1, cfg.epochs + 1):
             eta = float(steps[k - 1])
             step, block_grad = start_epoch(permutation_for(plan, k))
-            x_start = x.copy()
-            sq_steps = 0.0
-            inner = [x.copy()] if cfg.record_inner else None
-            duals = [] if cfg.record_inner else None
+            if cfg.trace:
+                x_start = x.copy()
+                sq_steps = g_dot = 0.0
+                g_sum = np.zeros(d)
             for i in range(m_blocks):
                 x_new, y_blk = step(i, x, eta)
-                delta = x_new - x
-                sq_steps += float(delta @ delta)
-                if cfg.record_inner:
-                    inner.append(x_new.copy())
-                    duals.append(y_blk)
+                if cfg.trace:
+                    delta = x_new - x
+                    sq_steps += float(delta @ delta)
+                    g = block_grad(i, y_blk)
+                    g_sum += g
+                    g_dot += float(g @ (x_new - x_start))
                 x = x_new
             if not np.all(np.isfinite(x)):
                 raise DivergenceError(k)
-            disp = x - x_start
-            trace = EpochTrace(
-                epoch=k,
-                step_size=eta,
-                squared_steps=sq_steps,
-                displacement_sq=float(disp @ disp),
-                inner_iterates=inner,
-            )
-            if cfg.record_inner:
-                t1 = 0.0
-                for i in range(m_blocks):
-                    t1 += float(block_grad(i, duals[i]) @ (x - inner[i + 1]))
-                trace.retraction_term = eta / n * t1
-            traces.append(trace)
+            if cfg.trace:
+                disp = x - x_start
+                traces.append(EpochTrace(
+                    epoch=k,
+                    step_size=eta,
+                    squared_steps=sq_steps,
+                    displacement_sq=float(disp @ disp),
+                    retraction_term=eta / n * (float(g_sum @ disp) - g_dot),
+                ))
             iterates.append(x.copy())
             objectives.append(objective_fn(x))
 
@@ -188,7 +182,7 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
 
 
 def run(ds: SparseDataset, model: LossModel, plan: ShufflePlan, cfg: RunConfig) -> RunResult:
-    """Execute shuffled SGD for cfg.epochs epochs and record per-epoch traces."""
+    """Execute shuffled SGD for cfg.epochs epochs, with per-epoch traces if cfg.trace."""
     b = cfg.batch
 
     def start_epoch(perm):
@@ -229,9 +223,7 @@ def retraction_residual(trace: EpochTrace, b: int, n: int) -> float:
     """Absolute gap between the recorded retraction term and its closed form
     (b/2n) [sum of squared inner steps - squared epoch displacement].
 
-    Requires a trace recorded with record_inner=True.
+    Traces exist only for runs with RunConfig.trace set.
     """
-    if trace.retraction_term is None:
-        raise ValueError("retraction residual needs a trace recorded with record_inner=True")
     closed = (b / (2.0 * n)) * (trace.squared_steps - trace.displacement_sq)
     return abs(trace.retraction_term - closed)

@@ -20,6 +20,15 @@ class ConfigError(ValueError):
     pass
 
 
+def check_batch(n: int, b: int) -> int:
+    """The block count n/b; a batch size b that does not divide n is a
+    ConfigError naming the valid ones."""
+    if b < 1 or n % b != 0:
+        divisors = [k for k in range(1, n + 1) if n % k == 0]
+        raise ConfigError(f"batch size {b} must divide n = {n}; valid divisors: {divisors}")
+    return n // b
+
+
 @dataclass
 class ShufflePlan:
     scheme: str

@@ -2,10 +2,14 @@
 
 Everything here is built directly from the mathematical definitions with
 plain numpy (dense matrices, eigendecompositions, one-line SGD updates), on
-purpose sharing no code with the package internals it checks.
+purpose sharing no code with the package internals it checks. The one
+exception, run_recording_inner, only observes the engine: it wraps its
+primal step to see the inner iterates the engine does not keep.
 """
 
 import numpy as np
+
+import shuffle_sgd.engine
 
 
 def weighted_rows(A, w, perm):
@@ -109,3 +113,25 @@ def vanilla_epoch(A, targets, family, perm, b, eta, x0, scales=None):
 
 def numeric_derivative(fn, z, h=1e-5):
     return (fn(z + h) - fn(z - h)) / (2.0 * h)
+
+
+def run_recording_inner(ds, model, plan, cfg):
+    """engine.run with every iterate its primal block steps return appended
+    to a list; returns the result and, per epoch, the inner iterates
+    x_0 .. x_m (x_0 the previous epoch's end)."""
+    engine = shuffle_sgd.engine
+    steps = []
+    primal = engine.primal_block_step
+
+    def recording(*args):
+        x = primal(*args)
+        steps.append(x.copy())
+        return x
+
+    engine.primal_block_step = recording
+    try:
+        result = engine.run(ds, model, plan, cfg)
+    finally:
+        engine.primal_block_step = primal
+    m = len(steps) // cfg.epochs
+    return result, [[result.iterates[k]] + steps[k * m : (k + 1) * m] for k in range(cfg.epochs)]

@@ -225,16 +225,16 @@ def _equivalence_runs():
         scheme = ("RR", "SO", "IG")[idx % 3]
         eta = 0.2 / n
         plan = ss.ShufflePlan(scheme, n, 2, seed=int(rng.integers(0, 2**31)))
-        cfg = ss.RunConfig(b, 2, eta, rng.standard_normal(d), record_inner=True)
-        result = ss.run(ds, model, plan, cfg)
-        runs.append((ds, model, plan, b, eta, result))
+        cfg = ss.RunConfig(b, 2, eta, rng.standard_normal(d), trace=True)
+        result, inner = oracles.run_recording_inner(ds, model, plan, cfg)
+        runs.append((ds, model, plan, b, eta, result, inner))
     return runs
 
 
 def test_c09_primal_dual_equals_vanilla():
     """Engine inner iterates equal the one-line shuffled SGD update per step."""
     schemes = set()
-    for ds, model, plan, b, eta, result in _equivalence_runs():
+    for ds, model, plan, b, eta, result, inner in _equivalence_runs():
         schemes.add(plan.scheme)
         x = result.iterates[0]
         for k in (1, 2):
@@ -242,7 +242,8 @@ def test_c09_primal_dual_equals_vanilla():
             ref_inner = oracles.vanilla_epoch(
                 ds.to_dense(), model.targets, model.family, perm, b, eta, x
             )
-            got_inner = result.traces[k - 1].inner_iterates
+            got_inner = inner[k - 1]
+            assert len(got_inner) == len(ref_inner) == ds.n // b + 1
             for mine, ref in zip(got_inner, ref_inner):
                 assert np.linalg.norm(mine - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
             x = ref_inner[-1]
@@ -253,11 +254,12 @@ def test_c09_primal_dual_equals_vanilla():
 def test_c10_retraction_identity():
     """Every traced epoch satisfies the retraction identity to 1e-8."""
     checked = 0
-    for ds, model, plan, b, eta, result in _equivalence_runs():
+    for ds, model, plan, b, eta, result, _ in _equivalence_runs():
         for tr in result.traces:
             scale = 1.0 + abs(tr.squared_steps) + abs(tr.displacement_sq)
             assert ss.retraction_residual(tr, b, ds.n) <= 1e-8 * scale
             checked += 1
+    assert checked == 200  # every epoch of the 100 two-epoch runs is traced
     _report("C10 retraction-identity", f"({checked} epochs)")
 
 

@@ -74,6 +74,20 @@ class TestAnalyze:
         assert code == 2
         assert "line 2: invalid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [b"1 1:nan", b"nan 1:1", b"1 1:1e999", b"1e999 1:1"])
+    def test_non_finite_number_exit_2_names_line(self, line, tmp_path, capsys):
+        # nan reaches the line parser; 1e999 passes the bulk parser's byte
+        # filter and overflows to inf there
+        raw = b"1 1:1\n" + line + b"\n"
+        with pytest.raises(ss.ParseError, match="^line 2: non-finite") as err:
+            ss.parse_libsvm(raw)
+        assert err.value.line == 2
+        bad = tmp_path / "nonfinite.svm"
+        bad.write_bytes(raw)
+        code = main(["analyze", "--input", str(bad), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "line 2: non-finite" in capsys.readouterr().err
+
     def test_deterministic_bytes(self, identity6, tmp_path):
         args = [
             "analyze", "--input", str(identity6), "--b", "2",
@@ -298,26 +312,6 @@ class TestOptimize:
         ])
         assert code == 2
         assert "epochs" in capsys.readouterr().err
-
-    def test_oversized_trace_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
-        class Reached(Exception):
-            pass
-
-        def reached(*args, **kwargs):
-            raise Reached
-
-        monkeypatch.setattr(cli.consts, "reference_minimizer", reached)
-        monkeypatch.setattr(cli.engine, "run", reached)
-        # epochs * (n/b + 1) * d * 8 = 1e6 * 5 * 50 * 8 bytes = 2 GB of inner iterates
-        argv = [
-            "optimize", "--gaussian", "4,50", "--loss", "squared", "--b", "1",
-            "--epochs", str(10**6), "--out", str(tmp_path / "big"),
-        ]
-        assert main(argv) == 2
-        assert "rerun with --no-trace" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-        with pytest.raises(Reached):  # untraced, the same run goes ahead
-            main(argv + ["--no-trace"])
 
     def test_keeps_one_seed_trace_at_a_time(self, tmp_path):
         def peak(seeds):

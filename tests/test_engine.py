@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,7 +139,7 @@ class TestRun:
 
     def test_deterministic(self, rng):
         ds, m = least_squares(rng, 10, 3)
-        cfg = RunConfig(2, 3, 0.05, np.zeros(3), record_inner=True)
+        cfg = RunConfig(2, 3, 0.05, np.zeros(3), trace=True)
         r1 = ss.run(ds, m, ShufflePlan("RR", 10, 3, seed=7), cfg)
         r2 = ss.run(ds, m, ShufflePlan("RR", 10, 3, seed=7), cfg)
         assert np.array_equal(r1.final, r2.final)
@@ -152,13 +154,14 @@ class TestRun:
         b = int(rng.choice(divisors(n)))
         eta = 0.3 / n
         plan = ShufflePlan(scheme, n, 2, seed=seed)
-        cfg = RunConfig(b, 2, eta, np.zeros(ds.d), record_inner=True)
-        res = ss.run(ds, m, plan, cfg)
+        cfg = RunConfig(b, 2, eta, np.zeros(ds.d), trace=True)
+        _, recorded = oracles.run_recording_inner(ds, m, plan, cfg)
         x = np.zeros(ds.d)
         for k in (1, 2):
             perm = ss.permutation_for(plan, k)
             inner = oracles.vanilla_epoch(ds.to_dense(), ds.labels, "squared", perm, b, eta, x)
-            got = res.traces[k - 1].inner_iterates
+            got = recorded[k - 1]
+            assert len(got) == len(inner) == n // b + 1
             for mine, ref in zip(got, inner):
                 scale = 1.0 + float(np.linalg.norm(ref))
                 assert np.linalg.norm(mine - ref) <= 1e-12 * scale
@@ -222,16 +225,15 @@ class TestTheoreticalStepConvergence:
 
 
 class TestRetractionIdentity:
-    def test_requires_traces(self, rng):
+    def test_untraced_run_has_no_traces(self, rng):
         ds, m = least_squares(rng, 4, 2)
         res = ss.run(ds, m, ShufflePlan("RR", 4, 1, seed=0), RunConfig(2, 1, 0.1, np.zeros(2)))
-        with pytest.raises(ValueError):
-            ss.retraction_residual(res.traces[0], 2, 4)
+        assert res.traces == []
 
     def test_single_step_epoch_terms_cancel(self, rng):
         # b = n: one inner step, the retraction term is identically zero
         ds, m = least_squares(rng, 5, 3)
-        cfg = RunConfig(5, 1, 0.1, np.zeros(3), record_inner=True)
+        cfg = RunConfig(5, 1, 0.1, np.zeros(3), trace=True)
         res = ss.run(ds, m, ShufflePlan("RR", 5, 1, seed=2), cfg)
         tr = res.traces[0]
         assert tr.retraction_term == pytest.approx(0.0, abs=1e-15)
@@ -239,7 +241,7 @@ class TestRetractionIdentity:
 
     def test_random_least_squares_epoch(self, rng):
         ds, m = least_squares(rng, 10, 5)
-        cfg = RunConfig(2, 1, 0.05, rng.standard_normal(5), record_inner=True)
+        cfg = RunConfig(2, 1, 0.05, rng.standard_normal(5), trace=True)
         res = ss.run(ds, m, ShufflePlan("RR", 10, 1, seed=3), cfg)
         assert ss.retraction_residual(res.traces[0], 2, 10) <= 1e-8
 
@@ -255,11 +257,61 @@ class TestRetractionIdentity:
         ds = random_sparse_dataset(rng, n=n)
         m = LossModel.for_dataset(family, ds)
         b = int(rng.choice([x for x in (1, 2, n // 2, n) if x >= 1 and n % x == 0]))
-        cfg = RunConfig(b, 3, 0.1 / n, rng.standard_normal(ds.d), record_inner=True)
+        cfg = RunConfig(b, 3, 0.1 / n, rng.standard_normal(ds.d), trace=True)
         res = ss.run(ds, m, ShufflePlan(scheme, n, 3, seed=seed), cfg)
         for tr in res.traces:
             scale = 1.0 + abs(tr.squared_steps) + abs(tr.displacement_sq)
             assert ss.retraction_residual(tr, b, n) <= 1e-8 * scale
+
+
+class TestTracing:
+    @settings(max_examples=25)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["RR", "SO", "IG"]),
+        st.sampled_from(["squared", "logistic", "hinge", "absolute"]),
+    )
+    def test_tracing_does_not_perturb_the_run(self, seed, scheme, family):
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([2, 4, 6, 8, 12]))
+        ds = random_sparse_dataset(rng, n=n)
+        m = LossModel.for_dataset(family, ds)
+        x0 = rng.standard_normal(ds.d)
+        plan = ShufflePlan(scheme, n, 3, seed=seed)
+        for b in divisors(n):
+            plain, traced = (ss.run(ds, m, plan, RunConfig(b, 3, 0.1 / n, x0, trace=t))
+                             for t in (False, True))
+            assert plain.traces == [] and len(traced.traces) == 3
+            for xp, xt in zip(plain.iterates, traced.iterates, strict=True):
+                assert np.array_equal(xp, xt)
+            assert np.array_equal(plain.averaged, traced.averaged)
+            assert np.array_equal(plain.objectives, traced.objectives)
+            assert plain.objective_avg == traced.objective_avg
+
+    def test_trace_state_is_o_of_d(self):
+        # one b = 1 epoch over 2000 blocks: storing the inner iterates would
+        # take (n + 1) d 8 = 48 MB; the streamed retraction term needs a few
+        # d-vectors on top of what the untraced run allocates
+        rng = np.random.default_rng(3)
+        n, d, k = 2000, 3000, 3
+        cols = np.arange(k) * (d // k) + rng.integers(0, d // k, size=(n, k))
+        ds = ss.SparseDataset(indptr=np.arange(n + 1) * k, indices=cols.ravel(),
+                              values=rng.standard_normal(n * k),
+                              labels=rng.choice([-1.0, 1.0], n), d=d)
+        m = LossModel.for_dataset("hinge", ds)
+
+        def peak(trace):
+            tracemalloc.start()
+            res = ss.run(ds, m, ShufflePlan("RR", n, 1, seed=0),
+                         RunConfig(1, 1, 0.1, np.zeros(d), trace=trace))
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert len(res.traces) == trace
+            return peak_bytes
+
+        untraced, traced = peak(False), peak(True)
+        assert traced <= untraced + 8 * d * 8
+        assert traced <= (n + 1) * d * 8 / 20
 
 
 class TestRunGeneral:
@@ -285,20 +337,28 @@ class TestRunGeneral:
         ds, m = least_squares(rng, 6, 3)
         A = ds.to_dense()
 
+        seen = []
+
         def oracle(i, x):
+            seen.append(x.copy())
             return ss.loss_derivative(m, i, float(A[i] @ x)) * A[i]
 
         plan = ShufflePlan("SO", 6, 2, seed=9)
-        cfg = RunConfig(2, 2, 0.04, np.zeros(3), record_inner=True)
-        direct = ss.run(ds, m, plan, cfg)
+        cfg = RunConfig(2, 2, 0.04, np.zeros(3), trace=True)
+        direct, direct_inner = oracles.run_recording_inner(ds, m, plan, cfg)
         general = ss.run_general(
             oracle, 6, 3, plan, cfg, objective_fn=lambda x: ss.objective(m, ds, x)
         )
         assert np.allclose(direct.final, general.final, rtol=1e-12, atol=1e-14)
         assert np.allclose(direct.averaged, general.averaged, rtol=1e-12, atol=1e-14)
-        for td, tg in zip(direct.traces, general.traces, strict=True):
-            assert len(td.inner_iterates) == len(tg.inner_iterates) == 6 // 2 + 1
-            for xd, xg in zip(td.inner_iterates, tg.inner_iterates):
+        # every block calls the oracle b = 2 times at its starting point
+        assert len(seen) == 2 * 6
+        block_starts = seen[::2]
+        general_inner = [block_starts[0:3] + [general.iterates[1]],
+                         block_starts[3:6] + [general.iterates[2]]]
+        for k, (td, tg) in enumerate(zip(direct.traces, general.traces, strict=True)):
+            assert len(direct_inner[k]) == len(general_inner[k]) == 6 // 2 + 1
+            for xd, xg in zip(direct_inner[k], general_inner[k]):
                 assert np.allclose(xd, xg, rtol=1e-12, atol=1e-14)
             for name in ("squared_steps", "displacement_sq", "retraction_term"):
                 assert getattr(td, name) == pytest.approx(getattr(tg, name), rel=1e-12)
@@ -307,7 +367,7 @@ class TestRunGeneral:
         def oracle(i, x):
             return (x - i) ** 3 * 0.01  # arbitrary nonlinear components
 
-        cfg = RunConfig(2, 2, 0.3, rng.standard_normal(3), record_inner=True)
+        cfg = RunConfig(2, 2, 0.3, rng.standard_normal(3), trace=True)
         res = ss.run_general(oracle, 4, 3, ShufflePlan("RR", 4, 2, seed=5), cfg)
         for tr in res.traces:
             assert ss.retraction_residual(tr, 2, 4) <= 1e-10
