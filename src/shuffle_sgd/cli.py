@@ -95,15 +95,18 @@ def _write_csv(path, rows):
         writer.writerows(rows)
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _config_echo(args) -> dict:
     skip = {"func"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+
+
+def _write_json(args, payload):
+    """Write the command's report to --out .json, with the schema version
+    and the effective configuration every report carries."""
+    report = {"schema_version": consts.SCHEMA_VERSION, "config": _config_echo(args), **payload}
+    with open(args.out + ".json", "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _int_list(text) -> list:
@@ -129,9 +132,8 @@ def cmd_analyze(args) -> int:
         max_workers=_max_workers(),
     )
     payload = report.to_json_dict()
-    payload["config"] = _config_echo(args)
     payload["runtime_sec"] = time.time() - t0
-    _write_json(args.out + ".json", payload)
+    _write_json(args, payload)
     _write_csv(args.out + ".csv", report.to_csv_rows())
     print(
         f"L={report.L:.6g} mean(L/hatL)={report.ratio_summary['mean']:.4g} "
@@ -172,20 +174,14 @@ def cmd_gaussian_sweep(args) -> int:
         means.append(report.ratio_summary["mean"])
     _write_csv(args.out + ".csv", rows)
     _write_csv(args.out + ".summary.csv", summary)
-    _write_json(
-        args.out + ".json",
-        {
-            "schema_version": consts.SCHEMA_VERSION,
-            "config": _config_echo(args),
-            "grid": grid,
-            "mean_ratios": means,
-        },
-    )
+    _write_json(args, {"grid": grid, "mean_ratios": means})
     print(" ".join(f"{g}:{m:.4g}" for g, m in zip(grid, means)))
     return 0
 
 
 def cmd_batch_sweep(args) -> int:
+    if args.perms < 1:
+        raise CliError("num_perms must be >= 1")
     ds = _load_dataset(args)
     b_grid = _int_list(args.b_grid)
     for b in b_grid:
@@ -212,16 +208,7 @@ def cmd_batch_sweep(args) -> int:
     alpha = float(np.polyfit(logs_b, logs_r, 1)[0]) if len(b_grid) > 1 else float("nan")
     _write_csv(args.out + ".csv", rows)
     _write_csv(args.out + ".summary.csv", summary)
-    _write_json(
-        args.out + ".json",
-        {
-            "schema_version": consts.SCHEMA_VERSION,
-            "config": _config_echo(args),
-            "b_grid": b_grid,
-            "mean_ratios": means,
-            "loglog_slope": alpha,
-        },
-    )
+    _write_json(args, {"b_grid": b_grid, "mean_ratios": means, "loglog_slope": alpha})
     print(f"alpha={alpha:.4g} " + " ".join(f"b={b}:{m:.4g}" for b, m in zip(b_grid, means)))
     return 0
 
@@ -256,15 +243,7 @@ def cmd_histogram(args) -> int:
     mean = float(np.mean(ratios))
     cv = float(np.std(ratios) / mean) if mean else float("nan")
     _write_csv(args.out + ".csv", rows)
-    _write_json(
-        args.out + ".json",
-        {
-            "schema_version": consts.SCHEMA_VERSION,
-            "config": _config_echo(args),
-            "mean_ratio": mean,
-            "coefficient_of_variation": cv,
-        },
-    )
+    _write_json(args, {"mean_ratio": mean, "coefficient_of_variation": cv})
     print(f"mean={mean:.4g} cv={cv:.4g}")
     return 0
 
@@ -342,7 +321,7 @@ def cmd_optimize(args) -> int:
             ds, model, ref.x, args.scheme, args.b, args.epochs, args.perms, args.seed,
             args.tol, args.proxy,
         )
-    f_star = losses.objective(model, ds, ref.x) if ref is not None and ref.converged else None
+    f_star = ref.value if ref is not None and ref.converged else None
 
     rows = [("seed", "epoch", "f_x", "f_avg", "retraction_residual")]
     final_gaps = {}
@@ -357,19 +336,13 @@ def cmd_optimize(args) -> int:
         except engine.DivergenceError as exc:
             diverged[s] = exc.epoch
             continue
-        avg = np.zeros(ds.d)
-        hsum = 0.0
-        for k in range(1, args.epochs + 1):
-            hk = result.step_sizes[k - 1]
-            avg += hk * result.iterates[k]
-            hsum += hk
-            f_avg = losses.objective(model, ds, avg / hsum)
+        for k, (f_x, f_avg) in enumerate(zip(result.objectives, result.objectives_avg), 1):
             res = (
                 engine.retraction_residual(result.traces[k - 1], args.b, ds.n)
                 if trace
                 else float("nan")
             )
-            rows.append((s, k, repr(float(result.objectives[k - 1])), repr(f_avg), repr(res)))
+            rows.append((s, k, repr(float(f_x)), repr(float(f_avg)), repr(res)))
         if f_star is not None:
             final_gaps[s] = float(result.objective_avg - f_star)
 
@@ -378,8 +351,6 @@ def cmd_optimize(args) -> int:
         return 1
     _write_csv(args.out + ".csv", rows)
     payload = {
-        "schema_version": consts.SCHEMA_VERSION,
-        "config": _config_echo(args),
         "step_size": eta,
         "diverged": {str(k): v for k, v in diverged.items()},
         "minimizer": _minimizer_record(ref) if ref is not None else None,
@@ -387,7 +358,7 @@ def cmd_optimize(args) -> int:
     if final_gaps:
         payload["final_gaps"] = {str(k): v for k, v in final_gaps.items()}
         payload["mean_final_gap"] = float(np.mean(list(final_gaps.values())))
-    _write_json(args.out + ".json", payload)
+    _write_json(args, payload)
     if final_gaps:
         print(f"step={eta:.4g} mean_final_gap={payload['mean_final_gap']:.6g}")
     else:
@@ -414,9 +385,7 @@ def _planted_hinge(n, d, seed, margin=2.0):
 
 
 def _inconclusive(args, reason, ref) -> int:
-    _write_json(args.out + ".json", {
-        "schema_version": consts.SCHEMA_VERSION,
-        "config": _config_echo(args),
+    _write_json(args, {
         "verdict": "inconclusive",
         "reason": reason,
         "minimizer": _minimizer_record(ref) if ref is not None else None,
@@ -469,7 +438,7 @@ def cmd_verify_bound(args) -> int:
             eta, inp = _theoretical_step(
                 ds, model, x_star, scheme, b, K, args.perms, args.seed, args.tol, args.proxy
             )
-            f_star = losses.objective(model, ds, x_star)
+            f_star = ref.value
             step_size, bound_rhs = ((bd.step_size_ig, bd.bound_rhs_ig) if scheme == "IG"
                                     else (bd.step_size_smooth_rr, bd.bound_rhs_smooth_rr))
             if kind.startswith("general"):
@@ -511,8 +480,6 @@ def cmd_verify_bound(args) -> int:
     sem = float(np.std(gaps) / math.sqrt(len(gaps))) if len(gaps) > 1 else 0.0
     holds = mean_gap <= rhs
     payload = {
-        "schema_version": consts.SCHEMA_VERSION,
-        "config": _config_echo(args),
         "bound": kind,
         "step_size": eta,
         "empirical_mean_gap": mean_gap,
@@ -523,7 +490,7 @@ def cmd_verify_bound(args) -> int:
         "verdict": "holds" if holds else "violated",
         "minimizer": _minimizer_record(ref) if ref is not None else None,
     }
-    _write_json(args.out + ".json", payload)
+    _write_json(args, payload)
     print(f"verdict={payload['verdict']} mean_gap={mean_gap:.6g} rhs={rhs:.6g}")
     return 0 if holds else 1
 

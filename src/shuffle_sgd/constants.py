@@ -326,21 +326,17 @@ def _summary(values: np.ndarray) -> dict:
 
 @dataclass
 class ConstantsReport:
+    """The sampled constants of one ratio_stats call; the summaries, the
+    ratios L / hat_pi and the permutation seeds are derived from them."""
+
     L: float
     L_full: float
+    trace_bound: float
     b: int
-    num_perms: int
     seed: int
     tolerance: float
-    perm_seeds: list
-    hatL: dict
     hatL_values: np.ndarray
-    ratios: np.ndarray
-    ratio_summary: dict
-    tildeL: dict | None = None
     tildeL_values: np.ndarray | None = None
-    schema_version: int = SCHEMA_VERSION
-    trace_bound: float = float("nan")
 
     def __post_init__(self):
         # Relaxation chain: every sampled hat value sits below the trace
@@ -351,9 +347,33 @@ class ConstantsReport:
         if self.tildeL_values is not None and np.any(self.tildeL_values > self.L + slack):
             raise AssertionError("tilde constant exceeded the classical constant")
 
+    @property
+    def num_perms(self) -> int:
+        return len(self.hatL_values)
+
+    @property
+    def perm_seeds(self) -> list:
+        return [prng.substream(self.seed, prng.DOMAIN_TRIAL, j) for j in range(self.num_perms)]
+
+    @property
+    def ratios(self) -> np.ndarray:
+        return self.L / self.hatL_values
+
+    @property
+    def hatL(self) -> dict:
+        return _summary(self.hatL_values)
+
+    @property
+    def tildeL(self) -> dict | None:
+        return None if self.tildeL_values is None else _summary(self.tildeL_values)
+
+    @property
+    def ratio_summary(self) -> dict:
+        return _summary(self.ratios)
+
     def to_json_dict(self) -> dict:
         out = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "L": self.L,
             "L_full": self.L_full,
             "b": self.b,
@@ -366,24 +386,18 @@ class ConstantsReport:
             "ratios": [float(v) for v in self.ratios],
             "trace_bound": self.trace_bound,
         }
-        if self.tildeL is not None:
+        if self.tildeL_values is not None:
             out["tildeL"] = self.tildeL
             out["tildeL_values"] = [float(v) for v in self.tildeL_values]
         return out
 
     def to_csv_rows(self) -> list:
-        rows = [("perm_seed", "hatL", "tildeL", "ratio")]
-        for i in range(self.num_perms):
-            tl = "" if self.tildeL_values is None else repr(float(self.tildeL_values[i]))
-            rows.append(
-                (
-                    str(self.perm_seeds[i]),
-                    repr(float(self.hatL_values[i])),
-                    tl,
-                    repr(float(self.ratios[i])),
-                )
-            )
-        return rows
+        tilde = ([""] * self.num_perms if self.tildeL_values is None
+                 else [repr(float(v)) for v in self.tildeL_values])
+        return [("perm_seed", "hatL", "tildeL", "ratio")] + [
+            (str(ps), repr(float(hat)), tl, repr(float(ratio)))
+            for ps, hat, tl, ratio in zip(self.perm_seeds, self.hatL_values, tilde, self.ratios)
+        ]
 
 
 def ratio_stats(
@@ -422,24 +436,15 @@ def ratio_stats(
     else:
         results = [one(j) for j in range(num_perms)]
 
-    hat_vals = np.array([r[0] for r in results])
-    tilde_vals = np.array([r[1] for r in results]) if compute_tilde else None
-    ratios = L / hat_vals
     return ConstantsReport(
         L=L,
         L_full=L_full,
+        trace_bound=trace_bound,
         b=b,
-        num_perms=num_perms,
         seed=seed,
         tolerance=tol,
-        perm_seeds=[prng.substream(seed, prng.DOMAIN_TRIAL, j) for j in range(num_perms)],
-        hatL=_summary(hat_vals),
-        hatL_values=hat_vals,
-        ratios=ratios,
-        ratio_summary=_summary(ratios),
-        tildeL=_summary(tilde_vals) if compute_tilde else None,
-        tildeL_values=tilde_vals,
-        trace_bound=trace_bound,
+        hatL_values=np.array([r[0] for r in results]),
+        tildeL_values=np.array([r[1] for r in results]) if compute_tilde else None,
     )
 
 
@@ -488,6 +493,7 @@ def ystar_weighted_norm(ds: SparseDataset, m: LossModel, x_star: np.ndarray,
 
 class MinimizerResult(NamedTuple):
     x: np.ndarray
+    value: float  # f(x)
     grad_norm: float
     iterations: int
     # why the run stopped: "converged" (||grad|| <= tol), "no_finite_minimizer"
@@ -544,20 +550,20 @@ def reference_minimizer(
     reg = regularity(m)
     Lf = full_gradient_L(ds, reg, tol=1e-10, max_iter=50_000)
     x = np.zeros(ds.d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    fx = objective(m, ds, x)
     if Lf == 0.0:
         g = full_gradient(m, ds, x)
-        return MinimizerResult(x, float(np.linalg.norm(g)), 0, "converged")
+        return MinimizerResult(x, fx, float(np.linalg.norm(g)), 0, "converged")
     base_step = 1.0 / Lf
-    fx = objective(m, ds, x)
     it = 0
     for it in range(1, max_iter + 1):
         g = full_gradient(m, ds, x)
         gn = float(np.linalg.norm(g))
         if gn <= tol:
-            return MinimizerResult(x, gn, it - 1, "converged")
+            return MinimizerResult(x, fx, gn, it - 1, "converged")
         if (it == _SEPARABILITY_CHECK_AT and m.family == "logistic"
                 and _logistic_unbounded(ds, m)):
-            return MinimizerResult(x, gn, it - 1, "no_finite_minimizer")
+            return MinimizerResult(x, fx, gn, it - 1, "no_finite_minimizer")
         eta = base_step
         gsq = gn * gn
         for _ in range(60):
@@ -573,4 +579,4 @@ def reference_minimizer(
         x, fx = x_new, f_new
     g = full_gradient(m, ds, x)
     gn = float(np.linalg.norm(g))
-    return MinimizerResult(x, gn, it, "converged" if gn <= tol else "max_iter")
+    return MinimizerResult(x, fx, gn, it, "converged" if gn <= tol else "max_iter")

@@ -452,7 +452,7 @@ def gen_gaussian(n: int, d: int, seed: int) -> SparseDataset:
 
 
 def row_sq_norms(ds: SparseDataset) -> np.ndarray:
-    """Vector of squared Euclidean row norms, length n."""
-    sq = ds.values * ds.values
-    csum = np.concatenate([[0.0], np.cumsum(sq)])
-    return csum[ds.indptr[1:]] - csum[ds.indptr[:-1]]
+    """Vector of squared Euclidean row norms, length n: each row's own
+    squares summed in order (0 for an empty row)."""
+    rows = np.repeat(np.arange(ds.n), np.diff(ds.indptr))
+    return np.bincount(rows, weights=ds.values * ds.values, minlength=ds.n)

@@ -9,11 +9,14 @@ data-weighted sum:
     x    <- x - (eta/b) sum_{j in block i} y^(i)_j a_{pi_j}
 
 The composition is exactly vanilla mini-batch shuffled SGD. The returned
-output is the step-size weighted average of the epoch iterates.
+output is the step-size weighted average of the epoch ends x_1..x_K,
+x_bar_K = sum_k eta_k x_k / H_K with H_K = sum_k eta_k; the loop keeps its
+running sum, so a run holds O(d) state whatever K is, and records f(x_k)
+and f(x_bar_k) after every epoch.
 
-Traced epochs also check the retraction identity: with inner iterates
-x_0..x_m (x_m the epoch end) and block gradient aggregates
-g_i = (b/eta)(x_{i-1} - x_i),
+Traced epochs also check the retraction identity: with the inner iterate
+x_i after block i (x_0 the epoch start, x_m its end) and block gradient
+aggregates g_i = (b/eta)(x_{i-1} - x_i),
 
     (eta/n) sum_i <g_i, x_m - x_i>
         = (b/2n) sum_i ||x_{i-1} - x_i||^2 - (b/2n) ||x_0 - x_m||^2,
@@ -56,8 +59,10 @@ class RunConfig:
             steps = np.full(self.epochs, float(steps))
         if steps.shape != (self.epochs,):
             raise ConfigError("step must be a scalar or one value per epoch")
-        if np.any(steps <= 0):
-            raise ConfigError("step sizes must be positive")
+        bad = ~(np.isfinite(steps) & (steps > 0))
+        if np.any(bad):
+            raise ConfigError(
+                f"step sizes must be positive and finite, got {float(steps[bad][0])}")
         return steps
 
 
@@ -72,16 +77,15 @@ class EpochTrace:
 
 @dataclass
 class RunResult:
-    iterates: list  # x_0 .. x_K
-    averaged: np.ndarray
+    final: np.ndarray  # x_K
+    averaged: np.ndarray  # x_bar_K
     traces: list  # one EpochTrace per epoch if cfg.trace, else empty
     objectives: np.ndarray  # f(x_k) for k = 1..K
-    objective_avg: float
-    step_sizes: np.ndarray
+    objectives_avg: np.ndarray  # f(x_bar_k) for k = 1..K
 
     @property
-    def final(self) -> np.ndarray:
-        return self.iterates[-1]
+    def objective_avg(self) -> float:
+        return float(self.objectives_avg[-1])
 
 
 def _block_entries(view: PermutedView, block: int, b: int):
@@ -132,9 +136,11 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
     if x.shape != (d,):
         raise ConfigError(f"x0 must have dimension d = {d}")
 
-    iterates = [x.copy()]
+    x_sum = np.zeros(d)  # sum_k eta_k x_k
+    h = 0.0  # H_k, summed in epoch order
     traces = []
     objectives = []
+    objectives_avg = []
     # float overflow on a diverging run surfaces as DivergenceError, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.epochs + 1):
@@ -164,20 +170,18 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
                     displacement_sq=float(disp @ disp),
                     retraction_term=eta / n * (float(g_sum @ disp) - g_dot),
                 ))
-            iterates.append(x.copy())
+            x_sum += eta * x
+            h += eta
+            avg = x_sum / h
             objectives.append(objective_fn(x))
+            objectives_avg.append(objective_fn(avg))
 
-    avg = np.zeros(d)
-    for eta, xk in zip(steps, iterates[1:]):
-        avg += eta * xk
-    avg /= float(np.sum(steps))
     return RunResult(
-        iterates=iterates,
+        final=x,
         averaged=avg,
         traces=traces,
         objectives=np.asarray(objectives),
-        objective_avg=objective_fn(avg),
-        step_sizes=steps,
+        objectives_avg=np.asarray(objectives_avg),
     )
 
 

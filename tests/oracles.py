@@ -134,4 +134,5 @@ def run_recording_inner(ds, model, plan, cfg):
     finally:
         engine.primal_block_step = primal
     m = len(steps) // cfg.epochs
-    return result, [[result.iterates[k]] + steps[k * m : (k + 1) * m] for k in range(cfg.epochs)]
+    xs = [np.asarray(cfg.x0, dtype=float)] + steps
+    return result, [xs[k * m : (k + 1) * m + 1] for k in range(cfg.epochs)]

@@ -236,7 +236,7 @@ def test_c09_primal_dual_equals_vanilla():
     schemes = set()
     for ds, model, plan, b, eta, result, inner in _equivalence_runs():
         schemes.add(plan.scheme)
-        x = result.iterates[0]
+        x = inner[0][0]
         for k in (1, 2):
             perm = ss.permutation_for(plan, k)
             ref_inner = oracles.vanilla_epoch(

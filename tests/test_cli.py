@@ -9,6 +9,8 @@ import shuffle_sgd as ss
 from shuffle_sgd import cli
 from shuffle_sgd.cli import main
 
+import oracles
+
 
 def write_identity_dataset(path, n):
     lines = [f"0 {i + 1}:1\n" for i in range(n)]
@@ -178,6 +180,15 @@ class TestBatchSweep:
         assert means[-1] == pytest.approx(6.0, rel=1e-6)
         assert "loglog_slope" in payload
 
+    def test_zero_perms_exit_2(self, identity6, tmp_path, capsys):
+        code = main([
+            "batch-sweep", "--input", str(identity6), "--b-grid", "1,2",
+            "--perms", "0", "--out", str(tmp_path / "z"),
+        ])
+        assert code == 2
+        assert "num_perms must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [identity6]
+
 
 class TestHistogram:
     def test_single_perm_single_bin(self, identity6, tmp_path):
@@ -283,6 +294,47 @@ class TestOptimize:
         assert code == 0
         payload = json.loads((tmp_path / "ms.json").read_text())
         assert len(payload["final_gaps"]) == 3
+
+    def test_f_avg_is_the_step_weighted_average(self, tmp_path, monkeypatch):
+        # --step takes one value, so a schedule is patched into the runs'
+        # RunConfig: with unequal steps the weights of the average matter
+        rng = np.random.default_rng(5)
+        n, d, K = 6, 3, 4
+        A = rng.standard_normal((n, d))
+        t = rng.standard_normal(n)
+        p = tmp_path / "ls.svm"
+        p.write_text(ss.serialize_libsvm(ss.SparseDataset.from_dense(A, labels=t)))
+        steps = 0.05 * np.array([1.0, 0.25, 2.0, 0.5])
+        config = ss.engine.RunConfig
+        monkeypatch.setattr(ss.engine, "RunConfig", lambda **kw: config(**{**kw, "step": steps}))
+        code = main([
+            "optimize", "--input", str(p), "--loss", "squared", "--scheme", "RR",
+            "--b", "2", "--epochs", str(K), "--step", "0.05", "--seeds", "0,3",
+            "--out", str(tmp_path / "fa"),
+        ])
+        assert code == 0
+        rows = [r.split(",") for r in (tmp_path / "fa.csv").read_text().splitlines()[1:]]
+        for s in (0, 3):
+            plan = ss.ShufflePlan("RR", n, K, seed=s)
+            x, ends = np.zeros(d), []
+            for k in range(1, K + 1):
+                x = oracles.vanilla_epoch(A, t, "squared", ss.permutation_for(plan, k), 2,
+                                          steps[k - 1], x)[-1]
+                ends.append(x)
+            want = [np.mean(0.5 * (A @ np.average(ends[:k], axis=0, weights=steps[:k]) - t) ** 2)
+                    for k in range(1, K + 1)]
+            got = [float(r[3]) for r in rows if int(r[0]) == s]
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_exit_2(self, identity6, tmp_path, capsys, step):
+        code = main([
+            "optimize", "--input", str(identity6), "--loss", "squared", "--b", "1",
+            "--epochs", "2", "--step", step, "--seeds", "0,1", "--out", str(tmp_path / "nf"),
+        ])
+        assert code == 2
+        assert f"step sizes must be positive and finite, got {step}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [identity6]
 
     def test_repeated_seed_exit_2(self, identity6, tmp_path, capsys):
         code = main([

@@ -254,6 +254,25 @@ class TestRowSqNorms:
         norms = ss.row_sq_norms(ds)
         assert norms[1] == 0.0
 
+    def test_small_row_after_a_large_one(self):
+        # prefix sums over all rows would lose the 1 in 1e16 + 1
+        ds = ss.SparseDataset.from_dense(np.array([[1e8, 0.0], [1.0, 0.0], [0.0, 2.0]]))
+        assert ss.row_sq_norms(ds).tolist() == [1e16, 1.0, 4.0]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6))
+    def test_matches_dense_row_sums(self, seed, n, d):
+        # row scales over 16 decades, so huge rows precede tiny ones; empty
+        # rows included
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-8, 9, size=(n, 1))
+        A = rng.standard_normal((n, d)) * scale * (rng.random((n, d)) < 0.6)
+        A[rng.random(n) < 0.3] = 0.0
+        ds = ss.SparseDataset.from_rows([(np.flatnonzero(r), r[r != 0]) for r in A],
+                                        np.zeros(n), d=d)
+        got = ss.row_sq_norms(ds)
+        want = (A * A).sum(1)
+        assert np.all(np.abs(got - want) <= 4 * d * np.finfo(float).eps * want)
+
     def test_nonnegative_zero_iff_empty(self, rng):
         for _ in range(10):
             ds = random_sparse_dataset(rng, ensure_nonzero=False)

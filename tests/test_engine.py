@@ -99,6 +99,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="epochs must be >= 1"):
             cfg.step_schedule()
 
+    @pytest.mark.parametrize("step, shown", [
+        (np.nan, "nan"), (np.inf, "inf"), (np.array([0.1, -np.inf]), "-inf"),
+    ])
+    def test_non_finite_step_rejected(self, step, shown):
+        cfg = RunConfig(batch=1, epochs=2, step=step, x0=np.zeros(1))
+        with pytest.raises(ConfigError, match=f"positive and finite, got {shown}$"):
+            cfg.step_schedule()
+
 
 class TestRun:
     def test_scalar_problem(self):
@@ -119,11 +127,52 @@ class TestRun:
     def test_weighted_average_output(self, rng):
         ds, m = least_squares(rng, 6, 2)
         cfg = RunConfig(2, 2, np.array([1e-3, 3e-3]), np.zeros(2))
-        res = ss.run(ds, m, ShufflePlan("SO", 6, 2, seed=0), cfg)
-        manual = (1e-3 * res.iterates[1] + 3e-3 * res.iterates[2]) / 4e-3
+        res, inner = oracles.run_recording_inner(ds, m, ShufflePlan("SO", 6, 2, seed=0), cfg)
+        x1, x2 = inner[0][-1], inner[1][-1]
+        manual = (1e-3 * x1 + 3e-3 * x2) / 4e-3
         assert np.array_equal(res.averaged, manual)
         # same weights up to common rescaling
-        assert np.allclose(res.averaged, (res.iterates[1] + 3.0 * res.iterates[2]) / 4.0)
+        assert np.allclose(res.averaged, (x1 + 3.0 * x2) / 4.0)
+
+    def test_average_objectives_replay(self, rng):
+        # f(x_bar_k) for every k against an independent replay: plain
+        # updates, then np.average over the epoch ends with the step weights
+        ds, m = least_squares(rng, 6, 3)
+        A, t = ds.to_dense(), ds.labels
+        steps = 0.05 * np.array([1.0, 0.25, 2.0, 0.5, 1.5])
+        plan = ShufflePlan("RR", 6, 5, seed=2)
+        res = ss.run(ds, m, plan, RunConfig(2, 5, steps, np.zeros(3)))
+        x, ends = np.zeros(3), []
+        for k in range(1, 6):
+            x = oracles.vanilla_epoch(A, t, "squared", ss.permutation_for(plan, k), 2,
+                                      steps[k - 1], x)[-1]
+            ends.append(x)
+        want = [np.mean(0.5 * (A @ np.average(ends[:k], axis=0, weights=steps[:k]) - t) ** 2)
+                for k in range(1, 6)]
+        assert np.allclose(res.objectives_avg, want, rtol=1e-12, atol=0)
+        assert res.objective_avg == res.objectives_avg[-1]
+
+    def test_run_state_does_not_grow_with_epochs(self):
+        # the average comes from a running sum: keeping every epoch iterate
+        # would add (K - 2) d 8 bytes, 32 MB at K = 200
+        rng = np.random.default_rng(4)
+        n, d, k = 4, 20_000, 3
+        cols = np.arange(k) * (d // k) + rng.integers(0, d // k, size=(n, k))
+        ds = ss.SparseDataset(indptr=np.arange(n + 1) * k, indices=cols.ravel(),
+                              values=rng.standard_normal(n * k),
+                              labels=rng.choice([-1.0, 1.0], n), d=d)
+        m = LossModel.for_dataset("hinge", ds)
+
+        def peak(epochs):
+            tracemalloc.start()
+            res = ss.run(ds, m, ShufflePlan("RR", n, epochs, seed=0),
+                         RunConfig(1, epochs, 0.1, np.zeros(d)))
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert len(res.objectives_avg) == epochs
+            return peak_bytes
+
+        assert peak(200) <= peak(2) + d * 8
 
     def test_batch_must_divide(self, rng):
         ds, m = least_squares(rng, 6, 2)
@@ -279,13 +328,17 @@ class TestTracing:
         x0 = rng.standard_normal(ds.d)
         plan = ShufflePlan(scheme, n, 3, seed=seed)
         for b in divisors(n):
-            plain, traced = (ss.run(ds, m, plan, RunConfig(b, 3, 0.1 / n, x0, trace=t))
-                             for t in (False, True))
+            (plain, plain_inner), (traced, traced_inner) = (
+                oracles.run_recording_inner(ds, m, plan, RunConfig(b, 3, 0.1 / n, x0, trace=t))
+                for t in (False, True))
             assert plain.traces == [] and len(traced.traces) == 3
-            for xp, xt in zip(plain.iterates, traced.iterates, strict=True):
-                assert np.array_equal(xp, xt)
+            for ep, et in zip(plain_inner, traced_inner, strict=True):
+                for xp, xt in zip(ep, et, strict=True):
+                    assert np.array_equal(xp, xt)
+            assert np.array_equal(plain.final, traced.final)
             assert np.array_equal(plain.averaged, traced.averaged)
             assert np.array_equal(plain.objectives, traced.objectives)
+            assert np.array_equal(plain.objectives_avg, traced.objectives_avg)
             assert plain.objective_avg == traced.objective_avg
 
     def test_trace_state_is_o_of_d(self):
@@ -354,8 +407,8 @@ class TestRunGeneral:
         # every block calls the oracle b = 2 times at its starting point
         assert len(seen) == 2 * 6
         block_starts = seen[::2]
-        general_inner = [block_starts[0:3] + [general.iterates[1]],
-                         block_starts[3:6] + [general.iterates[2]]]
+        # epoch 1 ends where epoch 2's first block starts
+        general_inner = [block_starts[0:4], block_starts[3:6] + [general.final]]
         for k, (td, tg) in enumerate(zip(direct.traces, general.traces, strict=True)):
             assert len(direct_inner[k]) == len(general_inner[k]) == 6 // 2 + 1
             for xd, xg in zip(direct_inner[k], general_inner[k]):
