@@ -79,10 +79,12 @@ def _unit_regularity(ds: SparseDataset) -> losses.RegularityDiag:
 
 
 def _check_budget(ds, num_perms, b, args):
+    budget = DEFAULT_COST_BUDGET if args.max_cost is None else args.max_cost
+    if not (math.isfinite(budget) and budget > 0):
+        raise CliError(f"--max-cost must be positive and finite, got {budget}")
     S = _ASSUMED_LANCZOS_STEPS
     est = num_perms * (S * ds.nnz + 2 * S * S * ds.n + ds.n * b * b)
-    budget = getattr(args, "max_cost", None) or DEFAULT_COST_BUDGET
-    if est > budget and not getattr(args, "force", False):
+    if est > budget and not args.force:
         raise CliError(
             f"estimated cost {est:.2e} ops exceeds budget {budget:.2e}; "
             "rerun with --force to proceed"
@@ -116,21 +118,20 @@ def _int_list(text) -> list:
         raise CliError(f"expected a comma-separated integer list, got {text!r}")
 
 
+def _ratio_report(ds, args, num_perms, compute_tilde) -> consts.ConstantsReport:
+    """ratio_stats at unit regularity with the command's --b, --seed and
+    --tol, on the SHUFFLE_SGD_THREADS pool."""
+    return consts.ratio_stats(
+        ds, _unit_regularity(ds), b=args.b, num_perms=num_perms, seed=args.seed,
+        tol=args.tol, compute_tilde=compute_tilde, max_workers=_max_workers(),
+    )
+
+
 def cmd_analyze(args) -> int:
     t0 = time.time()
     ds = _load_dataset(args)
     _check_budget(ds, args.num_perms, args.b, args)
-    reg = _unit_regularity(ds)
-    report = consts.ratio_stats(
-        ds,
-        reg,
-        b=args.b,
-        num_perms=args.num_perms,
-        seed=args.seed,
-        tol=args.tol,
-        compute_tilde=not args.no_tilde,
-        max_workers=_max_workers(),
-    )
+    report = _ratio_report(ds, args, args.num_perms, compute_tilde=not args.no_tilde)
     payload = report.to_json_dict()
     payload["runtime_sec"] = time.time() - t0
     _write_json(args, payload)
@@ -155,17 +156,7 @@ def cmd_gaussian_sweep(args) -> int:
         else:
             n, d = args.fixed_value, g
         ds = gen_gaussian(n, d, seed=consts.prng.mix64(args.seed, g))
-        reg = _unit_regularity(ds)
-        report = consts.ratio_stats(
-            ds,
-            reg,
-            b=args.b,
-            num_perms=args.perms,
-            seed=args.seed,
-            tol=args.tol,
-            compute_tilde=False,
-            max_workers=_max_workers(),
-        )
+        report = _ratio_report(ds, args, args.perms, compute_tilde=False)
         for j, r in enumerate(report.ratios):
             rows.append((n, d, j, repr(float(r))))
         summary.append(
@@ -182,8 +173,10 @@ def cmd_gaussian_sweep(args) -> int:
 def cmd_batch_sweep(args) -> int:
     if args.perms < 1:
         raise CliError("num_perms must be >= 1")
-    ds = _load_dataset(args)
     b_grid = _int_list(args.b_grid)
+    if not b_grid:
+        raise CliError("b-grid must be nonempty")
+    ds = _load_dataset(args)
     for b in b_grid:
         shuffle.check_batch(ds.n, b)
     _check_budget(ds, args.perms * len(b_grid), max(b_grid), args)
@@ -218,18 +211,7 @@ def cmd_histogram(args) -> int:
         raise CliError("bins must be >= 1")
     ds = _load_dataset(args)
     _check_budget(ds, args.num_perms, args.b, args)
-    reg = _unit_regularity(ds)
-    report = consts.ratio_stats(
-        ds,
-        reg,
-        b=args.b,
-        num_perms=args.num_perms,
-        seed=args.seed,
-        tol=args.tol,
-        compute_tilde=False,
-        max_workers=_max_workers(),
-    )
-    ratios = report.ratios
+    ratios = _ratio_report(ds, args, args.num_perms, compute_tilde=False).ratios
     lo, hi = float(np.min(ratios)), float(np.max(ratios))
     if hi - lo <= 1e-12 * hi:
         # ratios that agree to roundoff are one value: give it the unit-wide
@@ -309,6 +291,10 @@ def cmd_optimize(args) -> int:
             eta = float(args.step)
         except ValueError:
             raise CliError("--step expects a float or 'theoretical'")
+        # refuse a bad step or epoch count before the reference minimizer runs
+        engine.RunConfig(
+            batch=args.b, epochs=args.epochs, step=eta, x0=np.zeros(ds.d)
+        ).step_schedule()
     elif not model.smooth:
         raise CliError("theoretical step for nonsmooth losses needs verify-bound --planted")
     ref = consts.reference_minimizer(ds, model, tol=1e-10) if model.smooth else None
@@ -510,8 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Lanczos stops once the Ritz residual of the top eigenvalue "
                         "is at most tol times that value (hat, full_gradient_L, and "
                         "general_hat_L in verify-bound); a solve that does not get "
-                        "there is an error. batch-sweep computes only the exact tilde "
-                        "and ignores it")
+                        "there is an error, and so is a tol that is not positive and "
+                        "finite. batch-sweep computes only the exact tilde and "
+                        "ignores it")
         sp.add_argument("--out", required=True, help="output path prefix")
 
     sp = sub.add_parser("analyze", help="per-permutation hat/tilde constants for one dataset")

@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import prng
-from .data import SparseDataset, row_sq_norms
+from .data import PermutedView, SparseDataset, row_sq_norms
 from .losses import (LossModel, RegularityDiag, conjugate_pair, full_gradient, objective,
                      regularity)
 from .shuffle import check_batch, random_permutation
@@ -58,16 +58,13 @@ class StationarityError(ValueError):
 
 
 def _weighted_csr(ds: SparseDataset, weights, perm=None) -> sp.csr_matrix:
-    """CSR matrix with rows sqrt(w_{perm_i}) * a_{perm_i}."""
+    """CSR matrix with rows sqrt(w_{perm_i}) * a_{perm_i}; perm=None is the identity."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (ds.n,):
         raise ValueError("weights must have one entry per row")
-    A = ds.to_csr()
-    if perm is not None:
-        perm = np.asarray(perm, dtype=np.int64)
-        A = A[perm]
-        w = w[perm]
-    return sp.diags(np.sqrt(w)).dot(A).tocsr()
+    view = PermutedView(ds, np.arange(ds.n) if perm is None else perm)
+    values = view.values * np.sqrt(w[view.perm])[view.rows]
+    return sp.csr_matrix((values, view.indices, view.indptr), shape=(ds.n, ds.d))
 
 
 def _column_block_runs(B: sp.csr_matrix, batch: int):
@@ -169,27 +166,29 @@ class ConvergenceError(RuntimeError):
 
 
 def operator_norm(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    tol: float = 1e-6,
+    matvec: Callable[[np.ndarray], np.ndarray], dim: int, tol: float = 1e-6,
     max_iter: int = 10_000,
-    seed: int = 0,
 ) -> OperatorNormResult:
     """Largest eigenvalue of a symmetric PSD operator by Lanczos.
 
-    Starts from a seeded random unit vector and keeps the Krylov basis
-    fully reorthogonalised (two classical Gram-Schmidt passes per step).
-    The value is the top eigenvalue theta of the tridiagonal projection T_k,
-    and the run stops once the Ritz residual beta_k |s_k| (s the top
-    eigenvector of T_k) is at most tol * theta, or once the Krylov space is
-    exhausted (k = dim or beta_k = 0), where theta is exact. From a random
+    Starts from a seeded random unit vector (the same for every call of a
+    given dim) and keeps the Krylov basis fully reorthogonalised (two
+    classical Gram-Schmidt passes per step). The value is the top
+    eigenvalue theta of the tridiagonal projection T_k, and the run stops
+    once the Ritz residual beta_k |s_k| (s the top eigenvector of T_k) is at
+    most tol * theta, or once the Krylov space is exhausted (k = dim or
+    beta_k = 0), where theta is exact. From a random
     start this finds the top eigenvalue with high probability (Kuczynski and
     Wozniakowski, 1992). A Ritz value never exceeds the top eigenvalue in
     exact arithmetic (in floating point by about 1e-15 relative), so
     chain-inequality checks cannot fail spuriously. `iterations` counts
-    matvecs; a NaN or inf from the operator ends the run unconverged.
+    matvecs; a NaN or inf from the operator ends the run unconverged. A tol
+    that is not positive and finite is a ValueError: no Ritz value passes
+    it, so the run would go on to k = dim.
     """
-    rng = prng.generator(prng.substream(seed, prng.DOMAIN_POWER))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    rng = prng.generator(prng.substream(0, prng.DOMAIN_POWER))
     steps = min(dim, max_iter)
     # the basis rows; grown by doubling, so it holds O(k * dim) floats after
     # k steps rather than a min(dim, max_iter) * dim block allocated up front
@@ -231,9 +230,7 @@ def classical_constant(ds: SparseDataset, reg: RegularityDiag) -> float:
     return float(np.max(reg.values * row_sq_norms(ds)))
 
 
-def full_gradient_L(
-    ds: SparseDataset, reg: RegularityDiag, tol: float = 1e-6, max_iter: int = 10_000
-) -> float:
+def full_gradient_L(ds: SparseDataset, reg: RegularityDiag, tol: float = 1e-6) -> float:
     """(1/n) || B B^T || for the weighted matrix B (permutation invariant)."""
     B = _weighted_csr(ds, reg.values)
     Bt = B.T.tocsr()
@@ -241,22 +238,15 @@ def full_gradient_L(
     def mv(v):
         return B @ (Bt @ v)
 
-    res = operator_norm(mv, ds.n, tol=tol, max_iter=max_iter)
+    res = operator_norm(mv, ds.n, tol=tol)
     return _converged_value("full_gradient_L", res, tol) / ds.n
 
 
-def hat_constant(
-    ds: SparseDataset,
-    reg: RegularityDiag,
-    perm,
-    b: int,
-    tol: float = 1e-6,
-    max_iter: int = 10_000,
-) -> float:
+def hat_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, tol: float = 1e-6) -> float:
     """(1/(m n)) || prefix-masked Gram sum || for one permutation."""
     m = check_batch(ds.n, b)
     op = MaskedGramOperator.from_dataset(ds, reg.values, perm, b)
-    res = operator_norm(op.matvec, ds.n, tol=tol, max_iter=max_iter)
+    res = operator_norm(op.matvec, ds.n, tol=tol)
     return _converged_value("hat_constant", res, tol) / (m * ds.n)
 
 
@@ -284,23 +274,20 @@ def tilde_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int) -> floa
     exactly the classical constant."""
     check_batch(ds.n, b)
     if b == 1:
-        p = np.asarray(perm, dtype=np.int64)
-        return float(np.max((reg.values * row_sq_norms(ds))[p]))
+        return classical_constant(ds, reg)
     return float(np.max(block_top_eigenvalues(ds, reg.values, perm, b))) / b
 
 
-def general_hat_L(
-    L_values, perm, b: int, tol: float = 1e-6, max_iter: int = 10_000
-) -> float:
+def general_hat_L(L_values, perm, b: int, tol: float = 1e-6) -> float:
     """Finite-sum analogue of hat_constant: the weighted data matrix collapses
     to the single column sqrt(L_{perm_i}) (the Kronecker identity factor
     contributes eigenvalue 1)."""
     L = np.asarray(L_values, dtype=np.float64)
     n = len(L)
     m = check_batch(n, b)
-    ds = SparseDataset.from_dense(np.ones((n, 1)))
-    op = MaskedGramOperator.from_dataset(ds, L, perm, b)
-    res = operator_norm(op.matvec, n, tol=tol, max_iter=max_iter)
+    column = np.sqrt(L[np.asarray(perm, dtype=np.int64)])
+    B = sp.csr_matrix((column, np.zeros(n, dtype=np.int64), np.arange(n + 1)), shape=(n, 1))
+    res = operator_norm(MaskedGramOperator(B, b).matvec, n, tol=tol)
     return _converged_value("general_hat_L", res, tol) / (m * n)
 
 
@@ -407,7 +394,6 @@ def ratio_stats(
     num_perms: int,
     seed: int = 0,
     tol: float = 1e-6,
-    max_iter: int = 10_000,
     compute_tilde: bool = True,
     max_workers: int | None = None,
 ) -> ConstantsReport:
@@ -421,12 +407,12 @@ def ratio_stats(
         raise ValueError("num_perms must be >= 1")
     check_batch(ds.n, b)
     L = classical_constant(ds, reg)
-    L_full = full_gradient_L(ds, reg, tol=tol, max_iter=max_iter)
+    L_full = full_gradient_L(ds, reg, tol=tol)
     trace_bound = float(np.sum(reg.values * row_sq_norms(ds)) / ds.n)
 
     def one(j):
         perm = random_permutation(ds.n, seed, j)
-        hat = hat_constant(ds, reg, perm, b, tol=tol, max_iter=max_iter)
+        hat = hat_constant(ds, reg, perm, b, tol=tol)
         til = tilde_constant(ds, reg, perm, b) if compute_tilde else None
         return hat, til
 
@@ -449,18 +435,13 @@ def ratio_stats(
 
 
 def gbar_estimate(
-    ds: SparseDataset,
-    reg: RegularityDiag,
-    b: int,
-    num_perms: int,
-    seed: int = 0,
+    ds: SparseDataset, reg: RegularityDiag, b: int, num_perms: int, seed: int = 0,
     tol: float = 1e-6,
-    max_iter: int = 10_000,
 ) -> float:
     """Sample mean of sqrt(hat_pi * tilde_pi) over uniform permutations
     (the permutation expectation entering the nonsmooth guarantee), from
     the same permutations as ratio_stats."""
-    report = ratio_stats(ds, reg, b, num_perms, seed=seed, tol=tol, max_iter=max_iter)
+    report = ratio_stats(ds, reg, b, num_perms, seed=seed, tol=tol)
     return float(np.mean(np.sqrt(report.hatL_values * report.tildeL_values)))
 
 
@@ -521,7 +502,7 @@ def _logistic_unbounded(ds: SparseDataset, m: LossModel) -> bool:
     """
     from scipy.optimize import linprog
 
-    TA = sp.diags(m.targets) @ ds.to_csr()
+    TA = ds.to_csr().multiply(m.targets[:, None]).tocsr()
     scale = float(abs(TA).sum())
     res = linprog(-np.asarray(TA.sum(axis=0)).ravel(), A_ub=-TA, b_ub=np.zeros(ds.n),
                   bounds=(-1.0, 1.0), method="highs")
@@ -532,11 +513,7 @@ def _logistic_unbounded(ds: SparseDataset, m: LossModel) -> bool:
 
 
 def reference_minimizer(
-    ds: SparseDataset,
-    m: LossModel,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
-    x0: np.ndarray | None = None,
+    ds: SparseDataset, m: LossModel, tol: float = 1e-10, max_iter: int = 200_000
 ) -> MinimizerResult:
     """Full gradient descent with step 1/L_full and Armijo halving, run until
     ||grad f|| <= tol. Supplies the optimum for variance/dual-norm constants.
@@ -548,8 +525,8 @@ def reference_minimizer(
     if not m.smooth:
         raise ValueError("reference minimizer requires a smooth loss family")
     reg = regularity(m)
-    Lf = full_gradient_L(ds, reg, tol=1e-10, max_iter=50_000)
-    x = np.zeros(ds.d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    Lf = full_gradient_L(ds, reg, tol=1e-10)
+    x = np.zeros(ds.d)
     fx = objective(m, ds, x)
     if Lf == 0.0:
         g = full_gradient(m, ds, x)

@@ -59,8 +59,8 @@ class LossModel:
         return self.family in SMOOTH_FAMILIES
 
     @classmethod
-    def for_dataset(cls, family: str, ds: SparseDataset, scales=None) -> "LossModel":
-        return cls(family, ds.labels, scales)
+    def for_dataset(cls, family: str, ds: SparseDataset) -> "LossModel":
+        return cls(family, ds.labels)
 
 
 @dataclass

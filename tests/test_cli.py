@@ -124,6 +124,50 @@ class TestAnalyze:
         assert "--force" in capsys.readouterr().err
         assert main(argv + ["--b", "1"]) == 0
 
+    @pytest.mark.parametrize("max_cost", ["0", "-1", "nan", "inf"])
+    def test_max_cost_not_positive_finite_exit_2(self, identity6, tmp_path, capsys, max_cost):
+        # 0 once meant the default budget and nan switched the guard off
+        code = main(["analyze", "--input", str(identity6), "--num-perms", "2",
+                     "--max-cost", max_cost, "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert f"--max-cost must be positive and finite, got {float(max_cost)}" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [identity6]
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_not_positive_finite_exit_2(self, identity6, tmp_path, capsys, tol):
+        code = main(["analyze", "--input", str(identity6), "--num-perms", "2",
+                     "--tol", tol, "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [identity6]
+
+    def test_features_override(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        p = tmp_path / "g.svm"
+        p.write_text(ss.serialize_libsvm(ss.SparseDataset.from_dense(rng.standard_normal((6, 3)))))
+        argv = ["analyze", "--input", str(p), "--b", "2", "--num-perms", "3", "--seed", "2"]
+        assert main(argv + ["--features", "2", "--out", str(tmp_path / "narrow")]) == 2
+        assert "smaller than max index 3" in capsys.readouterr().err
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        assert main(argv + ["--features", "7", "--out", str(tmp_path / "wide")]) == 0
+        plain, wide = (json.loads((tmp_path / f"{name}.json").read_text())
+                       for name in ("plain", "wide"))
+        # all-zero extra columns leave every constant as it was
+        assert wide["hatL_values"] == plain["hatL_values"]
+        assert wide["config"]["features"] == 7
+
+    def test_no_tilde(self, identity6, tmp_path):
+        code = main(["analyze", "--input", str(identity6), "--b", "2", "--num-perms", "3",
+                     "--no-tilde", "--out", str(tmp_path / "nt")])
+        assert code == 0
+        payload = json.loads((tmp_path / "nt.json").read_text())
+        assert "tildeL" not in payload and "tildeL_values" not in payload
+        assert len(payload["hatL_values"]) == 3
+        rows = (tmp_path / "nt.csv").read_text().splitlines()
+        assert rows[0] == "perm_seed,hatL,tildeL,ratio"
+        assert len(rows) == 4 and all(row.split(",")[2] == "" for row in rows[1:])
+
     @pytest.mark.parametrize("fail_from, solve", [(1, "full_gradient_L"), (2, "hat_constant")])
     def test_unconverged_solve_exit_1(self, identity6, tmp_path, capsys, monkeypatch,
                                       fail_from, solve):
@@ -188,6 +232,14 @@ class TestBatchSweep:
         assert code == 2
         assert "num_perms must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [identity6]
+
+
+    def test_empty_b_grid_exit_2_before_loading(self, tmp_path, capsys):
+        code = main(["batch-sweep", "--input", str(tmp_path / "absent.svm"), "--b-grid", "",
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert "b-grid must be nonempty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHistogram:
@@ -334,6 +386,22 @@ class TestOptimize:
         ])
         assert code == 2
         assert f"step sizes must be positive and finite, got {step}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [identity6]
+
+    @pytest.mark.parametrize("step, epochs", [("nan", "2"), ("inf", "2"), ("0", "2"),
+                                              ("0.2", "0")])
+    def test_bad_fixed_step_refused_before_minimizer(self, identity6, tmp_path, capsys,
+                                                     monkeypatch, step, epochs):
+        def no_minimizer(*args, **kwargs):
+            raise AssertionError("reference_minimizer ran before the step was checked")
+
+        monkeypatch.setattr(ss.constants, "reference_minimizer", no_minimizer)
+        code = main([
+            "optimize", "--input", str(identity6), "--loss", "logistic", "--b", "1",
+            "--epochs", epochs, "--step", step, "--out", str(tmp_path / "early"),
+        ])
+        assert code == 2
+        assert "must be" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [identity6]
 
     def test_repeated_seed_exit_2(self, identity6, tmp_path, capsys):

@@ -19,7 +19,7 @@ from shuffle_sgd.losses import LossModel, RegularityDiag
 import oracles
 from conftest import divisors, random_sparse_dataset
 
-TIGHT = dict(tol=1e-12, max_iter=200_000)
+TIGHT = dict(tol=1e-12)
 
 
 def unit_reg(n):
@@ -112,6 +112,29 @@ class TestMaskedGramMatvec:
         assert setup_peak < 64 * ds.nnz * 8
 
 
+class TestWeightedCsr:
+    def test_matches_dense_weighted_rows(self, rng):
+        for _ in range(10):
+            ds = random_sparse_dataset(rng, ensure_nonzero=False)
+            A = ds.to_dense()
+            A[int(rng.integers(ds.n))] = 0.0  # one empty row at least
+            ds = ss.SparseDataset.from_rows(
+                [(np.flatnonzero(a), a[a != 0]) for a in A], np.zeros(ds.n), d=ds.d)
+            w = rng.uniform(0.1, 10.0, ds.n)
+            perm = rng.permutation(ds.n)
+            # the same products as the oracle's, so equal to the last bit
+            B = constants._weighted_csr(ds, w, perm)
+            assert B.shape == (ds.n, ds.d)
+            assert np.array_equal(B.toarray(), oracles.weighted_rows(A, w, perm))
+            identity = constants._weighted_csr(ds, w).toarray()
+            assert np.array_equal(identity, oracles.weighted_rows(A, w, np.arange(ds.n)))
+
+    def test_weights_must_match_rows(self):
+        ds = ss.SparseDataset.from_dense(np.eye(3))
+        with pytest.raises(ValueError, match="one entry per row"):
+            constants._weighted_csr(ds, np.ones(2))
+
+
 class TestOperatorNorm:
     def test_diagonal(self):
         M = np.diag([1.0, 2.0, 3.0])
@@ -143,6 +166,15 @@ class TestOperatorNorm:
         assert not res.converged
         assert res.iterations == 3
         assert res.residual > 1e-10 * res.value
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # no Ritz value passes such a test, so the run would go on to k = dim
+        def matvec(v):
+            raise AssertionError("operator applied with an invalid tol")
+
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ss.operator_norm(matvec, 40, tol=tol)
 
     @settings(max_examples=80)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40),
@@ -204,7 +236,7 @@ class TestNonConvergedConstants:
 
     @pytest.fixture
     def unconverged(self, monkeypatch):
-        def fake(matvec, dim, tol=1e-6, max_iter=10_000, seed=0):
+        def fake(matvec, dim, tol=1e-6, max_iter=10_000):
             return ss.constants.OperatorNormResult(1.0, False, 7, 0.25)
 
         monkeypatch.setattr(constants, "operator_norm", fake)
@@ -367,7 +399,7 @@ class TestRelaxationChain:
         reg = RegularityDiag("smooth", w)
         b = int(rng.choice(divisors(ds.n)))
         perm = rng.permutation(ds.n)
-        hat = ss.hat_constant(ds, reg, perm, b, tol=1e-8, max_iter=50_000)
+        hat = ss.hat_constant(ds, reg, perm, b, tol=1e-8)
         trace = float(np.sum(w * ss.row_sq_norms(ds)) / ds.n)
         L = ss.classical_constant(ds, reg)
         assert hat <= trace + 1e-9 * max(L, 1.0)
@@ -400,7 +432,7 @@ class TestGeneralConstants:
         perm = rng.permutation(n)
         for b in divisors(n):
             assert ss.general_tilde_L(L, perm, b) <= L.max() + 1e-12
-            hat = ss.general_hat_L(L, perm, b, tol=1e-9, max_iter=50_000)
+            hat = ss.general_hat_L(L, perm, b, tol=1e-9)
             assert hat <= L.mean() + 1e-9 * max(L.max(), 1.0)
 
     def test_matches_glm_hat_with_unit_rows(self, rng):
