@@ -75,7 +75,7 @@ def _load_dataset(args) -> SparseDataset:
 def _unit_regularity(ds: SparseDataset) -> losses.RegularityDiag:
     """Unit per-component constants: ratio experiments fix the loss scale so
     only the data matrix matters."""
-    return losses.RegularityDiag("smooth", np.ones(ds.n))
+    return losses.RegularityDiag(np.ones(ds.n))
 
 
 def _check_budget(ds, num_perms, b, args):
@@ -104,11 +104,12 @@ def _config_echo(args) -> dict:
 
 def _write_json(args, payload):
     """Write the command's report to --out .json, with the schema version
-    and the effective configuration every report carries."""
+    and the effective configuration every report carries. The report is
+    strict JSON: a NaN or infinity is an error, not written."""
     report = {"schema_version": consts.SCHEMA_VERSION, "config": _config_echo(args), **payload}
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _int_list(text) -> list:
@@ -116,6 +117,15 @@ def _int_list(text) -> list:
         return [int(t) for t in str(text).split(",") if t != ""]
     except ValueError:
         raise CliError(f"expected a comma-separated integer list, got {text!r}")
+
+
+def _check_run_length(args, sampled: bool):
+    """Refuse --epochs < 1, and --perms < 1 when the step is sized from
+    sampled permutations, before any data is loaded."""
+    if args.epochs < 1:
+        raise CliError(f"--epochs must be >= 1, got {args.epochs}")
+    if sampled and args.perms < 1:
+        raise CliError(f"num_perms must be >= 1, got --perms {args.perms}")
 
 
 def _ratio_report(ds, args, num_perms, compute_tilde) -> consts.ConstantsReport:
@@ -195,14 +205,14 @@ def cmd_batch_sweep(args) -> int:
             rows.append((b, j, repr(float(r))))
         means.append(float(np.mean(ratios)))
         summary.append((b, args.perms, repr(means[-1]), repr(float(np.std(ratios)))))
-    # log-log slope of the mean ratio against b
-    logs_b = np.log(np.asarray(b_grid, dtype=float))
-    logs_r = np.log(np.maximum(means, 1e-300))
-    alpha = float(np.polyfit(logs_b, logs_r, 1)[0]) if len(b_grid) > 1 else float("nan")
+    # log-log slope of the mean ratio against b; a single b has none
+    alpha = (float(np.polyfit(np.log(b_grid), np.log(np.maximum(means, 1e-300)), 1)[0])
+             if len(b_grid) > 1 else None)
     _write_csv(args.out + ".csv", rows)
     _write_csv(args.out + ".summary.csv", summary)
     _write_json(args, {"b_grid": b_grid, "mean_ratios": means, "loglog_slope": alpha})
-    print(f"alpha={alpha:.4g} " + " ".join(f"b={b}:{m:.4g}" for b, m in zip(b_grid, means)))
+    slope = "none" if alpha is None else f"{alpha:.4g}"
+    print(f"alpha={slope} " + " ".join(f"b={b}:{m:.4g}" for b, m in zip(b_grid, means)))
     return 0
 
 
@@ -275,6 +285,7 @@ def _proxy_value(summary: dict, proxy: str) -> float:
 
 def cmd_optimize(args) -> int:
     _check_proxy(args.proxy)
+    _check_run_length(args, sampled=args.step == "theoretical" and args.scheme != "IG")
     ds = _load_dataset(args)
     model = losses.LossModel.for_dataset(args.loss, ds)
     seeds = _int_list(args.seeds)
@@ -291,7 +302,7 @@ def cmd_optimize(args) -> int:
             eta = float(args.step)
         except ValueError:
             raise CliError("--step expects a float or 'theoretical'")
-        # refuse a bad step or epoch count before the reference minimizer runs
+        # refuse a bad step before the reference minimizer runs
         engine.RunConfig(
             batch=args.b, epochs=args.epochs, step=eta, x0=np.zeros(ds.d)
         ).step_schedule()
@@ -313,7 +324,7 @@ def cmd_optimize(args) -> int:
     final_gaps = {}
     diverged = {}
     for s in seeds:
-        plan = shuffle.ShufflePlan(args.scheme, ds.n, args.epochs, seed=s)
+        plan = shuffle.ShufflePlan(args.scheme, seed=s)
         cfg = engine.RunConfig(
             batch=args.b, epochs=args.epochs, step=eta, x0=np.zeros(ds.d), trace=trace
         )
@@ -389,6 +400,7 @@ def cmd_verify_bound(args) -> int:
     _check_proxy(args.proxy)
     b, K = args.b, args.epochs
     scheme = "IG" if kind.endswith("ig") else "RR"
+    _check_run_length(args, sampled=scheme == "RR")
     # IG runs are deterministic: one run suffices
     seeds = [0] if scheme == "IG" else list(range(args.seeds))
 
@@ -451,7 +463,7 @@ def cmd_verify_bound(args) -> int:
 
     gaps = []
     for s in seeds:
-        plan = shuffle.ShufflePlan(scheme, ds.n, K, seed=s)
+        plan = shuffle.ShufflePlan(scheme, seed=s)
         cfg = engine.RunConfig(batch=b, epochs=K, step=eta, x0=np.zeros(ds.d))
         if kind.startswith("general"):
             result = engine.run_general(
@@ -589,6 +601,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every command takes --tol; refuse a bad one before any data is loaded
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise CliError(f"tol must be positive and finite, got {args.tol}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -68,8 +68,6 @@ class RunConfig:
 
 @dataclass
 class EpochTrace:
-    epoch: int
-    step_size: float
     squared_steps: float
     displacement_sq: float
     retraction_term: float
@@ -79,7 +77,7 @@ class EpochTrace:
 class RunResult:
     final: np.ndarray  # x_K
     averaged: np.ndarray  # x_bar_K
-    traces: list  # one EpochTrace per epoch if cfg.trace, else empty
+    traces: list  # EpochTrace of epochs 1..K if cfg.trace, else empty
     objectives: np.ndarray  # f(x_k) for k = 1..K
     objectives_avg: np.ndarray  # f(x_bar_k) for k = 1..K
 
@@ -129,8 +127,6 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
     (x_next, block duals), and the recompute of block i's gradient
     aggregate from those duals, which the retraction term needs."""
     m_blocks = check_batch(n, cfg.batch)
-    if plan.n != n:
-        raise ConfigError(f"shuffle plan row count {plan.n} does not match n = {n}")
     steps = cfg.step_schedule()
     x = np.asarray(cfg.x0, dtype=np.float64).copy()
     if x.shape != (d,):
@@ -145,7 +141,7 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.epochs + 1):
             eta = float(steps[k - 1])
-            step, block_grad = start_epoch(permutation_for(plan, k))
+            step, block_grad = start_epoch(permutation_for(plan, n, k))
             if cfg.trace:
                 x_start = x.copy()
                 sq_steps = g_dot = 0.0
@@ -164,8 +160,6 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
             if cfg.trace:
                 disp = x - x_start
                 traces.append(EpochTrace(
-                    epoch=k,
-                    step_size=eta,
                     squared_steps=sq_steps,
                     displacement_sq=float(disp @ disp),
                     retraction_term=eta / n * (float(g_sum @ disp) - g_dot),

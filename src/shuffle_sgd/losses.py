@@ -51,10 +51,6 @@ class LossModel:
                 raise ValueError("scales must be positive")
 
     @property
-    def n(self) -> int:
-        return len(self.targets)
-
-    @property
     def smooth(self) -> bool:
         return self.family in SMOOTH_FAMILIES
 
@@ -66,14 +62,12 @@ class LossModel:
 @dataclass
 class RegularityDiag:
     """Per-component regularity: smoothness constants L_i, or squared
-    Lipschitz constants G_i^2 for nonsmooth families."""
+    Lipschitz constants G_i^2 for nonsmooth families (LossModel.smooth
+    tells which)."""
 
-    kind: str  # "smooth" | "lipschitz"
     values: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("smooth", "lipschitz"):
-            raise ValueError("kind must be 'smooth' or 'lipschitz'")
         self.values = np.asarray(self.values, dtype=np.float64)
         if np.any(self.values <= 0):
             raise ValueError("regularity entries must be strictly positive")
@@ -124,8 +118,7 @@ def regularity(m: LossModel) -> RegularityDiag:
         vals = (c * np.abs(t)) ** 2
     else:
         vals = c * c
-    kind = "smooth" if m.smooth else "lipschitz"
-    return RegularityDiag(kind, np.maximum(vals, MIN_REGULARITY))
+    return RegularityDiag(np.maximum(vals, MIN_REGULARITY))
 
 
 def objective(m: LossModel, ds: SparseDataset, x: np.ndarray) -> float:

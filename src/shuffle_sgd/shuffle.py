@@ -1,8 +1,10 @@
 """Epoch permutation schedules: random reshuffling, shuffle-once, incremental.
 
-Permutations for epoch k come from the PCG64 stream keyed by (seed, k) so
-epochs can be generated in any order or in parallel without changing the
-schedule; shuffle-once reuses the epoch-1 stream for every k.
+A plan is a scheme and a seed; the row count n comes from the data and the
+epoch index k from the engine's loop. Permutations for epoch k come from the
+PCG64 stream keyed by (seed, k) so epochs can be generated in any order or
+in parallel without changing the schedule; shuffle-once reuses the epoch-1
+stream for every k, and incremental visits the rows in their stored order.
 """
 
 from __future__ import annotations
@@ -32,23 +34,11 @@ def check_batch(n: int, b: int) -> int:
 @dataclass
 class ShufflePlan:
     scheme: str
-    n: int
-    epochs: int
     seed: int = 0
-    fixed_perm: np.ndarray | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.n < 1 or self.epochs < 1:
-            raise ConfigError("n and epochs must be >= 1")
-        if self.fixed_perm is not None:
-            p = np.asarray(self.fixed_perm, dtype=np.int64)
-            if p.shape != (self.n,) or not np.array_equal(np.sort(p), np.arange(self.n)):
-                raise ConfigError("fixed_perm must be a permutation of range(n)")
-            self.fixed_perm = p
-        elif self.scheme == "IG":
-            self.fixed_perm = np.arange(self.n, dtype=np.int64)
 
 
 def _draw(seed: int, k: int, n: int) -> np.ndarray:
@@ -57,15 +47,11 @@ def _draw(seed: int, k: int, n: int) -> np.ndarray:
     return rng.permutation(n).astype(np.int64)
 
 
-def permutation_for(plan: ShufflePlan, k: int) -> np.ndarray:
-    """Permutation used in epoch k (1-based, 1 <= k <= epochs)."""
-    if not 1 <= k <= plan.epochs:
-        raise ConfigError(f"epoch index {k} outside [1, {plan.epochs}]")
+def permutation_for(plan: ShufflePlan, n: int, k: int) -> np.ndarray:
+    """Permutation of range(n) used in epoch k (1-based)."""
     if plan.scheme == "IG":
-        return plan.fixed_perm.copy()
-    if plan.scheme == "SO":
-        return _draw(plan.seed, 1, plan.n)
-    return _draw(plan.seed, k, plan.n)
+        return np.arange(n, dtype=np.int64)
+    return _draw(plan.seed, 1 if plan.scheme == "SO" else k, n)
 
 
 def random_permutation(n: int, seed: int, trial: int = 0) -> np.ndarray:

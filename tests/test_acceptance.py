@@ -67,7 +67,7 @@ def test_c01_oracle_equivalence():
         d = int(rng.integers(1, 17))
         ds = _random_instance(rng, n, d, density=0.5)
         w = rng.uniform(0.1, 10.0, n)
-        reg = RegularityDiag("smooth", w)
+        reg = RegularityDiag(w)
         perm = rng.permutation(n)
         A = ds.to_dense()
         for b in (1, 2, 4, n):
@@ -89,7 +89,7 @@ def test_c02_relaxation_chain():
         d = int(rng.integers(1, 9))
         ds = _random_instance(rng, n, d)
         w = rng.uniform(0.1, 10.0, n)
-        reg = RegularityDiag("smooth", w)
+        reg = RegularityDiag(w)
         L = ss.classical_constant(ds, reg)
         trace = float(np.sum(w * ss.row_sq_norms(ds)) / n)
         assert trace <= L * n + 1e-9 * L
@@ -111,7 +111,7 @@ def test_c03_reductions():
         d = int(rng.integers(1, 9))
         ds = _random_instance(rng, n, d)
         w = rng.uniform(0.1, 10.0, n)
-        reg = RegularityDiag("smooth", w)
+        reg = RegularityDiag(w)
         perm = rng.permutation(n)
         hat_full = ss.hat_constant(ds, reg, perm, n, tol=1e-13)
         ref = oracles.dense_full_gradient(ds.to_dense(), w)
@@ -127,7 +127,7 @@ def test_c04_identity_closed_form():
     rng = np.random.default_rng(SEED + 3)
     for n in (2, 8, 32):
         ds = ss.SparseDataset.from_dense(np.eye(n))
-        reg = RegularityDiag("smooth", np.ones(n))
+        reg = RegularityDiag(np.ones(n))
         for _ in range(5):
             perm = rng.permutation(n)
             hat = ss.hat_constant(ds, reg, perm, 1, tol=1e-11)
@@ -150,7 +150,7 @@ def test_c05_published_ratio_table(names, expected):
     """Mean L / hat over >= 200 permutations matches the published value +-10%."""
     path = _require_dataset(*names)
     ds = ss.load_libsvm(path)
-    reg = RegularityDiag("smooth", np.ones(ds.n))
+    reg = RegularityDiag(np.ones(ds.n))
     report = ss.ratio_stats(
         ds, reg, b=1, num_perms=200, seed=SEED, tol=1e-6, compute_tilde=False,
         max_workers=int(os.environ.get("SHUFFLE_SGD_THREADS", "4")),
@@ -165,7 +165,7 @@ def test_c06_gaussian_growth_in_n():
     means = []
     for n in (50, 100, 200, 400):
         ds = ss.gen_gaussian(n, 100, seed=prng.mix64(SEED, n))
-        reg = RegularityDiag("smooth", np.ones(n))
+        reg = RegularityDiag(np.ones(n))
         rep = ss.ratio_stats(ds, reg, b=1, num_perms=20, seed=SEED, tol=1e-6,
                              compute_tilde=False)
         means.append(rep.ratio_summary["mean"])
@@ -177,7 +177,7 @@ def test_c07_batch_size_growth():
     """L / tilde is 1 at b=1, grows with b, with middle log-log slope in [0.5, 1]."""
     n = 256
     ds = ss.gen_gaussian(n, 256, seed=SEED)
-    reg = RegularityDiag("smooth", np.ones(n))
+    reg = RegularityDiag(np.ones(n))
     L = ss.classical_constant(ds, reg)
     b_grid = [2**k for k in range(9)]
     means = []
@@ -199,7 +199,7 @@ def test_c08_ratio_concentration_sonar():
     """Coefficient of variation of L / hat over 1000 permutations below 0.15."""
     path = _require_dataset("sonar", "sonar_scale")
     ds = ss.load_libsvm(path)
-    reg = RegularityDiag("smooth", np.ones(ds.n))
+    reg = RegularityDiag(np.ones(ds.n))
     report = ss.ratio_stats(
         ds, reg, b=1, num_perms=1000, seed=SEED, tol=1e-6, compute_tilde=False,
         max_workers=int(os.environ.get("SHUFFLE_SGD_THREADS", "4")),
@@ -224,7 +224,7 @@ def _equivalence_runs():
         b = int(rng.choice([x for x in (1, 2, n // 2, n) if x >= 1 and n % x == 0]))
         scheme = ("RR", "SO", "IG")[idx % 3]
         eta = 0.2 / n
-        plan = ss.ShufflePlan(scheme, n, 2, seed=int(rng.integers(0, 2**31)))
+        plan = ss.ShufflePlan(scheme, seed=int(rng.integers(0, 2**31)))
         cfg = ss.RunConfig(b, 2, eta, rng.standard_normal(d), trace=True)
         result, inner = oracles.run_recording_inner(ds, model, plan, cfg)
         runs.append((ds, model, plan, b, eta, result, inner))
@@ -238,7 +238,7 @@ def test_c09_primal_dual_equals_vanilla():
         schemes.add(plan.scheme)
         x = inner[0][0]
         for k in (1, 2):
-            perm = ss.permutation_for(plan, k)
+            perm = ss.permutation_for(plan, ds.n, k)
             ref_inner = oracles.vanilla_epoch(
                 ds.to_dense(), model.targets, model.family, perm, b, eta, x
             )
@@ -289,7 +289,7 @@ def test_c11_fixed_order_bound_deterministic():
                                  sigma_star=sig, D=D, ystar_norm=ynorm)
             eta = ss.step_size_ig(inp)
             rhs = ss.bound_rhs_ig(inp, eta)
-            res = ss.run(ds, model, ss.ShufflePlan("IG", n, K),
+            res = ss.run(ds, model, ss.ShufflePlan("IG"),
                          ss.RunConfig(b, K, eta, np.zeros(d)))
             gap = res.objective_avg - f_star
             worst = max(worst, gap / rhs)
@@ -315,7 +315,7 @@ def _rr_bound_check(ds, model, b, K, num_seeds):
     rhs = ss.bound_rhs_smooth_rr(inp, eta)
     gaps = []
     for s in range(num_seeds):
-        plan = ss.ShufflePlan("RR", n, K, seed=s)
+        plan = ss.ShufflePlan("RR", seed=s)
         res = ss.run(ds, model, plan, ss.RunConfig(b, K, eta, np.zeros(d)))
         gaps.append(res.objective_avg - f_star)
     mean = float(np.mean(gaps))
@@ -360,7 +360,7 @@ def test_c13_nonsmooth_bound():
     rhs = ss.bound_rhs_nonsmooth(inp, eta)
     gaps = []
     for s in range(200):
-        plan = ss.ShufflePlan("RR", ds.n, K, seed=s)
+        plan = ss.ShufflePlan("RR", seed=s)
         res = ss.run(ds, model, plan, ss.RunConfig(b, K, eta, np.zeros(ds.d)))
         gaps.append(res.objective_avg)  # constructed optimum has value 0
     mean = float(np.mean(gaps))

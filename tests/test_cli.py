@@ -367,10 +367,10 @@ class TestOptimize:
         assert code == 0
         rows = [r.split(",") for r in (tmp_path / "fa.csv").read_text().splitlines()[1:]]
         for s in (0, 3):
-            plan = ss.ShufflePlan("RR", n, K, seed=s)
+            plan = ss.ShufflePlan("RR", seed=s)
             x, ends = np.zeros(d), []
             for k in range(1, K + 1):
-                x = oracles.vanilla_epoch(A, t, "squared", ss.permutation_for(plan, k), 2,
+                x = oracles.vanilla_epoch(A, t, "squared", ss.permutation_for(plan, n, k), 2,
                                           steps[k - 1], x)[-1]
                 ends.append(x)
             want = [np.mean(0.5 * (A @ np.average(ends[:k], axis=0, weights=steps[:k]) - t) ** 2)
@@ -641,3 +641,88 @@ class TestVerifyBound:
             "--out", str(tmp_path / "v5"),
         ])
         assert code == 2
+
+
+def no_data(monkeypatch):
+    """Make every way a command gets its data fail the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("data was loaded before the flags were checked")
+
+    for name in ("_load_dataset", "gen_gaussian", "_planted_hinge"):
+        monkeypatch.setattr(cli, name, fail)
+
+
+def strict_json(path):
+    """Parse a report the way an RFC 8259 parser does: NaN and Infinity are
+    not JSON."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestRefusedBeforeLoading:
+    @pytest.mark.parametrize("argv, want", [
+        (["optimize", "--step", "0.1", "--epochs", "0"], "--epochs must be >= 1"),
+        (["optimize", "--step", "theoretical", "--epochs", "0"], "--epochs must be >= 1"),
+        (["optimize", "--step", "theoretical", "--perms", "0"], "num_perms must be >= 1"),
+        (["optimize", "--step", "theoretical", "--scheme", "SO", "--perms", "0"],
+         "num_perms must be >= 1"),
+        (["verify-bound", "--bound", "rr", "--b", "2", "--epochs", "0", "--perms", "1000"],
+         "--epochs must be >= 1"),
+        (["verify-bound", "--bound", "ig", "--epochs", "-1"], "--epochs must be >= 1"),
+        (["verify-bound", "--bound", "rr", "--perms", "0"], "num_perms must be >= 1"),
+        (["verify-bound", "--bound", "general-rr", "--perms", "-2"], "num_perms must be >= 1"),
+        (["verify-bound", "--bound", "nonsmooth", "--planted", "--perms", "0"],
+         "num_perms must be >= 1"),
+    ])
+    def test_bad_epochs_or_perms(self, tmp_path, capsys, monkeypatch, argv, want):
+        no_data(monkeypatch)
+        code = main(argv + ["--gaussian", "24,5", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert want in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--step", "0.1"],
+        ["optimize", "--step", "theoretical", "--scheme", "IG"],
+        ["verify-bound", "--bound", "ig"],
+        ["verify-bound", "--bound", "general-ig"],
+    ])
+    def test_perms_unused_when_nothing_is_sampled(self, tmp_path, argv):
+        code = main(argv + ["--gaussian", "24,5", "--b", "2", "--epochs", "2", "--perms", "0",
+                            "--out", str(tmp_path / "r")])
+        assert code == 0
+        assert strict_json(tmp_path / "r.json")["config"]["perms"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--input", "data.svm"],
+        ["gaussian-sweep", "--fixed", "d", "--fixed-value", "3", "--grid", "6"],
+        ["batch-sweep", "--gaussian", "6,3", "--b-grid", "1,2"],
+        ["histogram", "--gaussian", "6,3"],
+        ["optimize", "--gaussian", "6,3", "--step", "0.1"],
+        ["verify-bound", "--bound", "rr", "--gaussian", "6,3"],
+        ["verify-bound", "--bound", "nonsmooth", "--planted", "--gaussian", "6,3"],
+    ])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tol_in_every_command(self, tmp_path, capsys, monkeypatch, argv, tol):
+        no_data(monkeypatch)
+        code = main(argv + ["--tol", tol, "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert f"tol must be positive and finite, got {float(tol)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStrictJson:
+    def test_single_b_slope_is_null(self, identity6, tmp_path, capsys):
+        code = main(["batch-sweep", "--input", str(identity6), "--b-grid", "2",
+                     "--perms", "2", "--out", str(tmp_path / "one")])
+        assert code == 0
+        assert strict_json(tmp_path / "one.json")["loglog_slope"] is None
+        assert capsys.readouterr().out.startswith("alpha=none ")
+
+    def test_non_finite_payload_is_refused_unwritten(self, tmp_path):
+        args = SimpleNamespace(out=str(tmp_path / "nan"), func=None)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_json(args, {"value": float("nan")})
+        assert list(tmp_path.iterdir()) == []

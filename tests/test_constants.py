@@ -23,7 +23,7 @@ TIGHT = dict(tol=1e-12)
 
 
 def unit_reg(n):
-    return RegularityDiag("smooth", np.ones(n))
+    return RegularityDiag(np.ones(n))
 
 
 def _edge_dataset(rng):
@@ -266,7 +266,7 @@ class TestClassicalAndFull:
 
     def test_classical_weighted(self):
         ds = ss.SparseDataset.from_dense(np.eye(2))
-        assert ss.classical_constant(ds, RegularityDiag("smooth", [4.0, 1.0])) == 4.0
+        assert ss.classical_constant(ds, RegularityDiag([4.0, 1.0])) == 4.0
 
     def test_full_gradient_identity(self):
         ds = ss.SparseDataset.from_dense(np.eye(2))
@@ -282,11 +282,11 @@ class TestClassicalAndFull:
 
     def test_permutation_invariance(self, rng):
         ds = random_sparse_dataset(rng)
-        reg = RegularityDiag("smooth", rng.uniform(0.1, 5.0, ds.n))
+        reg = RegularityDiag(rng.uniform(0.1, 5.0, ds.n))
         base_L = ss.classical_constant(ds, reg)
         perm = rng.permutation(ds.n)
         permuted = ss.SparseDataset.from_dense(ds.to_dense()[perm], labels=ds.labels[perm])
-        reg_p = RegularityDiag("smooth", reg.values[perm])
+        reg_p = RegularityDiag(reg.values[perm])
         assert ss.classical_constant(permuted, reg_p) == pytest.approx(base_L, rel=1e-12)
         assert ss.full_gradient_L(permuted, reg_p, **TIGHT) == pytest.approx(
             ss.full_gradient_L(ds, reg, **TIGHT), rel=1e-8
@@ -315,7 +315,7 @@ class TestHatConstant:
         for _ in range(10):
             ds = random_sparse_dataset(rng)
             w = rng.uniform(0.1, 10.0, ds.n)
-            reg = RegularityDiag("smooth", w)
+            reg = RegularityDiag(w)
             hat = ss.hat_constant(ds, reg, rng.permutation(ds.n), ds.n, **TIGHT)
             assert hat == pytest.approx(
                 oracles.dense_full_gradient(ds.to_dense(), w), rel=1e-8
@@ -332,7 +332,7 @@ class TestHatConstant:
             w = rng.uniform(0.1, 10.0, ds.n)
             b = int(rng.choice(divisors(ds.n)))
             perm = rng.permutation(ds.n)
-            mine = ss.hat_constant(ds, RegularityDiag("smooth", w), perm, b, **TIGHT)
+            mine = ss.hat_constant(ds, RegularityDiag(w), perm, b, **TIGHT)
             ref = oracles.dense_hat(ds.to_dense(), w, perm, b)
             assert mine == pytest.approx(ref, rel=1e-7, abs=1e-12)
 
@@ -341,7 +341,7 @@ class TestTildeConstant:
     def test_b1_equals_classical(self, rng):
         for _ in range(10):
             ds = random_sparse_dataset(rng)
-            reg = RegularityDiag("smooth", rng.uniform(0.1, 10.0, ds.n))
+            reg = RegularityDiag(rng.uniform(0.1, 10.0, ds.n))
             til = ss.tilde_constant(ds, reg, rng.permutation(ds.n), 1)
             assert til == pytest.approx(ss.classical_constant(ds, reg), rel=1e-12)
 
@@ -359,7 +359,7 @@ class TestTildeConstant:
             w = rng.uniform(0.1, 10.0, ds.n)
             b = int(rng.choice(divisors(ds.n)))
             perm = rng.permutation(ds.n)
-            mine = ss.tilde_constant(ds, RegularityDiag("smooth", w), perm, b)
+            mine = ss.tilde_constant(ds, RegularityDiag(w), perm, b)
             ref = oracles.dense_tilde(ds.to_dense(), w, perm, b)
             assert mine == pytest.approx(ref, rel=1e-7, abs=1e-12)
 
@@ -384,7 +384,7 @@ class TestTildeConstant:
         b = {"any": int(rng.choice(divisors(ds.n))), "one": 1, "all": ds.n}[batch]
         w = rng.uniform(0.1, 10.0, ds.n)
         perm = rng.permutation(ds.n)
-        mine = ss.tilde_constant(ds, RegularityDiag("smooth", w), perm, b)
+        mine = ss.tilde_constant(ds, RegularityDiag(w), perm, b)
         ref = oracles.dense_tilde(ds.to_dense(), w, perm, b)
         assert mine == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
@@ -396,7 +396,7 @@ class TestRelaxationChain:
         rng = np.random.default_rng(seed)
         ds = random_sparse_dataset(rng)
         w = rng.uniform(0.1, 10.0, ds.n)
-        reg = RegularityDiag("smooth", w)
+        reg = RegularityDiag(w)
         b = int(rng.choice(divisors(ds.n)))
         perm = rng.permutation(ds.n)
         hat = ss.hat_constant(ds, reg, perm, b, tol=1e-8)
@@ -441,7 +441,7 @@ class TestGeneralConstants:
         L = rng.uniform(0.5, 4.0, n)
         perm = rng.permutation(n)
         ds = ss.SparseDataset.from_dense(np.ones((n, 1)))
-        reg = RegularityDiag("smooth", L)
+        reg = RegularityDiag(L)
         for b in (1, 2, 3, 6):
             assert ss.general_hat_L(L, perm, b, **TIGHT) == pytest.approx(
                 ss.hat_constant(ds, reg, perm, b, **TIGHT), rel=1e-9

@@ -112,14 +112,14 @@ class TestRun:
     def test_scalar_problem(self):
         ds = ss.SparseDataset.from_dense(np.array([[1.0]]), labels=[1.0])
         m = LossModel.for_dataset("squared", ds)
-        res = ss.run(ds, m, ShufflePlan("IG", 1, 1), RunConfig(1, 1, 0.5, np.zeros(1)))
+        res = ss.run(ds, m, ShufflePlan("IG"), RunConfig(1, 1, 0.5, np.zeros(1)))
         assert res.final[0] == 0.5
         assert res.averaged[0] == 0.5
 
     def test_full_batch_is_gradient_descent(self, rng):
         ds, m = least_squares(rng, 8, 3)
         x0 = rng.standard_normal(3)
-        res = ss.run(ds, m, ShufflePlan("RR", 8, 1, seed=4), RunConfig(8, 1, 0.2, x0))
+        res = ss.run(ds, m, ShufflePlan("RR", seed=4), RunConfig(8, 1, 0.2, x0))
         A, t = ds.to_dense(), ds.labels
         expected = x0 - 0.2 * (A.T @ (A @ x0 - t)) / 8
         assert np.allclose(res.final, expected, rtol=1e-12, atol=1e-12)
@@ -127,7 +127,7 @@ class TestRun:
     def test_weighted_average_output(self, rng):
         ds, m = least_squares(rng, 6, 2)
         cfg = RunConfig(2, 2, np.array([1e-3, 3e-3]), np.zeros(2))
-        res, inner = oracles.run_recording_inner(ds, m, ShufflePlan("SO", 6, 2, seed=0), cfg)
+        res, inner = oracles.run_recording_inner(ds, m, ShufflePlan("SO", seed=0), cfg)
         x1, x2 = inner[0][-1], inner[1][-1]
         manual = (1e-3 * x1 + 3e-3 * x2) / 4e-3
         assert np.array_equal(res.averaged, manual)
@@ -140,11 +140,11 @@ class TestRun:
         ds, m = least_squares(rng, 6, 3)
         A, t = ds.to_dense(), ds.labels
         steps = 0.05 * np.array([1.0, 0.25, 2.0, 0.5, 1.5])
-        plan = ShufflePlan("RR", 6, 5, seed=2)
+        plan = ShufflePlan("RR", seed=2)
         res = ss.run(ds, m, plan, RunConfig(2, 5, steps, np.zeros(3)))
         x, ends = np.zeros(3), []
         for k in range(1, 6):
-            x = oracles.vanilla_epoch(A, t, "squared", ss.permutation_for(plan, k), 2,
+            x = oracles.vanilla_epoch(A, t, "squared", ss.permutation_for(plan, ds.n, k), 2,
                                       steps[k - 1], x)[-1]
             ends.append(x)
         want = [np.mean(0.5 * (A @ np.average(ends[:k], axis=0, weights=steps[:k]) - t) ** 2)
@@ -165,7 +165,7 @@ class TestRun:
 
         def peak(epochs):
             tracemalloc.start()
-            res = ss.run(ds, m, ShufflePlan("RR", n, epochs, seed=0),
+            res = ss.run(ds, m, ShufflePlan("RR", seed=0),
                          RunConfig(1, epochs, 0.1, np.zeros(d)))
             peak_bytes = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
@@ -177,20 +177,20 @@ class TestRun:
     def test_batch_must_divide(self, rng):
         ds, m = least_squares(rng, 6, 2)
         with pytest.raises(ConfigError):
-            ss.run(ds, m, ShufflePlan("RR", 6, 1), RunConfig(4, 1, 0.1, np.zeros(2)))
+            ss.run(ds, m, ShufflePlan("RR"), RunConfig(4, 1, 0.1, np.zeros(2)))
 
     def test_divergence_names_epoch(self):
         ds = ss.SparseDataset.from_dense(np.array([[1e3], [1e3]]), labels=[1.0, -1.0])
         m = LossModel.for_dataset("squared", ds)
         with pytest.raises(DivergenceError) as err:
-            ss.run(ds, m, ShufflePlan("RR", 2, 40, seed=0), RunConfig(1, 40, 10.0, np.zeros(1)))
+            ss.run(ds, m, ShufflePlan("RR", seed=0), RunConfig(1, 40, 10.0, np.zeros(1)))
         assert err.value.epoch >= 1
 
     def test_deterministic(self, rng):
         ds, m = least_squares(rng, 10, 3)
         cfg = RunConfig(2, 3, 0.05, np.zeros(3), trace=True)
-        r1 = ss.run(ds, m, ShufflePlan("RR", 10, 3, seed=7), cfg)
-        r2 = ss.run(ds, m, ShufflePlan("RR", 10, 3, seed=7), cfg)
+        r1 = ss.run(ds, m, ShufflePlan("RR", seed=7), cfg)
+        r2 = ss.run(ds, m, ShufflePlan("RR", seed=7), cfg)
         assert np.array_equal(r1.final, r2.final)
         assert np.array_equal(r1.averaged, r2.averaged)
 
@@ -202,18 +202,37 @@ class TestRun:
         ds, m = least_squares(rng, n, int(rng.integers(1, 5)))
         b = int(rng.choice(divisors(n)))
         eta = 0.3 / n
-        plan = ShufflePlan(scheme, n, 2, seed=seed)
+        plan = ShufflePlan(scheme, seed=seed)
         cfg = RunConfig(b, 2, eta, np.zeros(ds.d), trace=True)
         _, recorded = oracles.run_recording_inner(ds, m, plan, cfg)
         x = np.zeros(ds.d)
         for k in (1, 2):
-            perm = ss.permutation_for(plan, k)
+            perm = ss.permutation_for(plan, n, k)
             inner = oracles.vanilla_epoch(ds.to_dense(), ds.labels, "squared", perm, b, eta, x)
             got = recorded[k - 1]
             assert len(got) == len(inner) == n // b + 1
             for mine, ref in zip(got, inner):
                 scale = 1.0 + float(np.linalg.norm(ref))
                 assert np.linalg.norm(mine - ref) <= 1e-12 * scale
+            x = inner[-1]
+
+    @pytest.mark.parametrize("family", ["squared", "logistic", "hinge"])
+    def test_custom_fixed_order_is_ig_on_reordered_rows(self, rng, family):
+        # a fixed order p other than the stored one: reorder the rows by p
+        # and run IG, which visits them as stored
+        n, b, eta = 8, 2, 0.05
+        ds = random_sparse_dataset(rng, n=n)
+        p = rng.permutation(n)
+        reordered = ss.SparseDataset.from_rows([ds.row(i) for i in p], ds.labels[p], d=ds.d)
+        cfg = RunConfig(b, 2, eta, rng.standard_normal(ds.d))
+        _, recorded = oracles.run_recording_inner(
+            reordered, LossModel.for_dataset(family, reordered), ShufflePlan("IG"), cfg)
+        x = cfg.x0
+        for k in (1, 2):
+            inner = oracles.vanilla_epoch(ds.to_dense(), ds.labels, family, p, b, eta, x)
+            assert len(recorded[k - 1]) == len(inner) == n // b + 1
+            for mine, ref in zip(recorded[k - 1], inner):
+                assert np.linalg.norm(mine - ref) <= 1e-12 * (1.0 + float(np.linalg.norm(ref)))
             x = inner[-1]
 
     def test_monotone_objective_on_interpolation(self, rng):
@@ -232,7 +251,7 @@ class TestRun:
             for j in range(20)
         )
         eta = ss.step_size_smooth_rr(ss.BoundInputs(n=4, b=2, K=30, hatL=hat, tildeL=til))
-        res = ss.run(ds, m, ShufflePlan("RR", 4, 30, seed=1), RunConfig(2, 30, eta, np.zeros(8)))
+        res = ss.run(ds, m, ShufflePlan("RR", seed=1), RunConfig(2, 30, eta, np.zeros(8)))
         f0 = ss.objective(m, ds, np.zeros(8))
         assert res.objectives[-1] <= f0 + 1e-12
 
@@ -266,7 +285,7 @@ class TestTheoreticalStepConvergence:
             inp = ss.BoundInputs(n=12, b=3, K=K, hatL=hat, tildeL=til,
                                  sigma_star=sig, D=D)
             eta = ss.step_size_smooth_rr(inp)
-            res = ss.run(ds, m, ShufflePlan("RR", 12, K, seed=4),
+            res = ss.run(ds, m, ShufflePlan("RR", seed=4),
                          RunConfig(3, K, eta, np.zeros(3)))
             gaps.append(res.objective_avg - f_star)
         assert gaps[0] > 0
@@ -276,14 +295,14 @@ class TestTheoreticalStepConvergence:
 class TestRetractionIdentity:
     def test_untraced_run_has_no_traces(self, rng):
         ds, m = least_squares(rng, 4, 2)
-        res = ss.run(ds, m, ShufflePlan("RR", 4, 1, seed=0), RunConfig(2, 1, 0.1, np.zeros(2)))
+        res = ss.run(ds, m, ShufflePlan("RR", seed=0), RunConfig(2, 1, 0.1, np.zeros(2)))
         assert res.traces == []
 
     def test_single_step_epoch_terms_cancel(self, rng):
         # b = n: one inner step, the retraction term is identically zero
         ds, m = least_squares(rng, 5, 3)
         cfg = RunConfig(5, 1, 0.1, np.zeros(3), trace=True)
-        res = ss.run(ds, m, ShufflePlan("RR", 5, 1, seed=2), cfg)
+        res = ss.run(ds, m, ShufflePlan("RR", seed=2), cfg)
         tr = res.traces[0]
         assert tr.retraction_term == pytest.approx(0.0, abs=1e-15)
         assert tr.squared_steps == pytest.approx(tr.displacement_sq, rel=1e-12)
@@ -291,7 +310,7 @@ class TestRetractionIdentity:
     def test_random_least_squares_epoch(self, rng):
         ds, m = least_squares(rng, 10, 5)
         cfg = RunConfig(2, 1, 0.05, rng.standard_normal(5), trace=True)
-        res = ss.run(ds, m, ShufflePlan("RR", 10, 1, seed=3), cfg)
+        res = ss.run(ds, m, ShufflePlan("RR", seed=3), cfg)
         assert ss.retraction_residual(res.traces[0], 2, 10) <= 1e-8
 
     @settings(max_examples=25)
@@ -307,7 +326,7 @@ class TestRetractionIdentity:
         m = LossModel.for_dataset(family, ds)
         b = int(rng.choice([x for x in (1, 2, n // 2, n) if x >= 1 and n % x == 0]))
         cfg = RunConfig(b, 3, 0.1 / n, rng.standard_normal(ds.d), trace=True)
-        res = ss.run(ds, m, ShufflePlan(scheme, n, 3, seed=seed), cfg)
+        res = ss.run(ds, m, ShufflePlan(scheme, seed=seed), cfg)
         for tr in res.traces:
             scale = 1.0 + abs(tr.squared_steps) + abs(tr.displacement_sq)
             assert ss.retraction_residual(tr, b, n) <= 1e-8 * scale
@@ -326,7 +345,7 @@ class TestTracing:
         ds = random_sparse_dataset(rng, n=n)
         m = LossModel.for_dataset(family, ds)
         x0 = rng.standard_normal(ds.d)
-        plan = ShufflePlan(scheme, n, 3, seed=seed)
+        plan = ShufflePlan(scheme, seed=seed)
         for b in divisors(n):
             (plain, plain_inner), (traced, traced_inner) = (
                 oracles.run_recording_inner(ds, m, plan, RunConfig(b, 3, 0.1 / n, x0, trace=t))
@@ -355,7 +374,7 @@ class TestTracing:
 
         def peak(trace):
             tracemalloc.start()
-            res = ss.run(ds, m, ShufflePlan("RR", n, 1, seed=0),
+            res = ss.run(ds, m, ShufflePlan("RR", seed=0),
                          RunConfig(1, 1, 0.1, np.zeros(d), trace=trace))
             peak_bytes = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
@@ -375,13 +394,13 @@ class TestRunGeneral:
             e[i] = 1.0
             return x - e
 
-        res = ss.run_general(oracle, 2, 2, ShufflePlan("IG", 2, 1), RunConfig(2, 1, 1.0, np.zeros(2)))
+        res = ss.run_general(oracle, 2, 2, ShufflePlan("IG"), RunConfig(2, 1, 1.0, np.zeros(2)))
         assert np.allclose(res.final, [0.5, 0.5])
 
     def test_zero_oracle_keeps_x(self, rng):
         x0 = rng.standard_normal(3)
         res = ss.run_general(
-            lambda i, x: np.zeros(3), 4, 3, ShufflePlan("RR", 4, 2, seed=1),
+            lambda i, x: np.zeros(3), 4, 3, ShufflePlan("RR", seed=1),
             RunConfig(2, 2, 0.5, x0),
         )
         assert np.array_equal(res.final, x0)
@@ -396,7 +415,7 @@ class TestRunGeneral:
             seen.append(x.copy())
             return ss.loss_derivative(m, i, float(A[i] @ x)) * A[i]
 
-        plan = ShufflePlan("SO", 6, 2, seed=9)
+        plan = ShufflePlan("SO", seed=9)
         cfg = RunConfig(2, 2, 0.04, np.zeros(3), trace=True)
         direct, direct_inner = oracles.run_recording_inner(ds, m, plan, cfg)
         general = ss.run_general(
@@ -421,20 +440,19 @@ class TestRunGeneral:
             return (x - i) ** 3 * 0.01  # arbitrary nonlinear components
 
         cfg = RunConfig(2, 2, 0.3, rng.standard_normal(3), trace=True)
-        res = ss.run_general(oracle, 4, 3, ShufflePlan("RR", 4, 2, seed=5), cfg)
+        res = ss.run_general(oracle, 4, 3, ShufflePlan("RR", seed=5), cfg)
         for tr in res.traces:
             assert ss.retraction_residual(tr, 2, 4) <= 1e-10
 
 
 @pytest.mark.parametrize("entry", ["run", "run_general"])
-@pytest.mark.parametrize("plan_n, batch, x0_dim, match", [
+@pytest.mark.parametrize("n, batch, x0_dim, match", [
     (6, 4, 2, "must divide"),  # b does not divide n
-    (4, 2, 2, "shuffle plan"),  # the plan is for another n
     (6, 2, 3, "x0"),  # x0 has the wrong dimension
 ])
-def test_entry_points_check_config(entry, plan_n, batch, x0_dim, match, rng):
-    ds, m = least_squares(rng, 6, 2)
-    plan = ShufflePlan("RR", plan_n, 1)
+def test_entry_points_check_config(entry, n, batch, x0_dim, match, rng):
+    ds, m = least_squares(rng, n, 2)
+    plan = ShufflePlan("RR")
     cfg = RunConfig(batch, 1, 0.1, np.zeros(x0_dim))
     A = ds.to_dense()
     with pytest.raises(ConfigError, match=match):

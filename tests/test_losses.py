@@ -88,12 +88,10 @@ class TestDerivatives:
 class TestRegularityConstants:
     def test_logistic_unit_labels(self):
         reg = regularity(model("logistic", [1.0, -1.0, 1.0]))
-        assert reg.kind == "smooth"
         assert np.allclose(reg.values, 0.25)
 
     def test_hinge_gamma_stores_squares(self):
         reg = regularity(model("hinge", [1.0, -2.0]))
-        assert reg.kind == "lipschitz"
         assert np.allclose(reg.values, [1.0, 4.0])
 
     def test_squared_scales(self):
