@@ -8,6 +8,10 @@ after another. Numeric outputs go to CSV (LF endings, `.` decimal); each
 command also writes a JSON report carrying schema_version and the effective
 configuration for provenance.
 
+Each flag is checked where it is declared, by its argparse type; rules that
+join two flags open their command. So every usage error returns 2 from main
+before any data is read, except a batch size that must divide n.
+
 Exit codes: 0 success, 1 verdict failure (a verified bound was violated or
 could not be certified), 2 usage / IO / parse errors.
 """
@@ -43,31 +47,79 @@ class CliError(Exception):
         super().__init__(message)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are CliErrors: exit 2 from main."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
+def _checked(message, convert=int, ok=lambda v: v >= 1):
+    """argparse type: convert the text, then refuse a value that fails ok
+    (by default, an integer below 1) with message, formatted with it."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message.format(value))
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+def _positive_finite(name):
+    return _checked(name + " must be positive and finite, got {}", float,
+                    lambda v: math.isfinite(v) and v > 0)
+
+
+def _ints(text) -> list:
+    try:
+        return [int(t) for t in text.split(",") if t != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
+
+
+def _positive_ints(name):
+    return _checked(name + " must be nonempty, each entry >= 1, got {}", _ints,
+                    lambda v: v and min(v) >= 1)
+
+
+def _run_seeds(text) -> list:
+    """optimize --seeds: distinct run seeds, at least one."""
+    seeds = _checked("provide at least one run seed", _ints, bool)(text)
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"run seed {repeated[0]} is repeated in --seeds")
+    return seeds
+
+
+def _step(text):
+    """optimize --step: 'theoretical' or a positive finite float."""
+    try:
+        return text if text == "theoretical" else _positive_finite("step sizes")(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("--step expects a float or 'theoretical'")
+
+
 def _max_workers() -> int | None:
     """Permutation workers for ratio_stats, from SHUFFLE_SGD_THREADS."""
     raw = os.environ.get("SHUFFLE_SGD_THREADS")
-    if not raw:
-        return None
     try:
-        return max(1, int(raw))
+        return max(1, int(raw)) if raw else None
     except ValueError:
         raise CliError(f"SHUFFLE_SGD_THREADS must be an integer, got {raw!r}")
 
 
 def _load_dataset(args) -> SparseDataset:
     if getattr(args, "gaussian", None):
-        try:
-            n, d = (int(t) for t in args.gaussian.split(","))
-        except ValueError:
-            raise CliError("--gaussian expects N,D")
-        return gen_gaussian(n, d, args.seed)
-    path = getattr(args, "input", None)
+        return gen_gaussian(*args.gaussian, args.seed)
+    path = args.input
     if not path:
         raise CliError("provide --input PATH or --gaussian N,D")
     if not os.path.exists(path):
         raise CliError(f"input file not found: {path}")
     try:
-        return load_libsvm(path, d=getattr(args, "features", None))
+        return load_libsvm(path, d=args.features)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -78,17 +130,18 @@ def _unit_regularity(ds: SparseDataset) -> losses.RegularityDiag:
     return losses.RegularityDiag(np.ones(ds.n))
 
 
-def _check_budget(ds, num_perms, b, args):
+def _check_ratio_study(ds, num_perms, b, args):
+    """Refuse data with no nonzero value, whose L / hat and L / tilde ratios
+    are all 0 / 0, and a study whose estimated cost exceeds --max-cost
+    without --force."""
+    if not np.any(ds.values):
+        raise CliError("the data has no nonzero value, so every ratio is 0 / 0")
     budget = DEFAULT_COST_BUDGET if args.max_cost is None else args.max_cost
-    if not (math.isfinite(budget) and budget > 0):
-        raise CliError(f"--max-cost must be positive and finite, got {budget}")
     S = _ASSUMED_LANCZOS_STEPS
     est = num_perms * (S * ds.nnz + 2 * S * S * ds.n + ds.n * b * b)
     if est > budget and not args.force:
-        raise CliError(
-            f"estimated cost {est:.2e} ops exceeds budget {budget:.2e}; "
-            "rerun with --force to proceed"
-        )
+        raise CliError(f"estimated cost {est:.2e} ops exceeds budget {budget:.2e}; "
+                       "rerun with --force to proceed")
 
 
 def _write_csv(path, rows):
@@ -97,51 +150,38 @@ def _write_csv(path, rows):
         writer.writerows(rows)
 
 
-def _config_echo(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
 def _write_json(args, payload):
     """Write the command's report to --out .json, with the schema version
     and the effective configuration every report carries. The report is
     strict JSON: a NaN or infinity is an error, not written."""
-    report = {"schema_version": consts.SCHEMA_VERSION, "config": _config_echo(args), **payload}
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    report = {"schema_version": consts.SCHEMA_VERSION, "config": config, **payload}
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
-def _int_list(text) -> list:
-    try:
-        return [int(t) for t in str(text).split(",") if t != ""]
-    except ValueError:
-        raise CliError(f"expected a comma-separated integer list, got {text!r}")
-
-
-def _check_run_length(args, sampled: bool):
-    """Refuse --epochs < 1, and --perms < 1 when the step is sized from
-    sampled permutations, before any data is loaded."""
-    if args.epochs < 1:
-        raise CliError(f"--epochs must be >= 1, got {args.epochs}")
-    if sampled and args.perms < 1:
+def _check_sampled_perms(args):
+    """Refuse --perms < 1 for a step sized from sampled permutations."""
+    if args.perms < 1:
         raise CliError(f"num_perms must be >= 1, got --perms {args.perms}")
 
 
-def _ratio_report(ds, args, num_perms, compute_tilde) -> consts.ConstantsReport:
+def _ratio_report(ds, args, num_perms, compute_tilde, max_workers) -> consts.ConstantsReport:
     """ratio_stats at unit regularity with the command's --b, --seed and
-    --tol, on the SHUFFLE_SGD_THREADS pool."""
+    --tol, on a pool of max_workers threads."""
     return consts.ratio_stats(
         ds, _unit_regularity(ds), b=args.b, num_perms=num_perms, seed=args.seed,
-        tol=args.tol, compute_tilde=compute_tilde, max_workers=_max_workers(),
+        tol=args.tol, compute_tilde=compute_tilde, max_workers=max_workers,
     )
 
 
 def cmd_analyze(args) -> int:
     t0 = time.time()
+    workers = _max_workers()
     ds = _load_dataset(args)
-    _check_budget(ds, args.num_perms, args.b, args)
-    report = _ratio_report(ds, args, args.num_perms, compute_tilde=not args.no_tilde)
+    _check_ratio_study(ds, args.num_perms, args.b, args)
+    report = _ratio_report(ds, args, args.num_perms, not args.no_tilde, workers)
     payload = report.to_json_dict()
     payload["runtime_sec"] = time.time() - t0
     _write_json(args, payload)
@@ -154,19 +194,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gaussian_sweep(args) -> int:
-    grid = _int_list(args.grid)
-    if not grid:
-        raise CliError("grid must be nonempty")
+    workers = _max_workers()
     rows = [("n", "d", "perm_index", "ratio")]
     summary = [("n", "d", "num_perms", "mean_ratio", "std_ratio")]
     means = []
-    for g in grid:
+    for g in args.grid:
         if args.fixed == "d":
             n, d = g, args.fixed_value
         else:
             n, d = args.fixed_value, g
         ds = gen_gaussian(n, d, seed=consts.prng.mix64(args.seed, g))
-        report = _ratio_report(ds, args, args.perms, compute_tilde=False)
+        report = _ratio_report(ds, args, args.perms, False, workers)
         for j, r in enumerate(report.ratios):
             rows.append((n, d, j, repr(float(r))))
         summary.append(
@@ -175,21 +213,17 @@ def cmd_gaussian_sweep(args) -> int:
         means.append(report.ratio_summary["mean"])
     _write_csv(args.out + ".csv", rows)
     _write_csv(args.out + ".summary.csv", summary)
-    _write_json(args, {"grid": grid, "mean_ratios": means})
-    print(" ".join(f"{g}:{m:.4g}" for g, m in zip(grid, means)))
+    _write_json(args, {"grid": args.grid, "mean_ratios": means})
+    print(" ".join(f"{g}:{m:.4g}" for g, m in zip(args.grid, means)))
     return 0
 
 
 def cmd_batch_sweep(args) -> int:
-    if args.perms < 1:
-        raise CliError("num_perms must be >= 1")
-    b_grid = _int_list(args.b_grid)
-    if not b_grid:
-        raise CliError("b-grid must be nonempty")
+    b_grid = args.b_grid
     ds = _load_dataset(args)
     for b in b_grid:
         shuffle.check_batch(ds.n, b)
-    _check_budget(ds, args.perms * len(b_grid), max(b_grid), args)
+    _check_ratio_study(ds, args.perms * len(b_grid), max(b_grid), args)
     reg = _unit_regularity(ds)
     L = consts.classical_constant(ds, reg)
     rows = [("b", "perm_index", "ratio")]
@@ -217,11 +251,10 @@ def cmd_batch_sweep(args) -> int:
 
 
 def cmd_histogram(args) -> int:
-    if args.bins < 1:
-        raise CliError("bins must be >= 1")
+    workers = _max_workers()
     ds = _load_dataset(args)
-    _check_budget(ds, args.num_perms, args.b, args)
-    ratios = _ratio_report(ds, args, args.num_perms, compute_tilde=False).ratios
+    _check_ratio_study(ds, args.num_perms, args.b, args)
+    ratios = _ratio_report(ds, args, args.num_perms, False, workers).ratios
     lo, hi = float(np.min(ratios)), float(np.max(ratios))
     if hi - lo <= 1e-12 * hi:
         # ratios that agree to roundoff are one value: give it the unit-wide
@@ -233,7 +266,7 @@ def cmd_histogram(args) -> int:
     for i in range(len(density)):
         rows.append((repr(float(edges[i])), repr(float(edges[i + 1])), repr(float(density[i]))))
     mean = float(np.mean(ratios))
-    cv = float(np.std(ratios) / mean) if mean else float("nan")
+    cv = float(np.std(ratios) / mean)
     _write_csv(args.out + ".csv", rows)
     _write_json(args, {"mean_ratio": mean, "coefficient_of_variation": cv})
     print(f"mean={mean:.4g} cv={cv:.4g}")
@@ -244,23 +277,25 @@ def _minimizer_record(ref) -> dict:
     return {"reason": ref.reason, "iterations": ref.iterations, "grad_norm": ref.grad_norm}
 
 
-def _theoretical_step(ds, model, x_star, scheme, b, K, num_perms, seed, tol, proxy):
+def _theoretical_step(ds, model, x_star, scheme, args):
     """Assemble BoundInputs and the matching step size for a smooth run
-    whose minimizer is x_star."""
+    whose minimizer is x_star, with the command's --b, --epochs, --perms,
+    --seed, --tol and --proxy."""
+    b, K = args.b, args.epochs
     reg = losses.regularity(model)
     sig = consts.sigma_star(ds, model, x_star, grad_tol=1e-6)
     D = float(np.linalg.norm(x_star))  # x0 = 0
     if scheme == "IG":
         perm0 = np.arange(ds.n)
-        hat = consts.hat_constant(ds, reg, perm0, b, tol=tol)
+        hat = consts.hat_constant(ds, reg, perm0, b, tol=args.tol)
         til = consts.tilde_constant(ds, reg, perm0, b)
         ynorm = consts.ystar_weighted_norm(ds, model, x_star, grad_tol=1e-6)
         inp = bd.BoundInputs(n=ds.n, b=b, K=K, hatL=hat, tildeL=til,
                              sigma_star=sig, D=D, ystar_norm=ynorm)
         return bd.step_size_ig(inp), inp
-    report = consts.ratio_stats(ds, reg, b=b, num_perms=num_perms, seed=seed, tol=tol)
-    hat = _proxy_value(report.hatL, proxy)
-    til = _proxy_value(report.tildeL, proxy)
+    report = consts.ratio_stats(ds, reg, b=b, num_perms=args.perms, seed=args.seed, tol=args.tol)
+    hat = _proxy_value(report.hatL, args.proxy)
+    til = _proxy_value(report.tildeL, args.proxy)
     inp = bd.BoundInputs(n=ds.n, b=b, K=K, hatL=hat, tildeL=til, sigma_star=sig, D=D)
     return bd.step_size_smooth_rr(inp), inp
 
@@ -269,9 +304,12 @@ def _theoretical_step(ds, model, x_star, scheme, b, K, num_perms, seed, tol, pro
 DECILE_PROXIES = tuple(f"q{10 * i}" for i in range(11))
 
 
-def _check_proxy(proxy: str):
-    if proxy != "max" and proxy not in DECILE_PROXIES:
-        raise CliError(f"unknown proxy {proxy!r}; use max or one of {', '.join(DECILE_PROXIES)}")
+def _proxy(text) -> str:
+    """argparse type for --proxy: max or a decile."""
+    if text != "max" and text not in DECILE_PROXIES:
+        raise argparse.ArgumentTypeError(
+            f"unknown proxy {text!r}; use max or one of {', '.join(DECILE_PROXIES)}")
+    return text
 
 
 def _proxy_value(summary: dict, proxy: str) -> float:
@@ -284,46 +322,30 @@ def _proxy_value(summary: dict, proxy: str) -> float:
 
 
 def cmd_optimize(args) -> int:
-    _check_proxy(args.proxy)
-    _check_run_length(args, sampled=args.step == "theoretical" and args.scheme != "IG")
+    theoretical = args.step == "theoretical"
+    if theoretical and args.loss not in losses.SMOOTH_FAMILIES:
+        raise CliError("theoretical step for nonsmooth losses needs verify-bound --planted, "
+                       f"got --loss {args.loss}")
+    if theoretical and args.scheme != "IG":
+        _check_sampled_perms(args)
     ds = _load_dataset(args)
     model = losses.LossModel.for_dataset(args.loss, ds)
-    seeds = _int_list(args.seeds)
-    if not seeds:
-        raise CliError("provide at least one run seed")
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-    if repeated:
-        raise CliError(f"run seed {repeated[0]} is repeated in --seeds")
     shuffle.check_batch(ds.n, args.b)
     trace = not args.no_trace
 
-    if args.step != "theoretical":
-        try:
-            eta = float(args.step)
-        except ValueError:
-            raise CliError("--step expects a float or 'theoretical'")
-        # refuse a bad step before the reference minimizer runs
-        engine.RunConfig(
-            batch=args.b, epochs=args.epochs, step=eta, x0=np.zeros(ds.d)
-        ).step_schedule()
-    elif not model.smooth:
-        raise CliError("theoretical step for nonsmooth losses needs verify-bound --planted")
+    eta = args.step
     ref = consts.reference_minimizer(ds, model, tol=1e-10) if model.smooth else None
-    if args.step == "theoretical":
+    if theoretical:
         if not ref.converged:
-            raise CliError(
-                f"reference minimizer stopped ({ref.reason}); cannot size the step", code=1
-            )
-        eta, _ = _theoretical_step(
-            ds, model, ref.x, args.scheme, args.b, args.epochs, args.perms, args.seed,
-            args.tol, args.proxy,
-        )
+            raise CliError(f"reference minimizer stopped ({ref.reason}); cannot size the step",
+                           code=1)
+        eta, _ = _theoretical_step(ds, model, ref.x, args.scheme, args)
     f_star = ref.value if ref is not None and ref.converged else None
 
     rows = [("seed", "epoch", "f_x", "f_avg", "retraction_residual")]
     final_gaps = {}
     diverged = {}
-    for s in seeds:
+    for s in args.seeds:
         plan = shuffle.ShufflePlan(args.scheme, seed=s)
         cfg = engine.RunConfig(
             batch=args.b, epochs=args.epochs, step=eta, x0=np.zeros(ds.d), trace=trace
@@ -343,7 +365,7 @@ def cmd_optimize(args) -> int:
         if f_star is not None:
             final_gaps[s] = float(result.objective_avg - f_star)
 
-    if len(diverged) == len(seeds):
+    if len(diverged) == len(args.seeds):
         print("all seeds diverged", file=sys.stderr)
         return 1
     _write_csv(args.out + ".csv", rows)
@@ -393,14 +415,14 @@ def _inconclusive(args, reason, ref) -> int:
 
 def cmd_verify_bound(args) -> int:
     kind = args.bound.replace("-", "_")
-    if kind not in bd.GUARANTEE_KINDS:
-        raise CliError(f"--bound must be one of {bd.GUARANTEE_KINDS}")
-    if args.seeds < 1:
-        raise CliError("provide at least one run seed")
-    _check_proxy(args.proxy)
-    b, K = args.b, args.epochs
     scheme = "IG" if kind.endswith("ig") else "RR"
-    _check_run_length(args, sampled=scheme == "RR")
+    if kind == "nonsmooth" and not (args.planted and args.gaussian):
+        raise CliError("nonsmooth verification needs --planted --gaussian N,D (known optimum)")
+    if kind != "nonsmooth" and args.loss not in losses.SMOOTH_FAMILIES:
+        raise CliError(f"--bound {args.bound} needs a smooth loss, got --loss {args.loss}")
+    if scheme == "RR":
+        _check_sampled_perms(args)
+    b, K = args.b, args.epochs
     # IG runs are deterministic: one run suffices
     seeds = [0] if scheme == "IG" else list(range(args.seeds))
 
@@ -408,13 +430,7 @@ def cmd_verify_bound(args) -> int:
     ref = None  # stays None for --planted: the optimum is known
     try:
         if kind == "nonsmooth":
-            if not args.planted:
-                raise CliError("nonsmooth verification needs --planted (known optimum)")
-            try:
-                n, d = (int(t) for t in args.gaussian.split(","))
-            except (AttributeError, ValueError):
-                raise CliError("--gaussian N,D is required with --planted")
-            ds, x_star = _planted_hinge(n, d, args.seed)
+            ds, x_star = _planted_hinge(*args.gaussian, args.seed)
             model = losses.LossModel.for_dataset("hinge", ds)
             f_star = 0.0
             reg = losses.regularity(model)
@@ -426,16 +442,12 @@ def cmd_verify_bound(args) -> int:
         else:
             ds = _load_dataset(args)
             model = losses.LossModel.for_dataset(args.loss, ds)
-            if not model.smooth:
-                raise CliError(f"--bound {args.bound} needs a smooth loss")
             ref = consts.reference_minimizer(ds, model, tol=1e-10)
             if not ref.converged:
                 return _inconclusive(
                     args, f"reference minimizer stopped ({ref.reason}); cannot size the step", ref)
             x_star = ref.x
-            eta, inp = _theoretical_step(
-                ds, model, x_star, scheme, b, K, args.perms, args.seed, args.tol, args.proxy
-            )
+            eta, inp = _theoretical_step(ds, model, x_star, scheme, args)
             f_star = ref.value
             step_size, bound_rhs = ((bd.step_size_ig, bd.bound_rhs_ig) if scheme == "IG"
                                     else (bd.step_size_smooth_rr, bd.bound_rhs_smooth_rr))
@@ -494,7 +506,7 @@ def cmd_verify_bound(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="shuffle-sgd",
         description="Shuffled SGD constants, sweeps, runs, and bound verification. "
         "Desk-scale studies (small LIBSVM sets, Gaussian sweeps up to ~500x500) "
@@ -502,108 +514,97 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-6,
+    def flags(*parents):  # flags that subcommands share through parents=
+        return _Parser(add_help=False, parents=list(parents))
+
+    common = flags()
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--tol", type=_positive_finite("tol"), default=1e-6,
                         help="Lanczos stops once the Ritz residual of the top eigenvalue "
                         "is at most tol times that value (hat, full_gradient_L, and "
                         "general_hat_L in verify-bound); a solve that does not get "
-                        "there is an error, and so is a tol that is not positive and "
-                        "finite. batch-sweep computes only the exact tilde and "
-                        "ignores it")
-        sp.add_argument("--out", required=True, help="output path prefix")
+                        "there is an error. batch-sweep computes only the exact tilde "
+                        "and ignores it")
+    common.add_argument("--out", required=True, help="output path prefix")
+    features = flags()
+    features.add_argument("--features", type=_checked("--features must be >= 1, got {}"),
+                          default=None, help="feature count override")
+    data = flags(features)
+    data.add_argument("--input")
+    data.add_argument("--gaussian", type=_checked("--gaussian expects N,D >= 1, got {}", _ints,
+                                                  lambda v: len(v) == 2 and min(v) >= 1),
+                      help="N,D synthetic data instead of --input")
+    batch = flags()
+    batch.add_argument("--b", type=_checked("--b must be >= 1, got {}"), default=1)
+    num_perms = flags()
+    num_perms.add_argument("--num-perms", type=_checked("num_perms must be >= 1, got {}"),
+                           default=1000)
+    budget = flags()
+    budget.add_argument("--force", action="store_true")
+    budget.add_argument("--max-cost", type=_positive_finite("--max-cost"), default=None)
+    sweep = flags()
+    sweep.add_argument("--perms", type=_checked("num_perms must be >= 1, got {}"), default=20)
+    run = flags(batch)
+    run.add_argument("--loss", choices=losses.FAMILIES, default="squared")
+    run.add_argument("--epochs", type=_checked("--epochs must be >= 1, got {}"), default=10)
+    run.add_argument("--proxy", type=_proxy, default="max",
+                     help="constant proxy: max or a decile q0, q10, ..., q100")
 
-    sp = sub.add_parser("analyze", help="per-permutation hat/tilde constants for one dataset")
+    sp = sub.add_parser("analyze", parents=[features, batch, num_perms, budget, common],
+                        help="per-permutation hat/tilde constants for one dataset")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--features", type=int, default=None, help="feature count override")
-    sp.add_argument("--b", type=int, default=1)
-    sp.add_argument("--num-perms", type=int, default=1000)
     sp.add_argument("--no-tilde", action="store_true")
-    sp.add_argument("--force", action="store_true")
-    sp.add_argument("--max-cost", type=float, default=None)
-    common(sp)
     sp.set_defaults(func=cmd_analyze)
 
-    sp = sub.add_parser("gaussian-sweep", help="ratio trend over Gaussian sizes")
+    sp = sub.add_parser("gaussian-sweep", parents=[batch, sweep, common],
+                        help="ratio trend over Gaussian sizes")
     sp.add_argument("--fixed", choices=("n", "d"), required=True,
                     help="which dimension stays fixed while the grid varies the other")
-    sp.add_argument("--fixed-value", type=int, required=True)
-    sp.add_argument("--grid", required=True, help="comma-separated grid for the varying dimension")
-    sp.add_argument("--perms", type=int, default=20)
-    sp.add_argument("--b", type=int, default=1)
-    common(sp)
+    sp.add_argument("--fixed-value", type=_checked("--fixed-value must be >= 1, got {}"),
+                    required=True)
+    sp.add_argument("--grid", type=_positive_ints("grid"), required=True,
+                    help="comma-separated grid for the varying dimension")
     sp.set_defaults(func=cmd_gaussian_sweep)
 
-    sp = sub.add_parser("batch-sweep", help="L / tilde ratio against batch size")
-    sp.add_argument("--input")
-    sp.add_argument("--features", type=int, default=None)
-    sp.add_argument("--gaussian", help="N,D synthetic data instead of --input")
-    sp.add_argument("--b-grid", required=True)
-    sp.add_argument("--perms", type=int, default=20)
-    sp.add_argument("--force", action="store_true")
-    sp.add_argument("--max-cost", type=float, default=None)
-    common(sp)
+    sp = sub.add_parser("batch-sweep", parents=[data, sweep, budget, common],
+                        help="L / tilde ratio against batch size")
+    sp.add_argument("--b-grid", type=_positive_ints("b-grid"), required=True)
     sp.set_defaults(func=cmd_batch_sweep)
 
-    sp = sub.add_parser("histogram", help="distribution of L / hat over permutations")
-    sp.add_argument("--input")
-    sp.add_argument("--features", type=int, default=None)
-    sp.add_argument("--gaussian")
-    sp.add_argument("--b", type=int, default=1)
-    sp.add_argument("--num-perms", type=int, default=1000)
-    sp.add_argument("--bins", type=int, default=30)
-    sp.add_argument("--force", action="store_true")
-    sp.add_argument("--max-cost", type=float, default=None)
-    common(sp)
+    sp = sub.add_parser("histogram", parents=[data, batch, num_perms, budget, common],
+                        help="distribution of L / hat over permutations")
+    sp.add_argument("--bins", type=_checked("bins must be >= 1, got {}"), default=30)
     sp.set_defaults(func=cmd_histogram)
 
-    sp = sub.add_parser("optimize", help="run shuffled SGD and trace objectives")
-    sp.add_argument("--input")
-    sp.add_argument("--features", type=int, default=None)
-    sp.add_argument("--gaussian")
-    sp.add_argument("--loss", choices=losses.FAMILIES, default="squared")
+    sp = sub.add_parser("optimize", parents=[data, run, common],
+                        help="run shuffled SGD and trace objectives")
     sp.add_argument("--scheme", choices=shuffle.SCHEMES, default="RR")
-    sp.add_argument("--b", type=int, default=1)
-    sp.add_argument("--epochs", type=int, default=10)
-    sp.add_argument("--step", default="theoretical", help="'theoretical' or a float")
-    sp.add_argument("--seeds", default="0", help="comma-separated run seeds")
+    sp.add_argument("--step", type=_step, default="theoretical",
+                    help="'theoretical' or a float")
+    sp.add_argument("--seeds", type=_run_seeds, default="0", help="comma-separated run seeds")
     sp.add_argument("--perms", type=int, default=50,
                     help="permutations sampled for step-size constants")
-    sp.add_argument("--proxy", default="max",
-                    help="constant proxy: max or a decile q0, q10, ..., q100")
     sp.add_argument("--no-trace", action="store_true", help="skip the retraction-identity check")
-    common(sp)
     sp.set_defaults(func=cmd_optimize)
 
-    sp = sub.add_parser("verify-bound", help="check a convergence guarantee empirically")
+    sp = sub.add_parser("verify-bound", parents=[data, run, common],
+                        help="check a convergence guarantee empirically")
     sp.add_argument("--bound", required=True,
-                    help="rr | ig | nonsmooth | general-rr | general-ig")
-    sp.add_argument("--input")
-    sp.add_argument("--features", type=int, default=None)
-    sp.add_argument("--gaussian")
-    sp.add_argument("--loss", choices=losses.FAMILIES, default="squared")
+                    choices=tuple(k.replace("_", "-") for k in bd.GUARANTEE_KINDS))
     sp.add_argument("--planted", action="store_true",
                     help="construct a hinge problem with a known optimum")
-    sp.add_argument("--b", type=int, default=1)
-    sp.add_argument("--epochs", type=int, default=10)
-    sp.add_argument("--seeds", type=int, default=100, help="number of independent runs")
+    sp.add_argument("--seeds", type=_checked("provide at least one run seed, got --seeds {}"),
+                    default=100, help="number of independent runs")
     sp.add_argument("--perms", type=int, default=100,
                     help="permutations for constant estimation")
-    sp.add_argument("--proxy", default="max",
-                    help="constant proxy: max or a decile q0, q10, ..., q100")
-    common(sp)
     sp.set_defaults(func=cmd_verify_bound)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        # every command takes --tol; refuse a bad one before any data is loaded
-        if not (math.isfinite(args.tol) and args.tol > 0):
-            raise CliError(f"tol must be positive and finite, got {args.tol}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,8 @@
 import json
+import pathlib
+import runpy
+import sys
+import tempfile
 import tracemalloc
 from types import SimpleNamespace
 
@@ -711,6 +715,127 @@ class TestRefusedBeforeLoading:
         assert code == 2
         assert f"tol must be positive and finite, got {float(tol)}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, want", [
+        (["optimize", "--gaussian", "24,5", "--step", "abc"],
+         "argument --step: --step expects a float or 'theoretical'"),
+        (["optimize", "--gaussian", "24,5", "--step", "0.1", "--seeds", "0,0"],
+         "argument --seeds: run seed 0 is repeated in --seeds"),
+        (["optimize", "--gaussian", "24,5", "--step", "0.1", "--seeds", ""],
+         "argument --seeds: provide at least one run seed"),
+        (["optimize", "--gaussian", "24,5", "--step", "0.1", "--b", "0"],
+         "argument --b: --b must be >= 1, got 0"),
+        (["optimize", "--gaussian", "3", "--step", "0.1"],
+         "argument --gaussian: --gaussian expects N,D >= 1, got [3]"),
+        (["optimize", "--gaussian", "24,5", "--loss", "hinge", "--step", "theoretical"],
+         "needs verify-bound --planted, got --loss hinge"),
+        (["verify-bound", "--bound", "rr", "--gaussian", "24,5", "--loss", "hinge"],
+         "--bound rr needs a smooth loss, got --loss hinge"),
+        (["analyze", "--input", "data.svm", "--max-cost", "nan"],
+         "argument --max-cost: --max-cost must be positive and finite, got nan"),
+        (["analyze", "--input", "data.svm", "--num-perms", "0"],
+         "argument --num-perms: num_perms must be >= 1, got 0"),
+        (["analyze", "--input", "data.svm", "--b", "0"], "argument --b: --b must be >= 1, got 0"),
+        (["analyze", "--input", "data.svm", "--features", "0"],
+         "argument --features: --features must be >= 1, got 0"),
+        (["histogram", "--gaussian", "24,5", "--num-perms", "0"],
+         "argument --num-perms: num_perms must be >= 1, got 0"),
+        (["histogram", "--gaussian", "24,5", "--max-cost", "-1"],
+         "argument --max-cost: --max-cost must be positive and finite, got -1.0"),
+        (["gaussian-sweep", "--fixed", "d", "--fixed-value", "3", "--grid", "6", "--perms", "0"],
+         "argument --perms: num_perms must be >= 1, got 0"),
+        (["gaussian-sweep", "--fixed", "d", "--fixed-value", "0", "--grid", "6"],
+         "argument --fixed-value: --fixed-value must be >= 1, got 0"),
+        (["gaussian-sweep", "--fixed", "d", "--fixed-value", "3", "--grid", "6,0"],
+         "argument --grid: grid must be nonempty, each entry >= 1, got [6, 0]"),
+        (["batch-sweep", "--gaussian", "6,3", "--b-grid", "0,2"],
+         "argument --b-grid: b-grid must be nonempty, each entry >= 1, got [0, 2]"),
+    ])
+    def test_flag_faults(self, tmp_path, capsys, monkeypatch, argv, want):
+        no_data(monkeypatch)
+        code = main(argv + ["--out", str(tmp_path / "r")])
+        assert code == 2
+        assert want in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--input", "data.svm"],
+        ["histogram", "--gaussian", "6,3"],
+        ["gaussian-sweep", "--fixed", "d", "--fixed-value", "3", "--grid", "6"],
+    ])
+    def test_non_integer_threads(self, tmp_path, capsys, monkeypatch, argv):
+        no_data(monkeypatch)
+        monkeypatch.setenv("SHUFFLE_SGD_THREADS", "two")
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+        assert "SHUFFLE_SGD_THREADS must be an integer, got 'two'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, want", [
+        ([], "the following arguments are required: command"),
+        (["analyze", "--input", "data.svm"], "the following arguments are required: --out"),
+        (["histogram", "--gaussian", "6,3", "--out", "r", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["optimize", "--gaussian", "6,3", "--epochs", "two", "--out", "r"],
+         "argument --epochs: invalid int value: 'two'"),
+        (["batch-sweep", "--gaussian", "6,3", "--b-grid", "1,x", "--out", "r"],
+         "argument --b-grid: expected a comma-separated integer list, got '1,x'"),
+    ])
+    def test_usage_error_returns_2(self, tmp_path, capsys, monkeypatch, argv, want):
+        # the parser reports to main instead of exiting the process
+        no_data(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestAllZeroData:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--num-perms", "2"],
+        ["histogram", "--num-perms", "2"],
+        ["batch-sweep", "--b-grid", "1,2", "--perms", "2"],
+    ])
+    def test_refused_before_any_constant(self, tmp_path, capsys, monkeypatch, argv):
+        # every L / hat and L / tilde ratio of an all-zero matrix is 0 / 0
+        zeros = tmp_path / "zeros.svm"
+        zeros.write_text("0 1:0 2:0\n" * 4)
+
+        def no_constant(*args, **kwargs):
+            raise AssertionError("a constant was computed for all-zero data")
+
+        for name in ("ratio_stats", "classical_constant"):
+            monkeypatch.setattr(ss.constants, name, no_constant)
+        code = main(argv + ["--input", str(zeros), "--out", str(tmp_path / "z")])
+        assert code == 2
+        assert "the data has no nonzero value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [zeros]
+
+
+SCRIPTS = sorted((pathlib.Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
+def test_script_command_lines_parse(script, tmp_path, monkeypatch):
+    """Run an experiment script at its default arguments with the CLI's main
+    replaced by the parser alone: every command line it builds must parse."""
+    calls = []
+
+    def parse_only(argv):
+        cli.build_parser().parse_args(argv)
+        calls.append(argv)
+        return 0
+
+    monkeypatch.setattr(cli, "main", parse_only)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [str(script)])
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    (tmp_path / "data").mkdir()  # the data-directory scripts' default
+    (tmp_path / "data" / "tiny.svm").write_text("1 1:1\n-1 2:1\n1 1:2\n-1 2:2\n")
+    try:
+        runpy.run_path(str(script), run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code in (0, None)
+    assert calls
 
 
 class TestStrictJson:
