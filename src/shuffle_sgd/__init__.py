@@ -40,6 +40,7 @@ from .data import (
     serialize_libsvm,
 )
 from .engine import (
+    BlockLayout,
     DivergenceError,
     EpochTrace,
     RunConfig,

@@ -10,7 +10,8 @@ configuration for provenance.
 
 Each flag is checked where it is declared, by its argparse type; rules that
 join two flags open their command. So every usage error returns 2 from main
-before any data is read, except a batch size that must divide n.
+before any data is read, except a batch size that must divide the n of an
+--input file.
 
 Exit codes: 0 success, 1 verdict failure (a verified bound was violated or
 could not be certified), 2 usage / IO / parse errors.
@@ -108,6 +109,19 @@ def _max_workers() -> int | None:
         return max(1, int(raw)) if raw else None
     except ValueError:
         raise CliError(f"SHUFFLE_SGD_THREADS must be an integer, got {raw!r}")
+
+
+def _check_data_flags(args, batches):
+    """Rules that join the data flags, checked before any data is read:
+    one source of data, --features for a file only, and for --gaussian N,D
+    every batch size dividing N."""
+    if args.gaussian:
+        if args.input:
+            raise CliError("give --input PATH or --gaussian N,D, not both")
+        if args.features is not None:
+            raise CliError("--features applies to --input data only, not to --gaussian")
+        for b in batches:
+            shuffle.check_batch(args.gaussian[0], b)
 
 
 def _load_dataset(args) -> SparseDataset:
@@ -220,6 +234,7 @@ def cmd_gaussian_sweep(args) -> int:
 
 def cmd_batch_sweep(args) -> int:
     b_grid = args.b_grid
+    _check_data_flags(args, b_grid)
     ds = _load_dataset(args)
     for b in b_grid:
         shuffle.check_batch(ds.n, b)
@@ -251,6 +266,7 @@ def cmd_batch_sweep(args) -> int:
 
 
 def cmd_histogram(args) -> int:
+    _check_data_flags(args, [args.b])
     workers = _max_workers()
     ds = _load_dataset(args)
     _check_ratio_study(ds, args.num_perms, args.b, args)
@@ -328,6 +344,7 @@ def cmd_optimize(args) -> int:
                        f"got --loss {args.loss}")
     if theoretical and args.scheme != "IG":
         _check_sampled_perms(args)
+    _check_data_flags(args, [args.b])
     ds = _load_dataset(args)
     model = losses.LossModel.for_dataset(args.loss, ds)
     shuffle.check_batch(ds.n, args.b)
@@ -418,10 +435,14 @@ def cmd_verify_bound(args) -> int:
     scheme = "IG" if kind.endswith("ig") else "RR"
     if kind == "nonsmooth" and not (args.planted and args.gaussian):
         raise CliError("nonsmooth verification needs --planted --gaussian N,D (known optimum)")
+    if args.planted and kind != "nonsmooth":
+        raise CliError(f"--planted builds the nonsmooth problem; --bound {args.bound} "
+                       "does not use it")
     if kind != "nonsmooth" and args.loss not in losses.SMOOTH_FAMILIES:
         raise CliError(f"--bound {args.bound} needs a smooth loss, got --loss {args.loss}")
     if scheme == "RR":
         _check_sampled_perms(args)
+    _check_data_flags(args, [args.b])
     b, K = args.b, args.epochs
     # IG runs are deterministic: one run suffices
     seeds = [0] if scheme == "IG" else list(range(args.seeds))
@@ -476,7 +497,9 @@ def cmd_verify_bound(args) -> int:
     gaps = []
     for s in seeds:
         plan = shuffle.ShufflePlan(scheme, seed=s)
-        cfg = engine.RunConfig(batch=b, epochs=K, step=eta, x0=np.zeros(ds.d))
+        # the bound is on f(x_bar_K) alone: no per-epoch objectives
+        cfg = engine.RunConfig(batch=b, epochs=K, step=eta, x0=np.zeros(ds.d),
+                               epoch_objectives=False)
         if kind.startswith("general"):
             result = engine.run_general(
                 glm_oracle, ds.n, ds.d, plan, cfg,

@@ -8,11 +8,15 @@ data-weighted sum:
     y^(i) = ( l'_{pi_j}(a_{pi_j}^T x) )_{j in block i}
     x    <- x - (eta/b) sum_{j in block i} y^(i)_j a_{pi_j}
 
-The composition is exactly vanilla mini-batch shuffled SGD. The returned
-output is the step-size weighted average of the epoch ends x_1..x_K,
-x_bar_K = sum_k eta_k x_k / H_K with H_K = sum_k eta_k; the loop keeps its
-running sum, so a run holds O(d) state whatever K is, and records f(x_k)
-and f(x_bar_k) after every epoch.
+The composition is exactly vanilla mini-batch shuffled SGD. Each epoch
+lays its nonzeros out once, block by block and sorted by column within a
+block (BlockLayout), so the primal step updates x in place on the block's
+distinct columns only: every block step costs O(nnz of the block), never
+O(d), traced or not. The returned output is the step-size weighted
+average of the epoch ends x_1..x_K, x_bar_K = sum_k eta_k x_k / H_K with
+H_K = sum_k eta_k; the loop keeps its running sum, so a run holds O(d)
+state whatever K is. It records f(x_k) and f(x_bar_k) after every epoch,
+or with RunConfig.epoch_objectives off f(x_bar_K) alone.
 
 Traced epochs also check the retraction identity: with the inner iterate
 x_i after block i (x_0 the epoch start, x_m its end) and block gradient
@@ -22,8 +26,10 @@ aggregates g_i = (b/eta)(x_{i-1} - x_i),
         = (b/2n) sum_i ||x_{i-1} - x_i||^2 - (b/2n) ||x_0 - x_m||^2,
 
 which holds exactly for every epoch. The left side is streamed as
-<sum_i g_i, x_m - x_0> - sum_i <g_i, x_i - x_0>, so a traced epoch keeps
-O(d) state and stores no inner iterate; an untraced one does no trace work.
+<sum_i g_i, x_m - x_0> - sum_i <g_i, x_i - x_0>, and each block adds its
+terms on its own columns, where g_i and x_{i-1} - x_i are nonzero. So a
+traced epoch keeps O(d) state, stores no inner iterate and does O(d) work
+once, at its end; an untraced one does no trace work.
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ class RunConfig:
     step: float | np.ndarray
     x0: np.ndarray
     trace: bool = False
+    # f(x_k) and f(x_bar_k) after every epoch; else f(x_bar_K) alone
+    epoch_objectives: bool = True
 
     def step_schedule(self) -> np.ndarray:
         if self.epochs < 1:
@@ -78,54 +86,93 @@ class RunResult:
     final: np.ndarray  # x_K
     averaged: np.ndarray  # x_bar_K
     traces: list  # EpochTrace of epochs 1..K if cfg.trace, else empty
-    objectives: np.ndarray  # f(x_k) for k = 1..K
-    objectives_avg: np.ndarray  # f(x_bar_k) for k = 1..K
-
-    @property
-    def objective_avg(self) -> float:
-        return float(self.objectives_avg[-1])
+    objectives: np.ndarray  # f(x_k) for k = 1..K if cfg.epoch_objectives, else empty
+    objectives_avg: np.ndarray  # f(x_bar_k) likewise
+    objective_avg: float  # f(x_bar_K)
 
 
-def _block_entries(view: PermutedView, block: int, b: int):
-    """(row within the block, column, value) of every nonzero of one block:
-    a contiguous slice of the view's permuted CSR arrays, no matrix built."""
-    lo = block * b
-    s, e = view.indptr[lo], view.indptr[lo + b]
-    return view.rows[s:e] - lo, view.indices[s:e], view.values[s:e]
+class BlockLayout:
+    """One epoch's nonzeros, block by block, each block's sorted by column.
+
+    Built once per epoch from the PermutedView of perm with a stable sort
+    on (block, column). A row's entries stay in column order (the dataset
+    stores each row's columns increasing) and a column's entries in row
+    order, so every per-row and per-column sum adds the same terms in the
+    same order as on the view. Block i holds the nonzeros
+    ptr[i]:ptr[i+1], with `rows` their row within the block; its distinct
+    columns are ucols[uptr[i]:uptr[i+1]], and `seg` gives each nonzero its
+    column's place among them. Four nnz-length arrays in all: a nonzero's
+    column is ucols[uptr[i] + seg].
+    """
+
+    def __init__(self, ds: SparseDataset, perm: np.ndarray, b: int):
+        view = PermutedView(ds, perm)
+        self.perm, self.b = view.perm, b
+        self.ptr = view.indptr[::b]
+        rows, values = view.rows, view.values
+        key = rows // b  # (block, column) as one integer
+        key *= ds.d
+        key += view.indices
+        del view  # so each of its arrays is freed once its sorted copy exists
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        self.values = values[order]
+        del values
+        self.rows = rows[order]
+        np.remainder(self.rows, b, out=self.rows)
+        del order, rows
+        first = np.empty(key.size, dtype=bool)  # first nonzero of its (block, column)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        self.ucols = key[starts]
+        np.remainder(self.ucols, ds.d, out=self.ucols)
+        self.uptr = np.searchsorted(starts, self.ptr)
+        del starts
+        self.seg = np.cumsum(first, out=key)
+        self.seg -= np.repeat(self.uptr[:-1] + 1, np.diff(self.ptr))
+
+    def block_cols(self, block: int) -> np.ndarray:
+        """The distinct columns of one block's rows."""
+        return self.ucols[self.uptr[block] : self.uptr[block + 1]]
 
 
-def _block_sum(view: PermutedView, block: int, y_block: np.ndarray, b: int) -> np.ndarray:
-    """sum_j y_j a_{pi_j} over the block's rows, as a dense d-vector."""
-    rows, cols, vals = _block_entries(view, block, b)
-    return np.bincount(cols, weights=vals * y_block[rows], minlength=view.base.d)
-
-
-def dual_block_update(m: LossModel, view: PermutedView, block: int, x: np.ndarray,
-                      b: int) -> np.ndarray:
+def dual_block_update(m: LossModel, layout: BlockLayout, block: int,
+                      x: np.ndarray) -> np.ndarray:
     """Loss (sub)derivatives for the rows of one block at the current point.
 
     Returns the pre-chain-rule scalars l'_{pi_j}(a_{pi_j}^T x); the data
-    rows enter in the primal step. Blocks are numbered 0..m-1.
+    rows enter in the primal step. Blocks are numbered 0..m-1; the cost is
+    O(nnz of the block).
     """
-    rows, cols, vals = _block_entries(view, block, b)
-    z = np.bincount(rows, weights=vals * x[cols], minlength=b)
-    return derivative_vec(m, view.perm[block * b : (block + 1) * b], z)
+    s, e = layout.ptr[block], layout.ptr[block + 1]
+    b = layout.b
+    x_nz = x[layout.block_cols(block)][layout.seg[s:e]]
+    z = np.bincount(layout.rows[s:e], weights=layout.values[s:e] * x_nz, minlength=b)
+    return derivative_vec(m, layout.perm[block * b : (block + 1) * b], z)
 
 
-def primal_block_step(x: np.ndarray, view: PermutedView, block: int,
-                      y_block: np.ndarray, step: float, b: int) -> np.ndarray:
-    """x - (step/b) sum_j y_j a_{pi_j} over the block's rows: O(nnz of the
-    block + d)."""
-    return x - (step / b) * _block_sum(view, block, y_block, b)
+def primal_block_step(x: np.ndarray, layout: BlockLayout, block: int,
+                      y_block: np.ndarray, step: float) -> np.ndarray:
+    """x -= (step/b) sum_j y_j a_{pi_j} over the block's rows, in place and
+    on the block's distinct columns only: O(nnz of the block).
+
+    Returns the block's gradient aggregate sum_j y_j a_{pi_j} on those
+    columns (layout.block_cols(block)).
+    """
+    s, e = layout.ptr[block], layout.ptr[block + 1]
+    g = np.bincount(layout.seg[s:e], weights=layout.values[s:e] * y_block[layout.rows[s:e]])
+    x[layout.block_cols(block)] -= (step / layout.b) * g
+    return g
 
 
 def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
             objective_fn) -> RunResult:
     """The epoch loop shared by run() and run_general().
 
-    start_epoch(perm) returns the epoch's block step, (i, x, eta) ->
-    (x_next, block duals), and the recompute of block i's gradient
-    aggregate from those duals, which the retraction term needs."""
+    start_epoch(perm) returns the epoch's block step, (i, x, eta) -> g_i,
+    which moves x in place on the columns block_cols(i) and returns the
+    block's gradient aggregate on them, and that block_cols."""
     m_blocks = check_batch(n, cfg.batch)
     steps = cfg.step_schedule()
     x = np.asarray(cfg.x0, dtype=np.float64).copy()
@@ -141,20 +188,24 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.epochs + 1):
             eta = float(steps[k - 1])
-            step, block_grad = start_epoch(permutation_for(plan, n, k))
+            step, block_cols = start_epoch(permutation_for(plan, n, k))
             if cfg.trace:
                 x_start = x.copy()
                 sq_steps = g_dot = 0.0
                 g_sum = np.zeros(d)
             for i in range(m_blocks):
-                x_new, y_blk = step(i, x, eta)
                 if cfg.trace:
-                    delta = x_new - x
+                    cols = block_cols(i)
+                    before = x[cols]
+                g = step(i, x, eta)
+                if cfg.trace:
+                    after = x[cols]
+                    delta = after - before
                     sq_steps += float(delta @ delta)
-                    g = block_grad(i, y_blk)
-                    g_sum += g
-                    g_dot += float(g @ (x_new - x_start))
-                x = x_new
+                    g_sum[cols] += g
+                    after -= x_start[cols]
+                    g_dot += float(g @ after)
+            del step, block_cols  # the epoch's layout goes before the next one is built
             if not np.all(np.isfinite(x)):
                 raise DivergenceError(k)
             if cfg.trace:
@@ -166,16 +217,18 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
                 ))
             x_sum += eta * x
             h += eta
-            avg = x_sum / h
-            objectives.append(objective_fn(x))
-            objectives_avg.append(objective_fn(avg))
+            if cfg.epoch_objectives:
+                objectives.append(objective_fn(x))
+                objectives_avg.append(objective_fn(x_sum / h))
 
+    avg = x_sum / h
     return RunResult(
         final=x,
         averaged=avg,
         traces=traces,
         objectives=np.asarray(objectives),
         objectives_avg=np.asarray(objectives_avg),
+        objective_avg=objectives_avg[-1] if cfg.epoch_objectives else objective_fn(avg),
     )
 
 
@@ -184,13 +237,13 @@ def run(ds: SparseDataset, model: LossModel, plan: ShufflePlan, cfg: RunConfig) 
     b = cfg.batch
 
     def start_epoch(perm):
-        view = PermutedView(ds, perm)
+        layout = BlockLayout(ds, perm, b)
 
         def step(i, x, eta):
-            y_blk = dual_block_update(model, view, i, x, b)
-            return primal_block_step(x, view, i, y_blk, eta, b), y_blk
+            y_blk = dual_block_update(model, layout, i, x)
+            return primal_block_step(x, layout, i, y_blk, eta)
 
-        return step, lambda i, y_blk: _block_sum(view, i, y_blk, b)
+        return step, layout.block_cols
 
     return _epochs(ds.n, ds.d, plan, cfg, start_epoch, lambda x: objective(model, ds, x))
 
@@ -204,15 +257,17 @@ def run_general(grad_oracle, n: int, d: int, plan: ShufflePlan, cfg: RunConfig,
     Objectives are NaN without an objective_fn.
     """
     b = cfg.batch
+    every_col = np.arange(d)
 
     def start_epoch(perm):
         def step(i, x, eta):
             g = np.zeros(d)
             for j in perm[i * b : (i + 1) * b]:
                 g += grad_oracle(int(j), x)
-            return x - (eta / b) * g, g
+            x -= (eta / b) * g
+            return g
 
-        return step, lambda i, g: g
+        return step, lambda i: every_col
 
     return _epochs(n, d, plan, cfg, start_epoch, objective_fn or (lambda x: float("nan")))
 

@@ -4,7 +4,7 @@ Everything here is built directly from the mathematical definitions with
 plain numpy (dense matrices, eigendecompositions, one-line SGD updates), on
 purpose sharing no code with the package internals it checks. The one
 exception, run_recording_inner, only observes the engine: it wraps its
-primal step to see the inner iterates the engine does not keep.
+in-place primal step to see the inner iterates the engine does not keep.
 """
 
 import numpy as np
@@ -116,17 +116,17 @@ def numeric_derivative(fn, z, h=1e-5):
 
 
 def run_recording_inner(ds, model, plan, cfg):
-    """engine.run with every iterate its primal block steps return appended
-    to a list; returns the result and, per epoch, the inner iterates
+    """engine.run with a copy of x taken after each of its in-place primal
+    block steps; returns the result and, per epoch, the inner iterates
     x_0 .. x_m (x_0 the previous epoch's end)."""
     engine = shuffle_sgd.engine
     steps = []
     primal = engine.primal_block_step
 
-    def recording(*args):
-        x = primal(*args)
+    def recording(x, *args):
+        g = primal(x, *args)
         steps.append(x.copy())
-        return x
+        return g
 
     engine.primal_block_step = recording
     try:

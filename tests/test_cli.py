@@ -538,18 +538,22 @@ class TestVerifyBound:
         assert payload["empirical_mean_gap"] <= payload["rhs"]
         assert payload["minimizer"]["reason"] == "converged"
 
-    def test_rr_monte_carlo(self, tmp_path):
+    def test_rr_monte_carlo(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((8, 2))
         ds = ss.SparseDataset.from_dense(A, labels=rng.standard_normal(8))
         p = tmp_path / "ls2.svm"
         p.write_text(ss.serialize_libsvm(ds))
+        real, calls = ss.engine.objective, []
+        monkeypatch.setattr(ss.engine, "objective", lambda *a: calls.append(1) or real(*a))
         code = main([
             "verify-bound", "--bound", "rr", "--input", str(p), "--loss", "squared",
             "--b", "2", "--epochs", "5", "--seeds", "30", "--perms", "40",
             "--out", str(tmp_path / "v2"),
         ])
         assert code == 0
+        # the bound reads f(x_bar_K) alone: one objective per run
+        assert len(calls) == 30
 
     def test_nonsmooth_planted(self, tmp_path):
         code = main([
@@ -756,6 +760,35 @@ class TestRefusedBeforeLoading:
         code = main(argv + ["--out", str(tmp_path / "r")])
         assert code == 2
         assert want in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, want", [
+        (["optimize", "--input", "four.svm", "--gaussian", "6,3", "--step", "0.1"],
+         "give --input PATH or --gaussian N,D, not both"),
+        (["histogram", "--gaussian", "6,3", "--features", "4"],
+         "--features applies to --input data only, not to --gaussian"),
+        (["verify-bound", "--bound", "ig", "--planted", "--gaussian", "6,3"],
+         "--planted builds the nonsmooth problem; --bound ig does not use it"),
+    ])
+    def test_conflicting_data_flags(self, tmp_path, capsys, monkeypatch, argv, want):
+        # each of these used to run, on data other than the flags described
+        no_data(monkeypatch)
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-bound", "--bound", "nonsmooth", "--planted", "--gaussian", "7,3", "--b", "2"],
+        ["verify-bound", "--bound", "rr", "--gaussian", "7,3", "--b", "2"],
+        ["optimize", "--gaussian", "7,3", "--b", "2", "--step", "0.1"],
+        ["histogram", "--gaussian", "7,3", "--b", "2"],
+        ["batch-sweep", "--gaussian", "7,3", "--b-grid", "1,2"],
+    ])
+    def test_gaussian_batch_must_divide_n(self, tmp_path, capsys, monkeypatch, argv):
+        # n comes from --gaussian N,D, so the rule needs no generated data
+        no_data(monkeypatch)
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+        assert "batch size 2 must divide n = 7; valid divisors: [1, 7]" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [

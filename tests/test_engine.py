@@ -24,36 +24,37 @@ class TestBlockOps:
     def test_dual_update_scalar(self):
         ds = ss.SparseDataset.from_dense(np.array([[1.0]]), labels=[1.0])
         m = LossModel.for_dataset("squared", ds)
-        view = ss.PermutedView(ds, [0])
-        assert ss.dual_block_update(m, view, 0, np.zeros(1), 1)[0] == -1.0
+        layout = ss.BlockLayout(ds, [0], 1)
+        assert ss.dual_block_update(m, layout, 0, np.zeros(1))[0] == -1.0
 
     def test_dual_update_full_batch(self):
         ds = ss.SparseDataset.from_dense(np.eye(2), labels=[1.0, 2.0])
         m = LossModel.for_dataset("squared", ds)
-        view = ss.PermutedView(ds, [0, 1])
-        assert np.allclose(ss.dual_block_update(m, view, 0, np.zeros(2), 2), [-1.0, -2.0])
+        layout = ss.BlockLayout(ds, [0, 1], 2)
+        assert np.allclose(ss.dual_block_update(m, layout, 0, np.zeros(2)), [-1.0, -2.0])
 
     def test_dual_update_stores_prechain_scalar(self):
         # logistic with a = (2): the dual coordinate is l'(0) = -0.5; the
         # factor a enters only in the primal step
         ds = ss.SparseDataset.from_dense(np.array([[2.0]]), labels=[1.0])
         m = LossModel.for_dataset("logistic", ds)
-        view = ss.PermutedView(ds, [0])
-        assert ss.dual_block_update(m, view, 0, np.zeros(1), 1)[0] == pytest.approx(-0.5)
+        layout = ss.BlockLayout(ds, [0], 1)
+        assert ss.dual_block_update(m, layout, 0, np.zeros(1))[0] == pytest.approx(-0.5)
 
     def test_primal_step_scalar(self):
         ds = ss.SparseDataset.from_dense(np.array([[1.0]]))
-        view = ss.PermutedView(ds, [0])
-        x = ss.primal_block_step(np.zeros(1), view, 0, np.array([-1.0]), 0.5, 1)
+        x = np.zeros(1)
+        g = ss.primal_block_step(x, ss.BlockLayout(ds, [0], 1), 0, np.array([-1.0]), 0.5)
         assert x[0] == 0.5
+        assert np.array_equal(g, [-1.0])
 
     def test_primal_step_zero_eta_or_dual(self):
         ds = ss.SparseDataset.from_dense(np.array([[1.0, 2.0]]))
-        view = ss.PermutedView(ds, [0])
         x0 = np.array([3.0, -1.0])
         with pytest.raises(ConfigError):
             RunConfig(batch=1, epochs=1, step=0.0, x0=x0).step_schedule()
-        same = ss.primal_block_step(x0, view, 0, np.zeros(1), 0.7, 1)
+        same = x0.copy()
+        ss.primal_block_step(same, ss.BlockLayout(ds, [0], 1), 0, np.zeros(1), 0.7)
         assert np.array_equal(same, x0)
 
     @settings(max_examples=60, deadline=None)
@@ -75,20 +76,29 @@ class TestBlockOps:
         m = LossModel.for_dataset("squared", ds)
         b = {"1": 1, "n": n}.get(batch) or int(rng.choice(divisors(n)))
         perm = rng.permutation(n)
-        view = ss.PermutedView(ds, perm)
+        layout = ss.BlockLayout(ds, perm, b)
         x = rng.standard_normal(d)
         for i in range(n // b):
             rows = perm[i * b : (i + 1) * b]
             blk = A[rows]
             # squared loss: y_j = a_j^T x - t_j
-            y = ss.dual_block_update(m, view, i, x, b)
+            y = ss.dual_block_update(m, layout, i, x)
             assert y.shape == (b,)
             assert np.max(np.abs(y - (blk @ x - t[rows]))) <= 1e-12 * (1.0 + np.abs(blk).sum())
             y_any = rng.standard_normal(b)
-            got = ss.primal_block_step(x, view, i, y_any, 0.7, b)
+            got = x.copy()
+            g = ss.primal_block_step(got, layout, i, y_any, 0.7)
             ref = x - (0.7 / b) * (blk.T @ y_any)
             assert got.shape == (d,)
             assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.abs(ref).max())
+            # the step touches only the block's distinct columns and returns
+            # the block's gradient aggregate on them
+            cols = layout.block_cols(i)
+            assert np.array_equal(cols, np.flatnonzero(np.any(blk != 0.0, axis=0)))
+            rest = np.setdiff1d(np.arange(d), cols)
+            assert np.array_equal(got[rest], x[rest])
+            agg = blk.T @ y_any
+            assert np.max(np.abs(g - agg[cols]), initial=0.0) <= 1e-12 * (1.0 + np.abs(agg).max())
 
 
 class TestRunConfig:
@@ -151,6 +161,20 @@ class TestRun:
                 for k in range(1, 6)]
         assert np.allclose(res.objectives_avg, want, rtol=1e-12, atol=0)
         assert res.objective_avg == res.objectives_avg[-1]
+
+    def test_final_objective_alone(self, rng, monkeypatch):
+        # without epoch objectives a run evaluates f once, at x_bar_K, and
+        # gets the same value to the bit
+        ds, m = least_squares(rng, 6, 3)
+        plan = ShufflePlan("RR", seed=3)
+        every = ss.run(ds, m, plan, RunConfig(2, 4, 0.05, np.zeros(3)))
+        real, calls = ss.engine.objective, []
+        monkeypatch.setattr(ss.engine, "objective", lambda *a: calls.append(1) or real(*a))
+        last = ss.run(ds, m, plan, RunConfig(2, 4, 0.05, np.zeros(3), epoch_objectives=False))
+        assert len(calls) == 1
+        assert last.objectives.size == last.objectives_avg.size == 0
+        assert last.objective_avg == every.objective_avg == every.objectives_avg[-1]
+        assert np.array_equal(last.averaged, every.averaged)
 
     def test_run_state_does_not_grow_with_epochs(self):
         # the average comes from a running sum: keeping every epoch iterate
@@ -384,6 +408,33 @@ class TestTracing:
         untraced, traced = peak(False), peak(True)
         assert traced <= untraced + 8 * d * 8
         assert traced <= (n + 1) * d * 8 / 20
+
+    def test_block_steps_allocate_no_d_vector(self):
+        # one b = 1 epoch over very wide rows (d = 10^6, 3 nonzeros each): a
+        # block step works on its row's nonzeros alone. The run holds x, the
+        # running sum and the average, 3 d-vectors; a traced epoch adds its
+        # start, sum_i g_i and the displacement. A d-length temporary in any
+        # block, traced or not, would add at least one more.
+        rng = np.random.default_rng(5)
+        n, d, k = 200, 1_000_000, 3
+        cols = np.arange(k) * (d // k) + rng.integers(0, d // k, size=(n, k))
+        ds = ss.SparseDataset(indptr=np.arange(n + 1) * k, indices=cols.ravel(),
+                              values=rng.standard_normal(n * k),
+                              labels=rng.choice([-1.0, 1.0], n), d=d)
+        m = LossModel.for_dataset("hinge", ds)
+        x0 = np.zeros(d)
+
+        def peak(trace):
+            tracemalloc.start()
+            res = ss.run(ds, m, ShufflePlan("RR", seed=0), RunConfig(1, 1, 0.1, x0, trace=trace))
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert len(res.traces) == trace
+            return peak_bytes
+
+        vec = 8 * d
+        assert peak(False) <= 3.5 * vec
+        assert peak(True) <= 6.5 * vec
 
 
 class TestRunGeneral:

@@ -166,13 +166,13 @@ class TestDualUpdateConsistency:
         ds = random_sparse_dataset(rng, n=12)
         x = rng.standard_normal(ds.d)
         perm = rng.permutation(12)
-        view = ss.PermutedView(ds, perm)
         for family in ("squared", "logistic", "hinge", "absolute"):
             m = LossModel.for_dataset(family, ds)
             y = ss.conjugate_pair(m, ds, x)
             for b in (1, 3, 4, 12):
+                layout = ss.BlockLayout(ds, perm, b)
                 stitched = np.concatenate(
-                    [ss.dual_block_update(m, view, i, x, b) for i in range(12 // b)]
+                    [ss.dual_block_update(m, layout, i, x) for i in range(12 // b)]
                 )
                 assert np.allclose(stitched, y[perm], rtol=1e-14, atol=1e-15)
 
