@@ -15,7 +15,6 @@ from .bounds import (
 from .constants import (
     ConstantsReport,
     MaskedGramOperator,
-    block_top_eigenvalues,
     classical_constant,
     full_gradient_L,
     gbar_estimate,
@@ -56,7 +55,6 @@ from .losses import (
     RegularityDiag,
     conjugate_pair,
     loss_derivative,
-    loss_value,
     objective,
     regularity,
 )

@@ -1,4 +1,4 @@
-"""Data-dependent smoothness/Lipschitz constants via matrix-free spectral norms.
+"""Data-dependent smoothness/Lipschitz constants via Lanczos spectral norms.
 
 Let B be the permuted, regularity-weighted data matrix with rows
 b_i = sqrt(w_{perm_i}) a_{perm_i} (w holds L_i for smooth losses, G_i^2 for
@@ -18,14 +18,21 @@ which is what the dense oracle in the tests builds. The constants:
 and the general finite-sum variants reduce to the same masked structure on
 the 1-column matrix with rows sqrt(w_{perm_i}).
 
-||M|| and ||B B^T|| come from Lanczos with full reorthogonalisation on a
-matrix-free matvec; the prefix-masked one costs O(nnz(B)) time and memory
-per step (segmented prefix sums over the nonzeros; no m x d buffer). A
+||M|| and ||B B^T|| come from Lanczos with full reorthogonalisation. A
 solve stops once the Ritz residual is at most tol times the Ritz value,
 and a constant whose solve did not get there raises ConvergenceError
-instead of returning a possibly low value. tilde is exact: one sparse
-product yields all m block Grams and a batched symmetric eigensolver takes
-their top eigenvalues.
+instead of returning a possibly low value. tilde is exact: a batched
+symmetric eigensolver takes the top eigenvalues of all m block Grams.
+
+M and the block Grams have two representations, chosen by one size rule
+on n, d and nnz(B) alone (_dense_gram; no flag or environment variable
+selects one). Where n^2 is small against nnz(B) and the dense arrays fit a
+fixed cap, M is formed once as a dense n x n array, so a matvec is one BLAS
+product, and the block Grams are one batched product of the dense blocks.
+Elsewhere both stay matrix-free: the prefix-masked matvec costs O(nnz(B))
+time and memory per step (segmented prefix sums over the nonzeros; no
+m x d buffer), and one sparse product yields all m block Grams. The two
+agree to roundoff.
 """
 
 from __future__ import annotations
@@ -67,6 +74,22 @@ def _weighted_csr(ds: SparseDataset, weights, perm=None) -> sp.csr_matrix:
     return sp.csr_matrix((values, view.indices, view.indptr), shape=(ds.n, ds.d))
 
 
+# The Gram is formed densely when n^2 <= _DENSE_COST * nnz: a dense matvec's
+# n^2 flops against the prefix-sum matvec's few passes over the nonzeros.
+# On 2 cores the two paths cost about the same from n^2 / nnz = 30 to 70
+# (the crossover table in BENCH_16.json), so the cost part keeps a margin
+# of two; below it the dense path measured 1.6-6.5 times faster for hat.
+# The dense B and Gram, n (n + d) floats, are also capped at 64 MB whatever
+# the speed; the int32 mask adds half the Gram while it is applied.
+_DENSE_COST = 16
+_DENSE_MAX_FLOATS = 1 << 23
+
+
+def _dense_gram(n: int, d: int, nnz: int) -> bool:
+    """True when the n x n Gram of an n x d, nnz-nonzero B is formed densely."""
+    return n * n <= _DENSE_COST * nnz and n * (n + d) <= _DENSE_MAX_FLOATS
+
+
 def _column_block_runs(B: sp.csr_matrix, batch: int):
     """B's nonzeros in (column, block) order: values, rows, column pointers,
     and the end offsets of the runs that share a column and a block.
@@ -84,14 +107,18 @@ def _column_block_runs(B: sp.csr_matrix, batch: int):
 
 
 class MaskedGramOperator:
-    """Matrix-free n x n prefix-masked Gram sum (B B^T) o C.
+    """The n x n prefix-masked Gram sum (B B^T) o C, in one of two forms.
 
-    With W[p] = sum_q (min(p, q) + 1) t_q, where t_q = B_q^T v_q is block q's
-    contribution, row k of the product is b_k . W[block(k)]. Splitting the
-    sum at q = p gives W[p] = (p+1)(T - R_p) + U_p, with T the total of the
-    t_q and R_p / U_p their plain / (q+1)-weighted prefix sums over q <= p.
-    Per column these are segmented prefix sums over the nonzeros in
-    (column, block) order, so a matvec costs O(nnz) time and memory.
+    Dense (when _dense_gram(n, d, nnz) holds): the masked Gram is formed once
+    as an n x n array from the dense B, and a matvec is one BLAS product.
+
+    Prefix-sum (otherwise), matrix-free: with W[p] = sum_q (min(p, q) + 1) t_q,
+    where t_q = B_q^T v_q is block q's contribution, row k of the product is
+    b_k . W[block(k)]. Splitting the sum at q = p gives W[p] = (p+1)(T - R_p)
+    + U_p, with T the total of the t_q and R_p / U_p their plain /
+    (q+1)-weighted prefix sums over q <= p. Per column these are segmented
+    prefix sums over the nonzeros in (column, block) order, so a matvec costs
+    O(nnz) time and memory.
     """
 
     def __init__(self, B: sp.csr_matrix, batch: int):
@@ -100,6 +127,15 @@ class MaskedGramOperator:
         self.B = B.tocsr()
         self.batch = batch
         self.n, self.d = n, d
+        self._M = None
+        if _dense_gram(n, d, self.B.nnz):
+            A = self.B.toarray()
+            # C[k, l] = min(block(k), block(l)) + 1, as int32: half the size
+            # of a float mask, and the multiply casts it in small buffers
+            blk1 = np.arange(n, dtype=np.int32) // batch + 1
+            self._M = A @ A.T
+            self._M *= np.minimum.outer(blk1, blk1)
+            return
         self._data, self._rows, indptr, grp_ends = _column_block_runs(self.B, batch)
         counts = np.diff(indptr)
         self._blk1 = self._rows // batch + 1.0
@@ -121,6 +157,8 @@ class MaskedGramOperator:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}")
+        if self._M is not None:
+            return self._M @ v
         x, w, s1, s2 = self._x, self._w, self._s1, self._s2
         g = self._grp_end
         # indices are in range by construction; "clip" skips take's bounds
@@ -253,17 +291,24 @@ def hat_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, tol: floa
 def block_top_eigenvalues(ds: SparseDataset, weights, perm, b: int) -> np.ndarray:
     """lambda_max(B_j B_j^T) for each of the m diagonal blocks, exactly.
 
-    Giving each block its own copy of the columns (one per (column, block)
-    pair that occurs) makes one sparse product hold every block Gram; a
-    batched eigvalsh then solves all m b x b problems at once."""
+    Dense B (under the same rule as MaskedGramOperator): one batched product
+    of the (m, b, d) stack of blocks. Otherwise, giving each block its own
+    copy of the columns (one per (column, block) pair that occurs) makes one
+    sparse product hold every block Gram. Either way a batched eigvalsh then
+    solves all m b x b problems at once."""
     m = check_batch(ds.n, b)
-    data, rows, _, run_ends = _column_block_runs(_weighted_csr(ds, weights, perm), b)
-    # row r of Bt is one (column, block) run: block j's own copy of a column
-    Bt = sp.csr_matrix((data, rows, np.concatenate([[0], run_ends])),
-                       shape=(len(run_ends), ds.n))
-    G = (Bt.T @ Bt).tocoo()
-    grams = np.zeros((m, b, b))
-    grams[G.row // b, G.row % b, G.col % b] = G.data
+    B = _weighted_csr(ds, weights, perm)
+    if _dense_gram(ds.n, ds.d, B.nnz):
+        blocks = B.toarray().reshape(m, b, ds.d)
+        grams = blocks @ blocks.transpose(0, 2, 1)
+    else:
+        data, rows, _, run_ends = _column_block_runs(B, b)
+        # row r of Bt is one (column, block) run: block j's own copy of a column
+        Bt = sp.csr_matrix((data, rows, np.concatenate([[0], run_ends])),
+                           shape=(len(run_ends), ds.n))
+        G = (Bt.T @ Bt).tocoo()
+        grams = np.zeros((m, b, b))
+        grams[G.row // b, G.row % b, G.col % b] = G.data
     return np.linalg.eigvalsh(grams)[:, -1]
 
 

@@ -99,10 +99,6 @@ def derivative_vec(m: LossModel, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
     return c * np.sign(z - t)
 
 
-def loss_value(m: LossModel, i: int, z: float) -> float:
-    return float(value_vec(m, np.array([i]), np.array([float(z)]))[0])
-
-
 def loss_derivative(m: LossModel, i: int, z: float) -> float:
     return float(derivative_vec(m, np.array([i]), np.array([float(z)]))[0])
 

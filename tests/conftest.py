@@ -1,3 +1,5 @@
+import contextlib
+
 import hypothesis
 import numpy as np
 import pytest
@@ -30,3 +32,19 @@ def random_sparse_dataset(rng, n=None, d=None, density=0.6, ensure_nonzero=True)
 
 def divisors(n):
     return [k for k in range(1, n + 1) if n % k == 0]
+
+
+# The masked Gram's two representations (constants._dense_gram picks one
+# from the size of B); tests of the Gram run on each of them.
+GRAM_PATHS = ("prefix-sum", "dense")
+
+
+@contextlib.contextmanager
+def gram_path(path):
+    """Build every masked Gram inside the block in the given representation."""
+    from shuffle_sgd import constants
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constants, "_dense_gram", lambda n, d, nnz: path == "dense")
+        yield
+

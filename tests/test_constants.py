@@ -17,7 +17,7 @@ from shuffle_sgd.constants import (
 from shuffle_sgd.losses import LossModel, RegularityDiag
 
 import oracles
-from conftest import divisors, random_sparse_dataset
+from conftest import GRAM_PATHS, divisors, gram_path, random_sparse_dataset
 
 TIGHT = dict(tol=1e-12)
 
@@ -39,28 +39,37 @@ def _edge_dataset(rng):
     return ss.SparseDataset.from_dense(A)
 
 
+def gram_operators(ds, w, perm, b):
+    """The masked Gram of (ds, w, perm, b), once in each representation."""
+    ops = []
+    for path in GRAM_PATHS:
+        with gram_path(path):
+            ops.append(MaskedGramOperator.from_dataset(ds, w, perm, b))
+    return ops
+
+
 class TestMaskedGramMatvec:
     def test_identity_b1(self):
         ds = ss.SparseDataset.from_dense(np.eye(2))
-        op = MaskedGramOperator.from_dataset(ds, np.ones(2), [0, 1], 1)
-        assert np.allclose(op.matvec(np.array([1.0, 1.0])), [1.0, 2.0])
+        for op in gram_operators(ds, np.ones(2), [0, 1], 1):
+            assert np.allclose(op.matvec(np.array([1.0, 1.0])), [1.0, 2.0])
 
     def test_repeated_row(self):
         ds = ss.SparseDataset.from_dense(np.array([[1.0], [1.0]]))
-        op = MaskedGramOperator.from_dataset(ds, np.ones(2), [0, 1], 1)
-        # dense masked matrix is [[1,1],[1,2]]
-        assert np.allclose(op.matvec(np.array([1.0, 0.0])), [1.0, 1.0])
+        for op in gram_operators(ds, np.ones(2), [0, 1], 1):
+            # dense masked matrix is [[1,1],[1,2]]
+            assert np.allclose(op.matvec(np.array([1.0, 0.0])), [1.0, 1.0])
 
     def test_zero_vector(self, rng):
         ds = random_sparse_dataset(rng, n=8)
-        op = MaskedGramOperator.from_dataset(ds, np.ones(8), rng.permutation(8), 2)
-        assert np.allclose(op.matvec(np.zeros(8)), 0.0)
+        for op in gram_operators(ds, np.ones(8), rng.permutation(8), 2):
+            assert np.allclose(op.matvec(np.zeros(8)), 0.0)
 
     def test_dimension_mismatch(self):
         ds = ss.SparseDataset.from_dense(np.eye(3))
-        op = MaskedGramOperator.from_dataset(ds, np.ones(3), [0, 1, 2], 1)
-        with pytest.raises(ValueError):
-            op.matvec(np.zeros(4))
+        for op in gram_operators(ds, np.ones(3), [0, 1, 2], 1):
+            with pytest.raises(ValueError):
+                op.matvec(np.zeros(4))
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(25):
@@ -68,11 +77,11 @@ class TestMaskedGramMatvec:
             w = rng.uniform(0.1, 10.0, ds.n)
             b = int(rng.choice(divisors(ds.n)))
             perm = rng.permutation(ds.n)
-            op = MaskedGramOperator.from_dataset(ds, w, perm, b)
             M = oracles.dense_prefix_matrix(ds.to_dense(), w, perm, b)
-            for _ in range(3):
-                v = rng.standard_normal(ds.n)
-                assert np.allclose(op.matvec(v), M @ v, rtol=1e-10, atol=1e-10)
+            for op in gram_operators(ds, w, perm, b):
+                for _ in range(3):
+                    v = rng.standard_normal(ds.n)
+                    assert np.allclose(op.matvec(v), M @ v, rtol=1e-10, atol=1e-10)
 
     @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["any", "one", "all"]))
@@ -83,11 +92,11 @@ class TestMaskedGramMatvec:
         b = {"any": int(rng.choice(divisors(ds.n))), "one": 1, "all": ds.n}[batch]
         w = rng.uniform(0.1, 10.0, ds.n)
         perm = rng.permutation(ds.n)
-        op = MaskedGramOperator.from_dataset(ds, w, perm, b)
         M = oracles.dense_prefix_matrix(ds.to_dense(), w, perm, b)
         V = rng.standard_normal((ds.n, 2))
-        for v in V.T:
-            assert np.allclose(op.matvec(v), M @ v, rtol=1e-10, atol=1e-10)
+        for op in gram_operators(ds, w, perm, b):
+            for v in V.T:
+                assert np.allclose(op.matvec(v), M @ v, rtol=1e-10, atol=1e-10)
 
     def test_matvec_memory_is_order_nnz(self):
         # m * d * 8 bytes = 3.2 GB here; the matvec must not come near that
@@ -107,9 +116,57 @@ class TestMaskedGramMatvec:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert op._M is None  # the size rule keeps this input on the prefix-sum path
         assert op.m * op.d * 8 > 1e9
         assert peak < 16 * ds.nnz * 8
         assert setup_peak < 64 * ds.nnz * 8
+
+
+class TestGramRepresentation:
+    def test_paths_agree_at_sonar_shape(self):
+        """Dense and prefix-sum constants agree to 1e-12 in the same number
+        of Lanczos steps on a 208 x 60, b = 4 Gaussian instance."""
+        n, d, b = 208, 60, 4
+        rng = np.random.default_rng(11)
+        ds = ss.SparseDataset.from_dense(rng.standard_normal((n, d)))
+        w = rng.uniform(0.5, 2.0, n)
+        reg = RegularityDiag(w)
+        for _ in range(3):
+            perm = rng.permutation(n)
+            out = {}
+            for path in GRAM_PATHS:
+                with gram_path(path):
+                    op = MaskedGramOperator.from_dataset(ds, w, perm, b)
+                    out[path] = (ss.operator_norm(op.matvec, n),
+                                 ss.hat_constant(ds, reg, perm, b),
+                                 ss.tilde_constant(ds, reg, perm, b),
+                                 ss.general_hat_L(w, perm, b))
+            (res_p, *sparse), (res_d, *dense) = out["prefix-sum"], out["dense"]
+            assert res_p.iterations == res_d.iterations
+            for mine, ref in zip([res_d.value, *dense], [res_p.value, *sparse]):
+                assert mine == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n, d, nnz, dense", [
+        (24, 5, 120, True),              # small-dense's verify input
+        (208, 60, 12_480, True),         # its analyze/optimize input
+        (2000, 200, 400_000, True),
+        (2100, 2100, 4_410_000, False),  # n (n + d) above the memory cap
+        (1000, 123, 14_000, False),      # sparse, n^2 / nnz = 71
+        (10_000, 23_500, 740_000, False),  # the rcv1-shaped bench input
+    ])
+    def test_size_rule(self, n, d, nnz, dense):
+        assert constants._dense_gram(n, d, nnz) is dense
+
+    def test_operator_follows_the_rule(self):
+        rng = np.random.default_rng(5)
+        n, d, k = 1000, 123, 14
+        cols = np.sort(np.argsort(rng.random((n, d)), axis=1)[:, :k], axis=1)
+        sparse = ss.SparseDataset(np.arange(n + 1) * k, cols.ravel(),
+                                  rng.standard_normal(n * k), np.ones(n), d)
+        dense = ss.SparseDataset.from_dense(rng.standard_normal((208, 60)))
+        for ds, is_dense in ((sparse, False), (dense, True)):
+            op = MaskedGramOperator.from_dataset(ds, np.ones(ds.n), rng.permutation(ds.n), 4)
+            assert (op._M is not None) is is_dense
 
 
 class TestWeightedCsr:
@@ -189,7 +246,7 @@ class TestOperatorNorm:
             b = int(rng.choice(divisors(n)))
             perm = rng.permutation(n)
             M = oracles.dense_prefix_matrix(ds.to_dense(), w, perm, b)
-            matvec = MaskedGramOperator.from_dataset(ds, w, perm, b).matvec
+            matvecs = [op.matvec for op in gram_operators(ds, w, perm, b)]
         else:
             lam = rng.uniform(0.0, 1.0, n)
             if kind == "rank_deficient":
@@ -202,14 +259,15 @@ class TestOperatorNorm:
                 lam[:2] = [1.0, 1.0 - 1e-9][:n]
             U = np.linalg.qr(rng.standard_normal((n, n)))[0]
             M = (U * lam) @ U.T
-            matvec = lambda v: M @ v  # noqa: E731
+            matvecs = [lambda v: M @ v]
         tol = 1e-8
         top = oracles.top_eig(M)
-        res = ss.operator_norm(matvec, n, tol=tol)
-        assert res.converged
-        assert res.value <= top * (1 + 1e-12) + 1e-300
-        assert res.value >= top * (1 - tol)
-        assert res.iterations <= n
+        for matvec in matvecs:
+            res = ss.operator_norm(matvec, n, tol=tol)
+            assert res.converged
+            assert res.value <= top * (1 + 1e-12) + 1e-300
+            assert res.value >= top * (1 - tol)
+            assert res.iterations <= n
 
     def test_nan_operator_stops_unconverged_at_once(self):
         # NaN data must not run max_iter steps and grow a max_iter * dim basis
@@ -332,9 +390,11 @@ class TestHatConstant:
             w = rng.uniform(0.1, 10.0, ds.n)
             b = int(rng.choice(divisors(ds.n)))
             perm = rng.permutation(ds.n)
-            mine = ss.hat_constant(ds, RegularityDiag(w), perm, b, **TIGHT)
             ref = oracles.dense_hat(ds.to_dense(), w, perm, b)
-            assert mine == pytest.approx(ref, rel=1e-7, abs=1e-12)
+            for path in GRAM_PATHS:
+                with gram_path(path):
+                    mine = ss.hat_constant(ds, RegularityDiag(w), perm, b, **TIGHT)
+                assert mine == pytest.approx(ref, rel=1e-7, abs=1e-12)
 
 
 class TestTildeConstant:
@@ -359,9 +419,11 @@ class TestTildeConstant:
             w = rng.uniform(0.1, 10.0, ds.n)
             b = int(rng.choice(divisors(ds.n)))
             perm = rng.permutation(ds.n)
-            mine = ss.tilde_constant(ds, RegularityDiag(w), perm, b)
             ref = oracles.dense_tilde(ds.to_dense(), w, perm, b)
-            assert mine == pytest.approx(ref, rel=1e-7, abs=1e-12)
+            for path in GRAM_PATHS:
+                with gram_path(path):
+                    mine = ss.tilde_constant(ds, RegularityDiag(w), perm, b)
+                assert mine == pytest.approx(ref, rel=1e-7, abs=1e-12)
 
     def test_block_eigenvalues_match_blockdiag_oracle(self, rng):
         for _ in range(25):
@@ -369,11 +431,13 @@ class TestTildeConstant:
             w = rng.uniform(0.1, 10.0, ds.n)
             b = int(rng.choice(divisors(ds.n)))
             perm = rng.permutation(ds.n)
-            mine = ss.block_top_eigenvalues(ds, w, perm, b)
             M = oracles.dense_blockdiag_matrix(ds.to_dense(), w, perm, b)
             ref = [oracles.top_eig(M[j * b : (j + 1) * b, j * b : (j + 1) * b])
                    for j in range(ds.n // b)]
-            assert np.allclose(mine, ref, rtol=1e-10, atol=1e-10)
+            for path in GRAM_PATHS:
+                with gram_path(path):
+                    mine = constants.block_top_eigenvalues(ds, w, perm, b)
+                assert np.allclose(mine, ref, rtol=1e-10, atol=1e-10)
 
     @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["any", "one", "all"]))
@@ -384,9 +448,11 @@ class TestTildeConstant:
         b = {"any": int(rng.choice(divisors(ds.n))), "one": 1, "all": ds.n}[batch]
         w = rng.uniform(0.1, 10.0, ds.n)
         perm = rng.permutation(ds.n)
-        mine = ss.tilde_constant(ds, RegularityDiag(w), perm, b)
         ref = oracles.dense_tilde(ds.to_dense(), w, perm, b)
-        assert mine == pytest.approx(ref, rel=1e-10, abs=1e-10)
+        for path in GRAM_PATHS:
+            with gram_path(path):
+                mine = ss.tilde_constant(ds, RegularityDiag(w), perm, b)
+            assert mine == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
 class TestRelaxationChain:
