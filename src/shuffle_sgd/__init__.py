@@ -54,7 +54,6 @@ from .losses import (
     LossModel,
     RegularityDiag,
     conjugate_pair,
-    loss_derivative,
     objective,
     regularity,
 )

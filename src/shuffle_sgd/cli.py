@@ -1,12 +1,10 @@
 """Command-line drivers for constants analysis, sweeps, optimizer runs, and
 bound verification.
 
-Every command is deterministic given its full flag set. The permutation
-trials of analyze, gaussian-sweep and histogram run on a worker pool capped
-by SHUFFLE_SGD_THREADS and are written in trial order; run seeds go one
-after another. Numeric outputs go to CSV (LF endings, `.` decimal); each
-command also writes a JSON report carrying schema_version and the effective
-configuration for provenance.
+Every command is deterministic given its full flag set. Permutation trials
+and run seeds go one after another, in order. Numeric outputs go to CSV (LF
+endings, `.` decimal); each command also writes a JSON report carrying
+schema_version and the effective configuration for provenance.
 
 Each flag is checked where it is declared, by its argparse type; rules that
 join two flags open their command. So every usage error returns 2 from main
@@ -102,15 +100,6 @@ def _step(text):
         raise argparse.ArgumentTypeError("--step expects a float or 'theoretical'")
 
 
-def _max_workers() -> int | None:
-    """Permutation workers for ratio_stats, from SHUFFLE_SGD_THREADS."""
-    raw = os.environ.get("SHUFFLE_SGD_THREADS")
-    try:
-        return max(1, int(raw)) if raw else None
-    except ValueError:
-        raise CliError(f"SHUFFLE_SGD_THREADS must be an integer, got {raw!r}")
-
-
 def _check_data_flags(args, batches):
     """Rules that join the data flags, checked before any data is read:
     one source of data, --features for a file only, and for --gaussian N,D
@@ -181,21 +170,19 @@ def _check_sampled_perms(args):
         raise CliError(f"num_perms must be >= 1, got --perms {args.perms}")
 
 
-def _ratio_report(ds, args, num_perms, compute_tilde, max_workers) -> consts.ConstantsReport:
-    """ratio_stats at unit regularity with the command's --b, --seed and
-    --tol, on a pool of max_workers threads."""
+def _ratio_report(ds, args, num_perms, compute_tilde) -> consts.ConstantsReport:
+    """ratio_stats at unit regularity with the command's --b, --seed and --tol."""
     return consts.ratio_stats(
         ds, _unit_regularity(ds), b=args.b, num_perms=num_perms, seed=args.seed,
-        tol=args.tol, compute_tilde=compute_tilde, max_workers=max_workers,
+        tol=args.tol, compute_tilde=compute_tilde,
     )
 
 
 def cmd_analyze(args) -> int:
     t0 = time.time()
-    workers = _max_workers()
     ds = _load_dataset(args)
     _check_ratio_study(ds, args.num_perms, args.b, args)
-    report = _ratio_report(ds, args, args.num_perms, not args.no_tilde, workers)
+    report = _ratio_report(ds, args, args.num_perms, not args.no_tilde)
     payload = report.to_json_dict()
     payload["runtime_sec"] = time.time() - t0
     _write_json(args, payload)
@@ -208,7 +195,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gaussian_sweep(args) -> int:
-    workers = _max_workers()
     rows = [("n", "d", "perm_index", "ratio")]
     summary = [("n", "d", "num_perms", "mean_ratio", "std_ratio")]
     means = []
@@ -218,7 +204,7 @@ def cmd_gaussian_sweep(args) -> int:
         else:
             n, d = args.fixed_value, g
         ds = gen_gaussian(n, d, seed=consts.prng.mix64(args.seed, g))
-        report = _ratio_report(ds, args, args.perms, False, workers)
+        report = _ratio_report(ds, args, args.perms, False)
         for j, r in enumerate(report.ratios):
             rows.append((n, d, j, repr(float(r))))
         summary.append(
@@ -267,10 +253,9 @@ def cmd_batch_sweep(args) -> int:
 
 def cmd_histogram(args) -> int:
     _check_data_flags(args, [args.b])
-    workers = _max_workers()
     ds = _load_dataset(args)
     _check_ratio_study(ds, args.num_perms, args.b, args)
-    ratios = _ratio_report(ds, args, args.num_perms, False, workers).ratios
+    ratios = _ratio_report(ds, args, args.num_perms, False).ratios
     lo, hi = float(np.min(ratios)), float(np.max(ratios))
     if hi - lo <= 1e-12 * hi:
         # ratios that agree to roundoff are one value: give it the unit-wide
@@ -490,8 +475,9 @@ def cmd_verify_bound(args) -> int:
     def glm_oracle(i, x):
         lo, hi = ds.indptr[i], ds.indptr[i + 1]
         g = np.zeros(ds.d)
-        z = float(ds.values[lo:hi] @ x[ds.indices[lo:hi]])
-        g[ds.indices[lo:hi]] = losses.loss_derivative(model, i, z) * ds.values[lo:hi]
+        z = ds.values[lo:hi] @ x[ds.indices[lo:hi]]
+        g[ds.indices[lo:hi]] = (losses.derivative_vec(model, np.array([i]), np.array([z]))
+                                * ds.values[lo:hi])
         return g
 
     gaps = []

@@ -91,43 +91,6 @@ class SparseDataset:
     def to_dense(self) -> np.ndarray:
         return self.to_csr().toarray()
 
-    def equals(self, other: "SparseDataset") -> bool:
-        return (
-            self.d == other.d
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-            and np.array_equal(self.labels, other.labels)
-        )
-
-    @classmethod
-    def from_rows(cls, rows, labels, d=None) -> "SparseDataset":
-        """Build from a list of (indices, values) pairs, sorting each row."""
-        indptr = [0]
-        idx_parts, val_parts = [], []
-        max_idx = -1
-        for ri, (idx, val) in enumerate(rows):
-            idx = np.asarray(idx, dtype=np.int64)
-            val = np.asarray(val, dtype=np.float64)
-            if idx.size:
-                order = np.argsort(idx, kind="stable")
-                idx, val = idx[order], val[order]
-                if np.any(np.diff(idx) == 0):
-                    raise ValueError(f"row {ri}: duplicate feature index")
-                max_idx = max(max_idx, int(idx[-1]))
-            idx_parts.append(idx)
-            val_parts.append(val)
-            indptr.append(indptr[-1] + idx.size)
-        if d is None:
-            d = max_idx + 1
-        return cls(
-            indptr=np.asarray(indptr),
-            indices=np.concatenate(idx_parts) if idx_parts else np.zeros(0, np.int64),
-            values=np.concatenate(val_parts) if val_parts else np.zeros(0),
-            labels=np.asarray(labels, dtype=np.float64),
-            d=d,
-        )
-
     @classmethod
     def from_dense(cls, array, labels=None) -> "SparseDataset":
         array = np.asarray(array, dtype=np.float64)
@@ -170,9 +133,6 @@ class PermutedView:
         src += np.arange(base.nnz, dtype=np.int64)
         self.indices = base.indices[src]
         self.values = base.values[src]
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.base.row(int(self.perm[i]))
 
 
 def _parse_token(tok: str, line_no: int):

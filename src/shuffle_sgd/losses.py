@@ -1,14 +1,14 @@
 """Scalar loss families for linear-predictor ERM.
 
-Each component i carries a target t_i (the dataset label) and a positive
-scale c_i, and the objective is f(x) = (1/n) sum_i loss_i(a_i^T x).
+Each component i carries a target t_i (the dataset label), and the
+objective is f(x) = (1/n) sum_i loss_i(a_i^T x).
 
-Families and their regularity constants (scale c multiplies everything):
+Families and their regularity constants:
 
-    squared   l(z) = c/2 (z - t)^2        smooth,    L = c
-    logistic  l(z) = c log(1 + e^{-tz})   smooth,    L = c t^2 / 4
-    hinge     l(z) = c max(0, 1 - tz)     Lipschitz, G = c |t|
-    absolute  l(z) = c |z - t|            Lipschitz, G = c
+    squared   l(z) = 1/2 (z - t)^2        smooth,    L = 1
+    logistic  l(z) = log(1 + e^{-tz})     smooth,    L = t^2 / 4
+    hinge     l(z) = max(0, 1 - tz)       Lipschitz, G = |t|
+    absolute  l(z) = |z - t|              Lipschitz, G = 1
 
 Nonsmooth subgradient selections are fixed so runs are reproducible: the
 hinge kink returns 0 (the flat side) and the absolute kink returns 0.
@@ -35,20 +35,11 @@ MIN_REGULARITY = 1e-12
 class LossModel:
     family: str
     targets: np.ndarray
-    scales: np.ndarray | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown loss family {self.family!r}")
         self.targets = np.asarray(self.targets, dtype=np.float64)
-        if self.scales is None:
-            self.scales = np.ones_like(self.targets)
-        else:
-            self.scales = np.asarray(self.scales, dtype=np.float64)
-            if self.scales.shape != self.targets.shape:
-                raise ValueError("scales must have one entry per component")
-            if np.any(self.scales <= 0):
-                raise ValueError("scales must be positive")
 
     @property
     def smooth(self) -> bool:
@@ -76,44 +67,36 @@ class RegularityDiag:
 def value_vec(m: LossModel, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Vectorized loss values for components idx at pre-activations z."""
     t = m.targets[idx]
-    c = m.scales[idx]
     if m.family == "squared":
-        return 0.5 * c * (z - t) ** 2
+        return 0.5 * (z - t) ** 2
     if m.family == "logistic":
-        return c * np.logaddexp(0.0, -t * z)
+        return np.logaddexp(0.0, -t * z)
     if m.family == "hinge":
-        return c * np.maximum(0.0, 1.0 - t * z)
-    return c * np.abs(z - t)
+        return np.maximum(0.0, 1.0 - t * z)
+    return np.abs(z - t)
 
 
 def derivative_vec(m: LossModel, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Vectorized (sub)derivatives with the documented kink selections."""
     t = m.targets[idx]
-    c = m.scales[idx]
     if m.family == "squared":
-        return c * (z - t)
+        return z - t
     if m.family == "logistic":
-        return -c * t * expit(-t * z)
+        return -t * expit(-t * z)
     if m.family == "hinge":
-        return np.where(t * z < 1.0, -c * t, 0.0)
-    return c * np.sign(z - t)
-
-
-def loss_derivative(m: LossModel, i: int, z: float) -> float:
-    return float(derivative_vec(m, np.array([i]), np.array([float(z)]))[0])
+        return np.where(t * z < 1.0, -t, 0.0)
+    return np.sign(z - t)
 
 
 def regularity(m: LossModel) -> RegularityDiag:
     """Smooth families give L_i entries; Lipschitz families give G_i^2."""
-    t, c = m.targets, m.scales
-    if m.family == "squared":
-        vals = c.copy()
-    elif m.family == "logistic":
-        vals = c * t * t / 4.0
+    t = m.targets
+    if m.family == "logistic":
+        vals = t * t / 4.0
     elif m.family == "hinge":
-        vals = (c * np.abs(t)) ** 2
+        vals = t * t
     else:
-        vals = c * c
+        vals = np.ones_like(t)
     return RegularityDiag(np.maximum(vals, MIN_REGULARITY))
 
 

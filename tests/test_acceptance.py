@@ -157,7 +157,6 @@ def test_c05_published_ratio_table(names, expected):
     reg = RegularityDiag(np.ones(ds.n))
     report = ss.ratio_stats(
         ds, reg, b=1, num_perms=200, seed=SEED, tol=1e-6, compute_tilde=False,
-        max_workers=int(os.environ.get("SHUFFLE_SGD_THREADS", "4")),
     )
     mean = report.ratio_summary["mean"]
     assert abs(mean - expected) <= 0.10 * expected
@@ -206,7 +205,6 @@ def test_c08_ratio_concentration_sonar():
     reg = RegularityDiag(np.ones(ds.n))
     report = ss.ratio_stats(
         ds, reg, b=1, num_perms=1000, seed=SEED, tol=1e-6, compute_tilde=False,
-        max_workers=int(os.environ.get("SHUFFLE_SGD_THREADS", "4")),
     )
     mean = report.ratio_summary["mean"]
     cv = report.ratio_summary["std"] / mean

@@ -483,43 +483,6 @@ class TestOptimize:
             assert "q0, q10, q20" in capsys.readouterr().err
 
 
-class TestWorkerPoolDeterminism:
-    def test_analyze_identical_across_thread_counts(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(5)
-        p = tmp_path / "g.svm"
-        ds = ss.SparseDataset.from_dense(rng.standard_normal((12, 4)))
-        p.write_text(ss.serialize_libsvm(ds))
-        outs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("SHUFFLE_SGD_THREADS", threads)
-            code = main([
-                "analyze", "--input", str(p), "--b", "2", "--num-perms", "8",
-                "--seed", "5", "--out", str(tmp_path / f"t{threads}"),
-            ])
-            assert code == 0
-            outs.append((tmp_path / f"t{threads}.csv").read_bytes())
-        assert outs[0] == outs[1]
-        # distinct per-permutation values, so a reordering would show
-        hats = [line.split(b",")[1] for line in outs[0].splitlines()[1:]]
-        assert len(set(hats)) == len(hats)
-
-    def test_non_integer_threads_exit_2(self, identity6, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SHUFFLE_SGD_THREADS", "two")
-        code = main([
-            "analyze", "--input", str(identity6), "--num-perms", "2", "--out", str(tmp_path / "r"),
-        ])
-        assert code == 2
-        assert "SHUFFLE_SGD_THREADS must be an integer" in capsys.readouterr().err
-
-    def test_run_seeds_do_not_read_threads(self, identity6, tmp_path, monkeypatch):
-        monkeypatch.setenv("SHUFFLE_SGD_THREADS", "two")
-        code = main([
-            "optimize", "--input", str(identity6), "--loss", "squared", "--b", "2",
-            "--epochs", "2", "--step", "0.2", "--seeds", "0,1", "--out", str(tmp_path / "o"),
-        ])
-        assert code == 0
-
-
 class TestVerifyBound:
     def test_ig_on_small_least_squares(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -789,18 +752,6 @@ class TestRefusedBeforeLoading:
         no_data(monkeypatch)
         assert main(argv + ["--out", str(tmp_path / "r")]) == 2
         assert "batch size 2 must divide n = 7; valid divisors: [1, 7]" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("argv", [
-        ["analyze", "--input", "data.svm"],
-        ["histogram", "--gaussian", "6,3"],
-        ["gaussian-sweep", "--fixed", "d", "--fixed-value", "3", "--grid", "6"],
-    ])
-    def test_non_integer_threads(self, tmp_path, capsys, monkeypatch, argv):
-        no_data(monkeypatch)
-        monkeypatch.setenv("SHUFFLE_SGD_THREADS", "two")
-        assert main(argv + ["--out", str(tmp_path / "r")]) == 2
-        assert "SHUFFLE_SGD_THREADS must be an integer, got 'two'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, want", [

@@ -17,7 +17,7 @@ from shuffle_sgd.constants import (
 from shuffle_sgd.losses import LossModel, RegularityDiag
 
 import oracles
-from conftest import GRAM_PATHS, divisors, gram_path, random_sparse_dataset
+from conftest import GRAM_PATHS, divisors, gram_path, random_sparse_dataset, sparse_dataset
 
 TIGHT = dict(tol=1e-12)
 
@@ -175,8 +175,7 @@ class TestWeightedCsr:
             ds = random_sparse_dataset(rng, ensure_nonzero=False)
             A = ds.to_dense()
             A[int(rng.integers(ds.n))] = 0.0  # one empty row at least
-            ds = ss.SparseDataset.from_rows(
-                [(np.flatnonzero(a), a[a != 0]) for a in A], np.zeros(ds.n), d=ds.d)
+            ds = sparse_dataset(A)
             w = rng.uniform(0.1, 10.0, ds.n)
             perm = rng.permutation(ds.n)
             # the same products as the oracle's, so equal to the last bit
@@ -335,7 +334,7 @@ class TestClassicalAndFull:
         assert ss.full_gradient_L(ds, unit_reg(2), **TIGHT) == pytest.approx(1.0, rel=1e-9)
 
     def test_full_gradient_zero_matrix(self):
-        ds = ss.SparseDataset.from_rows([([], []), ([], [])], [0.0, 0.0], d=3)
+        ds = sparse_dataset(np.zeros((2, 3)))
         assert ss.full_gradient_L(ds, unit_reg(2)) == 0.0
 
     def test_permutation_invariance(self, rng):
@@ -529,12 +528,25 @@ class TestRatioStats:
         r2 = ss.ratio_stats(ds, reg, b=2, num_perms=5, seed=9)
         assert np.array_equal(r1.hatL_values, r2.hatL_values)
 
-    def test_parallel_matches_serial(self, rng):
-        ds = random_sparse_dataset(rng, n=12)
-        reg = unit_reg(12)
-        serial = ss.ratio_stats(ds, reg, b=2, num_perms=6, seed=4)
-        parallel = ss.ratio_stats(ds, reg, b=2, num_perms=6, seed=4, max_workers=4)
-        assert np.array_equal(serial.hatL_values, parallel.hatL_values)
+    def test_relaxation_chain_refused_at_small_scale(self):
+        # values 500 times over their bounds, at a scale far below 1
+        fields = dict(L=1e-12, L_full=1e-12, trace_bound=1e-12, b=1, seed=0, tolerance=1e-6)
+        with pytest.raises(AssertionError, match="trace bound"):
+            ss.ConstantsReport(**fields, hatL_values=np.array([5e-10]),
+                               tildeL_values=np.array([5e-10]))
+        with pytest.raises(AssertionError, match="classical constant"):
+            ss.ConstantsReport(**fields, hatL_values=np.array([1e-12]),
+                               tildeL_values=np.array([5e-10]))
+
+    @pytest.mark.parametrize("path", GRAM_PATHS)
+    def test_relaxation_chain_holds_on_scaled_data(self, path):
+        g = ss.gen_gaussian(12, 4, seed=5)
+        ds = ss.SparseDataset(g.indptr, g.indices, g.values * 1e-6, g.labels, g.d)
+        with gram_path(path):
+            report = ss.ratio_stats(ds, unit_reg(12), b=2, num_perms=4, seed=1)
+        assert report.L < 1e-10
+        assert np.all(report.hatL_values <= report.trace_bound * (1 + 1e-9))
+        assert np.all(report.tildeL_values <= report.L * (1 + 1e-9))
 
     def test_csv_rows_shape(self, rng):
         ds = random_sparse_dataset(rng, n=8)
@@ -592,14 +604,13 @@ class TestOptimumQuantities:
         assert ss.ystar_weighted_norm(ds, m, np.array([1.0])) == pytest.approx(math.sqrt(2.0))
 
     def test_ystar_norm_weighted(self):
-        # scales 4 -> L_i = 4; y* entries (2, 0) -> sqrt(4/4) = 1
-        ds = ss.SparseDataset.from_dense(np.array([[1.0], [1.0]]), labels=[0.0, 0.0],)
-        m = LossModel("squared", np.array([0.0, 0.0]), scales=np.array([4.0, 4.0]))
-        # at x = 0.5: derivative = 4*(0.5 - 0) = 2 each; not stationary, so
-        # check the formula through conjugate_pair directly instead
-        y = ss.conjugate_pair(m, ds, np.array([0.5]))
-        L = ss.regularity(m).values
-        assert np.sqrt(np.sum(y * y / L)) == pytest.approx(math.sqrt(2.0))
+        # logistic with labels (4, -2): L_i = t_i^2 / 4 = (4, 1). At x* = 0,
+        # y*_i = -t_i / 2 = (-2, 1) and the gradient (1/2)(-2 * 1 + 1 * 2)
+        # is 0, so the norm is sqrt(4/4 + 1/1) = sqrt(2), not |y*| = sqrt(5)
+        ds = ss.SparseDataset.from_dense(np.array([[1.0], [2.0]]), labels=[4.0, -2.0])
+        m = LossModel.for_dataset("logistic", ds)
+        assert np.array_equal(ss.regularity(m).values, [4.0, 1.0])
+        assert ss.ystar_weighted_norm(ds, m, np.array([0.0])) == pytest.approx(math.sqrt(2.0))
 
 
 class TestReferenceMinimizer:
@@ -617,7 +628,7 @@ class TestReferenceMinimizer:
         assert res.x[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_data_already_stationary(self):
-        ds = ss.SparseDataset.from_rows([([], []), ([], [])], [0.0, 0.0], d=2)
+        ds = sparse_dataset(np.zeros((2, 2)))
         m = LossModel.for_dataset("squared", ds)
         res = ss.reference_minimizer(ds, m)
         assert res.converged and np.allclose(res.x, 0.0)

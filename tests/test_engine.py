@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import shuffle_sgd as ss
 from shuffle_sgd.engine import DivergenceError, RunConfig
-from shuffle_sgd.losses import LossModel
+from shuffle_sgd.losses import LossModel, derivative_vec
 from shuffle_sgd.shuffle import ConfigError, ShufflePlan
 
 import oracles
-from conftest import divisors, random_sparse_dataset
+from conftest import divisors, random_sparse_dataset, sparse_dataset
 
 
 def least_squares(rng, n, d):
@@ -72,7 +72,7 @@ class TestBlockOps:
         A = rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
         A[rng.random(n) < 0.3] = 0.0
         t = rng.standard_normal(n)
-        ds = ss.SparseDataset.from_rows([(np.flatnonzero(r), r[r != 0]) for r in A], t, d=d)
+        ds = sparse_dataset(A, t)
         m = LossModel.for_dataset("squared", ds)
         b = {"1": 1, "n": n}.get(batch) or int(rng.choice(divisors(n)))
         perm = rng.permutation(n)
@@ -243,11 +243,12 @@ class TestRun:
     @pytest.mark.parametrize("family", ["squared", "logistic", "hinge"])
     def test_custom_fixed_order_is_ig_on_reordered_rows(self, rng, family):
         # a fixed order p other than the stored one: reorder the rows by p
-        # and run IG, which visits them as stored
+        # (the README's recipe) and run IG, which visits them as stored
         n, b, eta = 8, 2, 0.05
         ds = random_sparse_dataset(rng, n=n)
         p = rng.permutation(n)
-        reordered = ss.SparseDataset.from_rows([ds.row(i) for i in p], ds.labels[p], d=ds.d)
+        v = ss.PermutedView(ds, p)
+        reordered = ss.SparseDataset(v.indptr, v.indices, v.values, ds.labels[p], ds.d)
         cfg = RunConfig(b, 2, eta, rng.standard_normal(ds.d))
         _, recorded = oracles.run_recording_inner(
             reordered, LossModel.for_dataset(family, reordered), ShufflePlan("IG"), cfg)
@@ -464,7 +465,7 @@ class TestRunGeneral:
 
         def oracle(i, x):
             seen.append(x.copy())
-            return ss.loss_derivative(m, i, float(A[i] @ x)) * A[i]
+            return derivative_vec(m, np.array([i]), np.array([A[i] @ x])) * A[i]
 
         plan = ShufflePlan("SO", seed=9)
         cfg = RunConfig(2, 2, 0.04, np.zeros(3), trace=True)
@@ -510,5 +511,6 @@ def test_entry_points_check_config(entry, n, batch, x0_dim, match, rng):
         if entry == "run":
             ss.run(ds, m, plan, cfg)
         else:
-            ss.run_general(lambda i, x: ss.loss_derivative(m, i, float(A[i] @ x)) * A[i],
-                           ds.n, ds.d, plan, cfg)
+            ss.run_general(
+                lambda i, x: derivative_vec(m, np.array([i]), np.array([A[i] @ x])) * A[i],
+                ds.n, ds.d, plan, cfg)

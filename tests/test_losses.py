@@ -5,18 +5,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 import shuffle_sgd as ss
-from shuffle_sgd.losses import LossModel, regularity, value_vec
+from shuffle_sgd.losses import LossModel, derivative_vec, regularity, value_vec
 
 import oracles
 
 
-def model(family, targets, scales=None):
-    return LossModel(family, np.asarray(targets, float), scales)
+def model(family, targets):
+    return LossModel(family, np.asarray(targets, float))
 
 
 def value(m, z):
     """The loss of component 0 at pre-activation z."""
     return float(value_vec(m, np.array([0]), np.array([z]))[0])
+
+
+def derivative(m, z, i=0):
+    """The (sub)derivative of component i at pre-activation z."""
+    return float(derivative_vec(m, np.array([i]), np.array([z]))[0])
 
 
 class TestValues:
@@ -34,23 +39,19 @@ class TestValues:
     def test_absolute(self):
         assert value(model("absolute", [2.0]), -1.0) == 3.0
 
-    def test_scales_multiply(self):
-        m = model("squared", [0.0], scales=[3.0])
-        assert value(m, 2.0) == 6.0
-
 
 class TestDerivatives:
     def test_squared(self):
-        assert ss.loss_derivative(model("squared", [1.0]), 0, 0.0) == -1.0
+        assert derivative(model("squared", [1.0]), 0.0) == -1.0
 
     def test_logistic_at_zero(self):
-        assert ss.loss_derivative(model("logistic", [1.0]), 0, 0.0) == pytest.approx(-0.5)
+        assert derivative(model("logistic", [1.0]), 0.0) == pytest.approx(-0.5)
 
     def test_hinge_kink_returns_flat_side(self):
-        assert ss.loss_derivative(model("hinge", [1.0]), 0, 1.0) == 0.0
+        assert derivative(model("hinge", [1.0]), 1.0) == 0.0
 
     def test_absolute_kink(self):
-        assert ss.loss_derivative(model("absolute", [1.0]), 0, 1.0) == 0.0
+        assert derivative(model("absolute", [1.0]), 1.0) == 0.0
 
     @given(
         st.sampled_from(["squared", "logistic", "hinge", "absolute"]),
@@ -59,7 +60,7 @@ class TestDerivatives:
     )
     def test_matches_reference(self, family, t, z):
         m = model(family, [t])
-        assert ss.loss_derivative(m, 0, z) == pytest.approx(
+        assert derivative(m, z) == pytest.approx(
             oracles.scalar_derivative(family, t, z), abs=1e-12
         )
 
@@ -73,7 +74,7 @@ class TestDerivatives:
         L = regularity(m).values[0]
         h = 1e-5
         fd = oracles.numeric_derivative(lambda u: value(m, u), z, h)
-        assert abs(ss.loss_derivative(m, 0, z) - fd) <= L * h + 1e-8
+        assert abs(derivative(m, z) - fd) <= L * h + 1e-8
 
     @given(
         st.sampled_from(["hinge", "absolute"]),
@@ -87,7 +88,7 @@ class TestDerivatives:
         if abs(z - kink) < 1e-3:
             z = kink + 0.01
         fd = oracles.numeric_derivative(lambda u: value(m, u), z)
-        assert ss.loss_derivative(m, 0, z) == pytest.approx(fd, abs=1e-8)
+        assert derivative(m, z) == pytest.approx(fd, abs=1e-8)
 
 
 class TestRegularityConstants:
@@ -99,10 +100,6 @@ class TestRegularityConstants:
         reg = regularity(model("hinge", [1.0, -2.0]))
         assert np.allclose(reg.values, [1.0, 4.0])
 
-    def test_squared_scales(self):
-        reg = regularity(model("squared", [0.0, 0.0], scales=[2.0, 3.0]))
-        assert np.allclose(reg.values, [2.0, 3.0])
-
     def test_zero_constant_floored(self):
         reg = regularity(model("hinge", [0.0]))
         assert reg.values[0] > 0
@@ -110,27 +107,25 @@ class TestRegularityConstants:
     @given(
         st.sampled_from(["squared", "logistic"]),
         st.floats(-3, 3),
-        st.floats(0.1, 5),
         st.floats(-15, 15),
         st.floats(-15, 15),
     )
-    def test_smoothness_bound_holds(self, family, t, c, z1, z2):
-        m = model(family, [t], scales=[c])
+    def test_smoothness_bound_holds(self, family, t, z1, z2):
+        m = model(family, [t])
         L = regularity(m).values[0]
-        d1 = ss.loss_derivative(m, 0, z1)
-        d2 = ss.loss_derivative(m, 0, z2)
+        d1 = derivative(m, z1)
+        d2 = derivative(m, z2)
         assert abs(d1 - d2) <= L * abs(z1 - z2) + 1e-9
 
     @given(
         st.sampled_from(["hinge", "absolute"]),
         st.floats(-3, 3),
-        st.floats(0.1, 5),
         st.floats(-15, 15),
     )
-    def test_lipschitz_bound_holds(self, family, t, c, z):
-        m = model(family, [t], scales=[c])
+    def test_lipschitz_bound_holds(self, family, t, z):
+        m = model(family, [t])
         G = math.sqrt(regularity(m).values[0])
-        assert abs(ss.loss_derivative(m, 0, z)) <= G + 1e-9
+        assert abs(derivative(m, z)) <= G + 1e-9
 
 
 class TestConjugatePair:
@@ -160,7 +155,7 @@ class TestConjugatePair:
             A = ds.to_dense()
             for i in range(ds.n):
                 assert y[i] == pytest.approx(
-                    ss.loss_derivative(m, i, float(A[i] @ x)), abs=1e-12
+                    derivative(m, float(A[i] @ x), i), abs=1e-12
                 )
 
 
@@ -186,7 +181,3 @@ class TestValidation:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             model("huber", [1.0])
-
-    def test_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            model("squared", [1.0], scales=[0.0])
