@@ -4,10 +4,12 @@ query counts for shuffled SGD on linear-predictor ERM.
 Symbols: n components, batch b (with b | n), K epochs, constant or per-epoch
 steps eta_k with H_K = sum eta_k, D = ||x0 - x*||, sigma_star the RMS
 component gradient norm at the optimum, hatL/tildeL the masked-Gram
-constants (worst-case or sampled proxies), ystar_norm = ||y*|| weighted by
+constants (worst-case or the sampled max), ystar_norm = ||y*|| weighted by
 inverse smoothness (fixed-order runs only), Gbar the permutation mean of
-sqrt(hatG * tildeG) (nonsmooth runs). The finite-sum guarantees use the
-same step and RHS functions, with the finite-sum constants in hatL/tildeL.
+sqrt(hatG * tildeG) (nonsmooth runs). GUARANTEES holds one record per
+kind: how its runs go, how its constants are measured into BoundInputs,
+and its step, RHS and query-count functions. The finite-sum kinds reuse the
+rr and ig functions, with the finite-sum constants in hatL/tildeL.
 
 All RHS helpers return the bound on the (expected) suboptimality of the
 averaged output, i.e. the raw telescoped bound divided by H_K. Division
@@ -19,11 +21,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .shuffle import check_batch
+from . import constants
+from .data import row_sq_norms
+from .losses import regularity
+from .shuffle import check_batch, random_permutation
 
 
 @dataclass
@@ -156,36 +162,98 @@ def bound_rhs_nonsmooth(inp: BoundInputs, eta) -> float:
     return (inp.b * inp.D**2 / (2.0 * inp.n) + err) / H
 
 
-GUARANTEE_KINDS = ("rr", "ig", "nonsmooth", "general_rr", "general_ig")
+def _queries_rr(epsilon: float, inp: BoundInputs) -> float:
+    n, b, D2 = inp.n, inp.b, inp.D**2
+    first = n * math.sqrt(2.0 * inp.hatL * inp.tildeL) * D2 / epsilon
+    second = 0.0
+    if n > b and inp.sigma_star > 0:
+        second = (math.sqrt((n - b) * (n + b) / (n - 1))
+                  * 2.0**1.5 * math.sqrt(inp.tildeL) * inp.sigma_star * D2
+                  / (math.sqrt(3.0) * epsilon**1.5))
+    return max(first, second)
+
+
+def _queries_ig(epsilon: float, inp: BoundInputs) -> float:
+    n, b, D2 = inp.n, inp.b, inp.D**2
+    first = n * math.sqrt(2.0 * inp.hatL * inp.tildeL) * D2 / epsilon
+    term_y = 4.0 * math.sqrt(n * inp.hatL * inp.tildeL) * inp.ystar_norm * D2 / epsilon**1.5
+    term_s = 4.0 * (n - b) * math.sqrt(inp.tildeL) * inp.sigma_star * D2 / epsilon**1.5
+    return first + min(term_y, term_s)
+
+
+def _queries_nonsmooth(epsilon: float, inp: BoundInputs) -> float:
+    return 4.0 * inp.n * inp.Gbar * inp.D**2 / epsilon**2
+
+
+def _rr_inputs(ds, model, x_star, b, K, num_perms, seed, tol) -> BoundInputs:
+    """The sampled max of hat and tilde over num_perms random permutations:
+    a deterministic constant step must cover every epoch."""
+    sig = constants.sigma_star(ds, model, x_star, grad_tol=1e-6)
+    report = constants.ratio_stats(ds, regularity(model), b=b, num_perms=num_perms,
+                                   seed=seed, tol=tol)
+    return BoundInputs(n=ds.n, b=b, K=K, hatL=report.hatL["max"], tildeL=report.tildeL["max"],
+                       sigma_star=sig, D=float(np.linalg.norm(x_star)))
+
+
+def _ig_inputs(ds, model, x_star, b, K, num_perms, seed, tol) -> BoundInputs:
+    """hat and tilde at the identity order, which every fixed-order epoch runs."""
+    reg, perm0 = regularity(model), np.arange(ds.n)
+    sig = constants.sigma_star(ds, model, x_star, grad_tol=1e-6)
+    return BoundInputs(
+        n=ds.n, b=b, K=K, hatL=constants.hat_constant(ds, reg, perm0, b, tol=tol),
+        tildeL=constants.tilde_constant(ds, reg, perm0, b), sigma_star=sig,
+        D=float(np.linalg.norm(x_star)),
+        ystar_norm=constants.ystar_weighted_norm(ds, model, x_star, grad_tol=1e-6))
+
+
+def _nonsmooth_inputs(ds, model, x_star, b, K, num_perms, seed, tol) -> BoundInputs:
+    gbar = constants.gbar_estimate(ds, regularity(model), b, num_perms, seed=seed, tol=tol)
+    return BoundInputs(n=ds.n, b=b, K=K, D=float(np.linalg.norm(x_star)), Gbar=gbar)
+
+
+@dataclass(frozen=True)
+class Guarantee:
+    """One guarantee: how its runs go, its constants, and what they give."""
+
+    scheme: str  # the runs' order: "RR" (reshuffled) or "IG" (fixed)
+    # (ds, model, x_star, b, K, num_perms, seed, tol) -> BoundInputs; x0 = 0
+    inputs: Callable
+    step: Callable  # BoundInputs -> constant step
+    rhs: Callable  # (BoundInputs, eta) -> bound on the averaged output's gap
+    queries: Callable  # (epsilon, BoundInputs) -> gradient evaluations, unrounded
+    general: bool = False  # runs take each component's gradient from an oracle
+    planted: bool = False  # the problem is a planted hinge, whose optimum is known
+
+
+def _finite_sum(base: Guarantee) -> Guarantee:
+    """base with the finite-sum constants of L_i = w_i ||a_i||^2 in hatL and
+    tildeL (identity order for IG, else the sampled max). base's inputs
+    still measure the data-matrix hat and tilde that these replace."""
+    def inputs(ds, model, x_star, b, K, num_perms, seed, tol):
+        inp = base.inputs(ds, model, x_star, b, K, num_perms, seed, tol)
+        Lvals = regularity(model).values * row_sq_norms(ds)
+        perms = ([np.arange(ds.n)] if base.scheme == "IG" else
+                 [random_permutation(ds.n, seed, j) for j in range(num_perms)])
+        inp.hatL = max(constants.general_hat_L(Lvals, p, b, tol=tol) for p in perms)
+        inp.tildeL = max(constants.general_tilde_L(Lvals, p, b) for p in perms)
+        return inp
+
+    return replace(base, inputs=inputs, general=True)
+
+
+_RR = Guarantee("RR", _rr_inputs, step_size_smooth_rr, bound_rhs_smooth_rr, _queries_rr)
+_IG = Guarantee("IG", _ig_inputs, step_size_ig, bound_rhs_ig, _queries_ig)
+_NONSMOOTH = Guarantee("RR", _nonsmooth_inputs, step_size_nonsmooth, bound_rhs_nonsmooth,
+                       _queries_nonsmooth, planted=True)
+GUARANTEES = {"rr": _RR, "ig": _IG, "nonsmooth": _NONSMOOTH,
+              "general_rr": _finite_sum(_RR), "general_ig": _finite_sum(_IG)}
 
 
 def gradient_query_complexity(kind: str, epsilon: float, inp: BoundInputs) -> int:
     """Component gradient evaluations (n K) sufficient for target error epsilon,
-    using the explicit constants behind each guarantee."""
+    using the explicit constants behind the guarantee GUARANTEES[kind]."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    n, b = inp.n, inp.b
-    D2 = inp.D**2
-    if kind in ("rr", "general_rr"):
-        first = n * math.sqrt(2.0 * inp.hatL * inp.tildeL) * D2 / epsilon
-        if n > b and inp.sigma_star > 0:
-            second = (
-                math.sqrt((n - b) * (n + b) / (n - 1))
-                * 2.0**1.5 * math.sqrt(inp.tildeL) * inp.sigma_star * D2
-                / (math.sqrt(3.0) * epsilon**1.5)
-            )
-        else:
-            second = 0.0
-        total = max(first, second)
-    elif kind in ("ig", "general_ig"):
-        first = n * math.sqrt(2.0 * inp.hatL * inp.tildeL) * D2 / epsilon
-        term_y = (
-            4.0 * math.sqrt(n * inp.hatL * inp.tildeL) * inp.ystar_norm * D2 / epsilon**1.5
-        )
-        term_s = 4.0 * (n - b) * math.sqrt(inp.tildeL) * inp.sigma_star * D2 / epsilon**1.5
-        total = first + min(term_y, term_s)
-    elif kind == "nonsmooth":
-        total = 4.0 * n * inp.Gbar * D2 / epsilon**2
-    else:
-        raise ValueError(f"kind must be one of {GUARANTEE_KINDS}")
-    return int(math.ceil(total))
+    if kind not in GUARANTEES:
+        raise ValueError(f"kind must be one of {tuple(GUARANTEES)}")
+    return int(math.ceil(GUARANTEES[kind].queries(epsilon, inp)))

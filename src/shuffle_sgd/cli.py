@@ -5,6 +5,8 @@ Every command is deterministic given its full flag set. Permutation trials
 and run seeds go one after another, in order. Numeric outputs go to CSV (LF
 endings, `.` decimal); each command also writes a JSON report carrying
 schema_version and the effective configuration for provenance.
+verify-bound and optimize --step theoretical read their guarantee's record
+in bounds.GUARANTEES for its constants, step and right-hand side.
 
 Each flag is checked where it is declared, by its argparse type; rules that
 join two flags open their command. So every usage error returns 2 from main
@@ -30,7 +32,7 @@ import numpy as np
 from . import bounds as bd
 from . import constants as consts
 from . import engine, losses, shuffle
-from .data import ParseError, SparseDataset, gen_gaussian, load_libsvm, row_sq_norms
+from .data import ParseError, SparseDataset, gen_gaussian, load_libsvm
 
 # Refuse permutation studies whose rough cost estimate exceeds this many
 # operations, unless --force. Per permutation, a hat solve of S Lanczos steps
@@ -274,52 +276,9 @@ def cmd_histogram(args) -> int:
     return 0
 
 
-def _minimizer_record(ref) -> dict:
-    return {"reason": ref.reason, "iterations": ref.iterations, "grad_norm": ref.grad_norm}
-
-
-def _theoretical_step(ds, model, x_star, scheme, args):
-    """Assemble BoundInputs and the matching step size for a smooth run
-    whose minimizer is x_star, with the command's --b, --epochs, --perms,
-    --seed, --tol and --proxy."""
-    b, K = args.b, args.epochs
-    reg = losses.regularity(model)
-    sig = consts.sigma_star(ds, model, x_star, grad_tol=1e-6)
-    D = float(np.linalg.norm(x_star))  # x0 = 0
-    if scheme == "IG":
-        perm0 = np.arange(ds.n)
-        hat = consts.hat_constant(ds, reg, perm0, b, tol=args.tol)
-        til = consts.tilde_constant(ds, reg, perm0, b)
-        ynorm = consts.ystar_weighted_norm(ds, model, x_star, grad_tol=1e-6)
-        inp = bd.BoundInputs(n=ds.n, b=b, K=K, hatL=hat, tildeL=til,
-                             sigma_star=sig, D=D, ystar_norm=ynorm)
-        return bd.step_size_ig(inp), inp
-    report = consts.ratio_stats(ds, reg, b=b, num_perms=args.perms, seed=args.seed, tol=args.tol)
-    hat = _proxy_value(report.hatL, args.proxy)
-    til = _proxy_value(report.tildeL, args.proxy)
-    inp = bd.BoundInputs(n=ds.n, b=b, K=K, hatL=hat, tildeL=til, sigma_star=sig, D=D)
-    return bd.step_size_smooth_rr(inp), inp
-
-
-# --proxy values besides "max": the sampled deciles, q0 (min) to q100 (max).
-DECILE_PROXIES = tuple(f"q{10 * i}" for i in range(11))
-
-
-def _proxy(text) -> str:
-    """argparse type for --proxy: max or a decile."""
-    if text != "max" and text not in DECILE_PROXIES:
-        raise argparse.ArgumentTypeError(
-            f"unknown proxy {text!r}; use max or one of {', '.join(DECILE_PROXIES)}")
-    return text
-
-
-def _proxy_value(summary: dict, proxy: str) -> float:
-    """Pick the constant fed to step sizes from sampled per-permutation values:
-    the sampled max (default, matching a deterministic constant step) or a
-    decile."""
-    if proxy == "max":
-        return summary["max"]
-    return summary["deciles"][DECILE_PROXIES.index(proxy)]
+def _minimizer_record(ref):  # None when no minimizer ran
+    if ref is not None:
+        return {"reason": ref.reason, "iterations": ref.iterations, "grad_norm": ref.grad_norm}
 
 
 def cmd_optimize(args) -> int:
@@ -341,28 +300,25 @@ def cmd_optimize(args) -> int:
         if not ref.converged:
             raise CliError(f"reference minimizer stopped ({ref.reason}); cannot size the step",
                            code=1)
-        eta, _ = _theoretical_step(ds, model, ref.x, args.scheme, args)
+        guarantee = bd.GUARANTEES["ig" if args.scheme == "IG" else "rr"]
+        eta = guarantee.step(guarantee.inputs(ds, model, ref.x, args.b, args.epochs, args.perms,
+                                              args.seed, args.tol))
     f_star = ref.value if ref is not None and ref.converged else None
 
     rows = [("seed", "epoch", "f_x", "f_avg", "retraction_residual")]
     final_gaps = {}
     diverged = {}
+    cfg = engine.RunConfig(batch=args.b, epochs=args.epochs, step=eta, x0=np.zeros(ds.d),
+                           trace=trace)
     for s in args.seeds:
-        plan = shuffle.ShufflePlan(args.scheme, seed=s)
-        cfg = engine.RunConfig(
-            batch=args.b, epochs=args.epochs, step=eta, x0=np.zeros(ds.d), trace=trace
-        )
         try:
-            result = engine.run(ds, model, plan, cfg)
+            result = engine.run(ds, model, shuffle.ShufflePlan(args.scheme, seed=s), cfg)
         except engine.DivergenceError as exc:
             diverged[s] = exc.epoch
             continue
         for k, (f_x, f_avg) in enumerate(zip(result.objectives, result.objectives_avg), 1):
-            res = (
-                engine.retraction_residual(result.traces[k - 1], args.b, ds.n)
-                if trace
-                else float("nan")
-            )
+            res = (engine.retraction_residual(result.traces[k - 1], args.b, ds.n) if trace
+                   else float("nan"))
             rows.append((s, k, repr(float(f_x)), repr(float(f_avg)), repr(res)))
         if f_star is not None:
             final_gaps[s] = float(result.objective_avg - f_star)
@@ -374,16 +330,14 @@ def cmd_optimize(args) -> int:
     payload = {
         "step_size": eta,
         "diverged": {str(k): v for k, v in diverged.items()},
-        "minimizer": _minimizer_record(ref) if ref is not None else None,
+        "minimizer": _minimizer_record(ref),
     }
     if final_gaps:
         payload["final_gaps"] = {str(k): v for k, v in final_gaps.items()}
         payload["mean_final_gap"] = float(np.mean(list(final_gaps.values())))
     _write_json(args, payload)
-    if final_gaps:
-        print(f"step={eta:.4g} mean_final_gap={payload['mean_final_gap']:.6g}")
-    else:
-        print(f"step={eta:.4g}")
+    gap = f" mean_final_gap={payload['mean_final_gap']:.6g}" if final_gaps else ""
+    print(f"step={eta:.4g}{gap}")
     return 0
 
 
@@ -406,72 +360,14 @@ def _planted_hinge(n, d, seed, margin=2.0):
 
 
 def _inconclusive(args, reason, ref) -> int:
-    _write_json(args, {
-        "verdict": "inconclusive",
-        "reason": reason,
-        "minimizer": _minimizer_record(ref) if ref is not None else None,
-    })
+    _write_json(args, {"verdict": "inconclusive", "reason": reason,
+                       "minimizer": _minimizer_record(ref)})
     print("verdict=inconclusive")
     return 1
 
 
-def cmd_verify_bound(args) -> int:
-    kind = args.bound.replace("-", "_")
-    scheme = "IG" if kind.endswith("ig") else "RR"
-    if kind == "nonsmooth" and not (args.planted and args.gaussian):
-        raise CliError("nonsmooth verification needs --planted --gaussian N,D (known optimum)")
-    if args.planted and kind != "nonsmooth":
-        raise CliError(f"--planted builds the nonsmooth problem; --bound {args.bound} "
-                       "does not use it")
-    if kind != "nonsmooth" and args.loss not in losses.SMOOTH_FAMILIES:
-        raise CliError(f"--bound {args.bound} needs a smooth loss, got --loss {args.loss}")
-    if scheme == "RR":
-        _check_sampled_perms(args)
-    _check_data_flags(args, [args.b])
-    b, K = args.b, args.epochs
-    # IG runs are deterministic: one run suffices
-    seeds = [0] if scheme == "IG" else list(range(args.seeds))
-
-    # a constant whose spectral solve did not converge cannot size the step
-    ref = None  # stays None for --planted: the optimum is known
-    try:
-        if kind == "nonsmooth":
-            ds, x_star = _planted_hinge(*args.gaussian, args.seed)
-            model = losses.LossModel.for_dataset("hinge", ds)
-            f_star = 0.0
-            reg = losses.regularity(model)
-            gbar = consts.gbar_estimate(ds, reg, b, args.perms, seed=args.seed, tol=args.tol)
-            D = float(np.linalg.norm(x_star))
-            inp = bd.BoundInputs(n=ds.n, b=b, K=K, D=D, Gbar=gbar)
-            eta = bd.step_size_nonsmooth(inp)
-            rhs = bd.bound_rhs_nonsmooth(inp, eta)
-        else:
-            ds = _load_dataset(args)
-            model = losses.LossModel.for_dataset(args.loss, ds)
-            ref = consts.reference_minimizer(ds, model, tol=1e-10)
-            if not ref.converged:
-                return _inconclusive(
-                    args, f"reference minimizer stopped ({ref.reason}); cannot size the step", ref)
-            x_star = ref.x
-            eta, inp = _theoretical_step(ds, model, x_star, scheme, args)
-            f_star = ref.value
-            step_size, bound_rhs = ((bd.step_size_ig, bd.bound_rhs_ig) if scheme == "IG"
-                                    else (bd.step_size_smooth_rr, bd.bound_rhs_smooth_rr))
-            if kind.startswith("general"):
-                # the same guarantees with the finite-sum constants of
-                # L_i = w_i ||a_i||^2: at the identity order for IG, else the
-                # sampled max
-                Lvals = losses.regularity(model).values * row_sq_norms(ds)
-                perms = ([np.arange(ds.n)] if scheme == "IG" else
-                         [shuffle.random_permutation(ds.n, args.seed, j)
-                          for j in range(args.perms)])
-                inp.hatL = max(consts.general_hat_L(Lvals, p, b, tol=args.tol) for p in perms)
-                inp.tildeL = max(consts.general_tilde_L(Lvals, p, b) for p in perms)
-                eta = step_size(inp)
-            rhs = bound_rhs(inp, eta)
-    except consts.ConvergenceError as exc:
-        return _inconclusive(args, str(exc), ref)
-
+def _run_general(ds, model, plan, cfg) -> engine.RunResult:
+    """engine.run_general on the GLM's component gradients l_i'(a_i^T x) a_i."""
     def glm_oracle(i, x):
         lo, hi = ds.indptr[i], ds.indptr[i + 1]
         g = np.zeros(ds.d)
@@ -480,23 +376,60 @@ def cmd_verify_bound(args) -> int:
                                 * ds.values[lo:hi])
         return g
 
+    return engine.run_general(glm_oracle, ds.n, ds.d, plan, cfg,
+                              objective_fn=lambda x: losses.objective(model, ds, x))
+
+
+def cmd_verify_bound(args) -> int:
+    kind = args.bound.replace("-", "_")
+    guarantee = bd.GUARANTEES[kind]
+    if guarantee.planted and not (args.planted and args.gaussian):
+        raise CliError("nonsmooth verification needs --planted --gaussian N,D (known optimum)")
+    if args.planted and not guarantee.planted:
+        raise CliError(f"--planted builds the nonsmooth problem; --bound {args.bound} "
+                       "does not use it")
+    if not guarantee.planted and args.loss not in losses.SMOOTH_FAMILIES:
+        raise CliError(f"--bound {args.bound} needs a smooth loss, got --loss {args.loss}")
+    if guarantee.scheme == "RR":
+        _check_sampled_perms(args)
+    _check_data_flags(args, [args.b])
+
+    # a constant whose spectral solve did not converge cannot size the step
+    ref = None  # stays None for --planted: the optimum is known
+    try:
+        if guarantee.planted:
+            ds, x_star = _planted_hinge(*args.gaussian, args.seed)
+            model = losses.LossModel.for_dataset("hinge", ds)
+            f_star = 0.0
+        else:
+            ds = _load_dataset(args)
+            model = losses.LossModel.for_dataset(args.loss, ds)
+            ref = consts.reference_minimizer(ds, model, tol=1e-10)
+            if not ref.converged:
+                return _inconclusive(
+                    args, f"reference minimizer stopped ({ref.reason}); cannot size the step", ref)
+            x_star, f_star = ref.x, ref.value
+        inp = guarantee.inputs(ds, model, x_star, args.b, args.epochs, args.perms, args.seed,
+                               args.tol)
+        eta = guarantee.step(inp)
+        rhs = guarantee.rhs(inp, eta)
+    except consts.ConvergenceError as exc:
+        return _inconclusive(args, str(exc), ref)
+
+    # IG runs are deterministic: one run suffices. The bound is on f(x_bar_K)
+    # alone: no per-epoch objectives.
+    seeds = [0] if guarantee.scheme == "IG" else range(args.seeds)
+    run = _run_general if guarantee.general else engine.run
+    cfg = engine.RunConfig(batch=args.b, epochs=args.epochs, step=eta, x0=np.zeros(ds.d),
+                           epoch_objectives=False)
     gaps = []
     for s in seeds:
-        plan = shuffle.ShufflePlan(scheme, seed=s)
-        # the bound is on f(x_bar_K) alone: no per-epoch objectives
-        cfg = engine.RunConfig(batch=b, epochs=K, step=eta, x0=np.zeros(ds.d),
-                               epoch_objectives=False)
-        if kind.startswith("general"):
-            result = engine.run_general(
-                glm_oracle, ds.n, ds.d, plan, cfg,
-                objective_fn=lambda x: losses.objective(model, ds, x),
-            )
-        else:
-            result = engine.run(ds, model, plan, cfg)
+        result = run(ds, model, shuffle.ShufflePlan(guarantee.scheme, seed=s), cfg)
         gaps.append(float(result.objective_avg - f_star))
 
     mean_gap = float(np.mean(gaps))
-    sem = float(np.std(gaps) / math.sqrt(len(gaps))) if len(gaps) > 1 else 0.0
+    # the standard error of the mean, from the unbiased sample variance
+    sem = float(np.std(gaps, ddof=1) / math.sqrt(len(gaps))) if len(gaps) > 1 else 0.0
     holds = mean_gap <= rhs
     payload = {
         "bound": kind,
@@ -507,7 +440,7 @@ def cmd_verify_bound(args) -> int:
         "margin": rhs - mean_gap,
         "num_runs": len(gaps),
         "verdict": "holds" if holds else "violated",
-        "minimizer": _minimizer_record(ref) if ref is not None else None,
+        "minimizer": _minimizer_record(ref),
     }
     _write_json(args, payload)
     print(f"verdict={payload['verdict']} mean_gap={mean_gap:.6g} rhs={rhs:.6g}")
@@ -556,8 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = flags(batch)
     run.add_argument("--loss", choices=losses.FAMILIES, default="squared")
     run.add_argument("--epochs", type=_checked("--epochs must be >= 1, got {}"), default=10)
-    run.add_argument("--proxy", type=_proxy, default="max",
-                     help="constant proxy: max or a decile q0, q10, ..., q100")
 
     sp = sub.add_parser("analyze", parents=[features, batch, num_perms, budget, common],
                         help="per-permutation hat/tilde constants for one dataset")
@@ -599,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-bound", parents=[data, run, common],
                         help="check a convergence guarantee empirically")
     sp.add_argument("--bound", required=True,
-                    choices=tuple(k.replace("_", "-") for k in bd.GUARANTEE_KINDS))
+                    choices=tuple(k.replace("_", "-") for k in bd.GUARANTEES))
     sp.add_argument("--planted", action="store_true",
                     help="construct a hinge problem with a known optimum")
     sp.add_argument("--seeds", type=_checked("provide at least one run seed, got --seeds {}"),

@@ -468,21 +468,6 @@ class TestOptimize:
         assert "diverged" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("scheme", ["RR", "IG"])  # IG uses no proxy, but checks it
-    @pytest.mark.parametrize("proxy, want", [
-        ("q90", 0), ("q95", 2), ("qx", 2), ("q110", 2),
-    ])
-    def test_proxy_must_be_a_decile(self, identity6, tmp_path, capsys, scheme, proxy, want):
-        code = main([
-            "optimize", "--input", str(identity6), "--loss", "squared", "--scheme", scheme,
-            "--b", "1", "--epochs", "1", "--step", "theoretical", "--perms", "3",
-            "--proxy", proxy, "--out", str(tmp_path / "px"),
-        ])
-        assert code == want
-        if want:
-            assert "q0, q10, q20" in capsys.readouterr().err
-
-
 class TestVerifyBound:
     def test_ig_on_small_least_squares(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -540,6 +525,36 @@ class TestVerifyBound:
             "--perms", "30", "--out", str(tmp_path / "v4"),
         ])
         assert code == 0
+
+    def test_standard_error_of_two_runs(self, tmp_path, monkeypatch):
+        # planted optimum f* = 0, so each stubbed run's f(x_bar_K) is its gap
+        gaps = {0: 0.3, 1: 0.7}
+        monkeypatch.setattr(ss.engine, "run", lambda ds, model, plan, cfg: SimpleNamespace(
+            objective_avg=gaps[plan.seed]))
+        code = main(["verify-bound", "--bound", "nonsmooth", "--planted", "--gaussian", "6,2",
+                     "--b", "1", "--epochs", "2", "--seeds", "2", "--perms", "3",
+                     "--out", str(tmp_path / "se")])
+        assert code == 0
+        payload = strict_json(tmp_path / "se.json")
+        assert payload["empirical_mean_gap"] == pytest.approx(0.5, rel=1e-12)
+        # the sample standard deviation over sqrt(N): |g1 - g2| / 2 for N = 2
+        assert payload["standard_error"] == pytest.approx(0.2, rel=1e-12)
+
+    @pytest.mark.parametrize("bound, scheme", [("rr", "RR"), ("rr", "SO"), ("ig", "IG")])
+    def test_optimize_theoretical_step_is_the_guarantee_step(self, tmp_path, bound, scheme):
+        rng = np.random.default_rng(11)
+        ds = ss.SparseDataset.from_dense(rng.standard_normal((12, 3)),
+                                         labels=rng.standard_normal(12))
+        p = tmp_path / "ls.svm"
+        p.write_text(ss.serialize_libsvm(ds))
+        shared = ["--input", str(p), "--loss", "squared", "--b", "3", "--epochs", "4",
+                  "--perms", "6", "--seed", "5"]
+        assert main(["verify-bound", "--bound", bound, *shared, "--seeds", "2",
+                     "--out", str(tmp_path / "v")]) == 0
+        assert main(["optimize", "--step", "theoretical", "--scheme", scheme, *shared,
+                     "--seeds", "0", "--out", str(tmp_path / "o")]) == 0
+        step = strict_json(tmp_path / "v.json")["step_size"]
+        assert strict_json(tmp_path / "o.json")["step_size"] == step
 
     def test_inconclusive_when_no_finite_minimizer(self, tmp_path, capsys):
         # separable logistic data: the reference minimizer cannot converge
