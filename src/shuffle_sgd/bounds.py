@@ -1,8 +1,8 @@
 """Theoretical step sizes, convergence-bound right-hand sides, and gradient
 query counts for shuffled SGD on linear-predictor ERM.
 
-Symbols: n components, batch b (with b | n), K epochs, constant or per-epoch
-steps eta_k with H_K = sum eta_k, D = ||x0 - x*||, sigma_star the RMS
+Symbols: n components, batch b (with b | n), K epochs of one constant
+step eta, so H_K = K eta, D = ||x0 - x*||, sigma_star the RMS
 component gradient norm at the optimum, hatL/tildeL the masked-Gram
 constants (worst-case or the sampled max), ystar_norm = ||y*|| weighted by
 inverse smoothness (fixed-order runs only), Gbar the permutation mean of
@@ -11,10 +11,11 @@ kind: how its runs go, how its constants are measured into BoundInputs,
 and its step, RHS and query-count functions. The finite-sum kinds reuse the
 rr and ig functions, with the finite-sum constants in hatL/tildeL.
 
-All RHS helpers return the bound on the (expected) suboptimality of the
-averaged output, i.e. the raw telescoped bound divided by H_K. Division
-guards follow the degenerate-case conventions: a vanished variance term is
-0 and an unconstrained step branch is +inf.
+All RHS helpers take the scalar eta and return the bound on the
+(expected) suboptimality of the averaged output, i.e. the raw telescoped
+bound divided by H_K. Division guards follow the degenerate-case
+conventions: a vanished variance term is 0 and an unconstrained step
+branch is +inf.
 """
 
 from __future__ import annotations
@@ -60,15 +61,6 @@ def base_step(inp: BoundInputs) -> float:
     return inp.b / (inp.n * math.sqrt(2.0 * inp.hatL * inp.tildeL))
 
 
-def _schedule(eta, K) -> np.ndarray:
-    steps = np.asarray(eta, dtype=np.float64)
-    if steps.ndim == 0:
-        steps = np.full(K, float(steps))
-    if steps.shape != (K,):
-        raise ValueError("eta must be a scalar or one value per epoch")
-    return steps
-
-
 def _cube_root_cap(eta: float, num: float, denom: float) -> float:
     """min(eta, (num / denom)^(1/3)). With denom = 0 there is no cap, and a
     cap that is not positive (num = 0, as when D = 0) is ignored."""
@@ -79,8 +71,8 @@ def _cube_root_cap(eta: float, num: float, denom: float) -> float:
     return eta
 
 
-def _warn_above_ceiling(inp: BoundInputs, steps: np.ndarray):
-    if inp.hatL > 0 and inp.tildeL > 0 and np.any(steps > base_step(inp) * (1 + 1e-12)):
+def _warn_above_ceiling(inp: BoundInputs, eta: float):
+    if inp.hatL > 0 and inp.tildeL > 0 and eta > base_step(inp) * (1 + 1e-12):
         warnings.warn(
             "step size exceeds b/(n sqrt(2 hatL tildeL)); the guarantee does not apply",
             stacklevel=3,
@@ -95,22 +87,18 @@ def step_size_smooth_rr(inp: BoundInputs) -> float:
     return _cube_root_cap(base_step(inp), 3.0 * b**3 * (n - 1) * inp.D**2, denom)
 
 
-def bound_rhs_smooth_rr(inp: BoundInputs, eta) -> float:
+def bound_rhs_smooth_rr(inp: BoundInputs, eta: float) -> float:
     """Expected suboptimality bound for uniformly shuffled runs:
-    [ b D^2 / (2n) + sum_k eta_k^3 tildeL (n-b)(n+b) sigma*^2 / (6 b^2 (n-1)) ] / H_K."""
-    n, b = inp.n, inp.b
-    steps = _schedule(eta, inp.K)
-    _warn_above_ceiling(inp, steps)
-    H = float(np.sum(steps))
+    [ b D^2 / (2n) + K eta^3 tildeL (n-b)(n+b) sigma*^2 / (6 b^2 (n-1)) ] / (K eta)."""
+    n, b, K, eta = inp.n, inp.b, inp.K, float(eta)
+    _warn_above_ceiling(inp, eta)
     head = b * inp.D**2 / (2.0 * n)
     if n > b and n > 1 and inp.sigma_star > 0:
-        var = float(
-            np.sum(steps**3) * inp.tildeL * (n - b) * (n + b) * inp.sigma_star**2
-            / (6.0 * b**2 * (n - 1))
-        )
+        var = (K * eta**3 * inp.tildeL * (n - b) * (n + b) * inp.sigma_star**2
+               / (6.0 * b**2 * (n - 1)))
     else:
         var = 0.0
-    return (head + var) / H
+    return (head + var) / (K * eta)
 
 
 def step_size_ig(inp: BoundInputs) -> float:
@@ -127,18 +115,16 @@ def step_size_ig(inp: BoundInputs) -> float:
     return _cube_root_cap(base_step(inp), b**3 * inp.D**2, denom)
 
 
-def bound_rhs_ig(inp: BoundInputs, eta) -> float:
+def bound_rhs_ig(inp: BoundInputs, eta: float) -> float:
     """Deterministic suboptimality bound for fixed-order runs:
-    [ b D^2 / (2n) + sum_k min( eta_k^3 n hatL tildeL ||y*||^2 / b^2,
-                                eta_k^3 (n-b)^2 tildeL sigma*^2 / b^2 ) ] / H_K."""
-    n, b = inp.n, inp.b
-    steps = _schedule(eta, inp.K)
-    _warn_above_ceiling(inp, steps)
-    cubes = float(np.sum(steps**3))
+    [ b D^2 / (2n) + K min( eta^3 n hatL tildeL ||y*||^2 / b^2,
+                            eta^3 (n-b)^2 tildeL sigma*^2 / b^2 ) ] / (K eta)."""
+    n, b, K, eta = inp.n, inp.b, inp.K, float(eta)
+    _warn_above_ceiling(inp, eta)
+    cubes = K * eta**3
     term_y = cubes * n * inp.hatL * inp.tildeL * inp.ystar_norm**2 / b**2
     term_s = cubes * (n - b) ** 2 * inp.tildeL * inp.sigma_star**2 / b**2
-    H = float(np.sum(steps))
-    return (b * inp.D**2 / (2.0 * n) + min(term_y, term_s)) / H
+    return (b * inp.D**2 / (2.0 * n) + min(term_y, term_s)) / (K * eta)
 
 
 def step_size_nonsmooth(inp: BoundInputs) -> float:
@@ -150,16 +136,15 @@ def step_size_nonsmooth(inp: BoundInputs) -> float:
     return inp.b * inp.D / (2.0 * inp.n * math.sqrt(inp.K * inp.Gbar))
 
 
-def bound_rhs_nonsmooth(inp: BoundInputs, eta) -> float:
-    """[ b D^2 / (2n) + sum_k 2 eta_k^2 n Gbar / b ] / H_K; holds for any
-    positive steps (no ceiling). Defined as 0 for the degenerate all-zero
-    schedule that arises from D = 0."""
-    steps = _schedule(eta, inp.K)
-    H = float(np.sum(steps))
-    if H == 0.0:
+def bound_rhs_nonsmooth(inp: BoundInputs, eta: float) -> float:
+    """[ b D^2 / (2n) + K 2 eta^2 n Gbar / b ] / (K eta); holds for any
+    positive step (no ceiling). Defined as 0 for the degenerate step
+    eta = 0 that arises from D = 0."""
+    K, eta = inp.K, float(eta)
+    if eta == 0.0:
         return 0.0
-    err = float(np.sum(steps**2)) * 2.0 * inp.n * inp.Gbar / inp.b
-    return (inp.b * inp.D**2 / (2.0 * inp.n) + err) / H
+    err = K * eta**2 * 2.0 * inp.n * inp.Gbar / inp.b
+    return (inp.b * inp.D**2 / (2.0 * inp.n) + err) / (K * eta)
 
 
 def _queries_rr(epsilon: float, inp: BoundInputs) -> float:

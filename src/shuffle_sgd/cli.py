@@ -197,6 +197,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gaussian_sweep(args) -> int:
+    for n in args.grid if args.fixed == "d" else [args.fixed_value]:
+        shuffle.check_batch(n, args.b)
     rows = [("n", "d", "perm_index", "ratio")]
     summary = [("n", "d", "num_perms", "mean_ratio", "std_ratio")]
     means = []

@@ -12,11 +12,11 @@ The composition is exactly vanilla mini-batch shuffled SGD. Each epoch
 lays its nonzeros out once, block by block and sorted by column within a
 block (BlockLayout), so the primal step updates x in place on the block's
 distinct columns only: every block step costs O(nnz of the block), never
-O(d), traced or not. The returned output is the step-size weighted
-average of the epoch ends x_1..x_K, x_bar_K = sum_k eta_k x_k / H_K with
-H_K = sum_k eta_k; the loop keeps its running sum, so a run holds O(d)
-state whatever K is. It records f(x_k) and f(x_bar_k) after every epoch,
-or with RunConfig.epoch_objectives off f(x_bar_K) alone.
+O(d), traced or not. A run takes one constant step eta. Its output is the
+average of the epoch ends x_1..x_K, x_bar_K = (1/K) sum_k x_k; the loop
+keeps their running sum, so a run holds O(d) state whatever K is. It
+records f(x_k) and f(x_bar_k) after every epoch, or with
+RunConfig.epoch_objectives off f(x_bar_K) alone.
 
 Traced epochs also check the retraction identity: with the inner iterate
 x_i after block i (x_0 the epoch start, x_m its end) and block gradient
@@ -51,27 +51,25 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class RunConfig:
+    """One run's settings, checked when built: epochs >= 1, then one
+    positive, finite step for every epoch."""
+
     batch: int
     epochs: int
-    step: float | np.ndarray
+    step: float
     x0: np.ndarray
     trace: bool = False
     # f(x_k) and f(x_bar_k) after every epoch; else f(x_bar_K) alone
     epoch_objectives: bool = True
 
-    def step_schedule(self) -> np.ndarray:
+    def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        steps = np.asarray(self.step, dtype=np.float64)
-        if steps.ndim == 0:
-            steps = np.full(self.epochs, float(steps))
-        if steps.shape != (self.epochs,):
-            raise ConfigError("step must be a scalar or one value per epoch")
-        bad = ~(np.isfinite(steps) & (steps > 0))
-        if np.any(bad):
-            raise ConfigError(
-                f"step sizes must be positive and finite, got {float(steps[bad][0])}")
-        return steps
+        if np.ndim(self.step) != 0:
+            raise ConfigError("step must be one value, the same for every epoch")
+        self.step = float(self.step)
+        if not (np.isfinite(self.step) and self.step > 0):
+            raise ConfigError(f"step sizes must be positive and finite, got {self.step}")
 
 
 @dataclass
@@ -174,20 +172,18 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
     which moves x in place on the columns block_cols(i) and returns the
     block's gradient aggregate on them, and that block_cols."""
     m_blocks = check_batch(n, cfg.batch)
-    steps = cfg.step_schedule()
+    eta = cfg.step
     x = np.asarray(cfg.x0, dtype=np.float64).copy()
     if x.shape != (d,):
         raise ConfigError(f"x0 must have dimension d = {d}")
 
-    x_sum = np.zeros(d)  # sum_k eta_k x_k
-    h = 0.0  # H_k, summed in epoch order
+    x_sum = np.zeros(d)  # sum_k x_k
     traces = []
     objectives = []
     objectives_avg = []
     # float overflow on a diverging run surfaces as DivergenceError, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.epochs + 1):
-            eta = float(steps[k - 1])
             step, block_cols = start_epoch(permutation_for(plan, n, k))
             if cfg.trace:
                 x_start = x.copy()
@@ -215,13 +211,12 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
                     displacement_sq=float(disp @ disp),
                     retraction_term=eta / n * (float(g_sum @ disp) - g_dot),
                 ))
-            x_sum += eta * x
-            h += eta
+            x_sum += x
             if cfg.epoch_objectives:
                 objectives.append(objective_fn(x))
-                objectives_avg.append(objective_fn(x_sum / h))
+                objectives_avg.append(objective_fn(x_sum / k))
 
-    avg = x_sum / h
+    avg = x_sum / cfg.epochs
     return RunResult(
         final=x,
         averaged=avg,

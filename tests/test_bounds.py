@@ -212,6 +212,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             BoundInputs(n=4, b=2, K=1, sigma_star=-1.0)
 
+    @pytest.mark.parametrize("rhs", [ss.bound_rhs_smooth_rr, ss.bound_rhs_ig,
+                                     ss.bound_rhs_nonsmooth], ids=["rr", "ig", "nonsmooth"])
+    def test_one_constant_step(self, rhs):
+        # every guarantee is for one step over all K epochs, not a schedule
+        inp = BoundInputs(n=4, b=2, K=3, hatL=1.0, tildeL=1.0, sigma_star=1.0, D=1.0,
+                          ystar_norm=1.0, Gbar=1.0)
+        assert math.isfinite(rhs(inp, 0.1))
+        with pytest.raises(TypeError):
+            rhs(inp, np.full(3, 0.1))
+
     @given(
         st.integers(1, 6),
         st.integers(1, 50),

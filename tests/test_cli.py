@@ -351,18 +351,15 @@ class TestOptimize:
         payload = json.loads((tmp_path / "ms.json").read_text())
         assert len(payload["final_gaps"]) == 3
 
-    def test_f_avg_is_the_step_weighted_average(self, tmp_path, monkeypatch):
-        # --step takes one value, so a schedule is patched into the runs'
-        # RunConfig: with unequal steps the weights of the average matter
+    def test_f_avg_is_the_step_weighted_average(self, tmp_path):
+        # one step for every epoch, so f_avg is f at the plain mean of the
+        # epoch ends, replayed here independently of the engine
         rng = np.random.default_rng(5)
         n, d, K = 6, 3, 4
         A = rng.standard_normal((n, d))
         t = rng.standard_normal(n)
         p = tmp_path / "ls.svm"
         p.write_text(ss.serialize_libsvm(ss.SparseDataset.from_dense(A, labels=t)))
-        steps = 0.05 * np.array([1.0, 0.25, 2.0, 0.5])
-        config = ss.engine.RunConfig
-        monkeypatch.setattr(ss.engine, "RunConfig", lambda **kw: config(**{**kw, "step": steps}))
         code = main([
             "optimize", "--input", str(p), "--loss", "squared", "--scheme", "RR",
             "--b", "2", "--epochs", str(K), "--step", "0.05", "--seeds", "0,3",
@@ -375,9 +372,9 @@ class TestOptimize:
             x, ends = np.zeros(d), []
             for k in range(1, K + 1):
                 x = oracles.vanilla_epoch(A, t, "squared", ss.permutation_for(plan, n, k), 2,
-                                          steps[k - 1], x)[-1]
+                                          0.05, x)[-1]
                 ends.append(x)
-            want = [np.mean(0.5 * (A @ np.average(ends[:k], axis=0, weights=steps[:k]) - t) ** 2)
+            want = [np.mean(0.5 * (A @ np.mean(ends[:k], axis=0) - t) ** 2)
                     for k in range(1, K + 1)]
             got = [float(r[3]) for r in rows if int(r[0]) == s]
             assert np.allclose(got, want, rtol=1e-12, atol=0)
@@ -761,9 +758,13 @@ class TestRefusedBeforeLoading:
         ["optimize", "--gaussian", "7,3", "--b", "2", "--step", "0.1"],
         ["histogram", "--gaussian", "7,3", "--b", "2"],
         ["batch-sweep", "--gaussian", "7,3", "--b-grid", "1,2"],
+        ["gaussian-sweep", "--fixed", "d", "--fixed-value", "3", "--grid", "4,6,1000,7",
+         "--b", "2"],
+        ["gaussian-sweep", "--fixed", "n", "--fixed-value", "7", "--grid", "3", "--b", "2"],
     ])
     def test_gaussian_batch_must_divide_n(self, tmp_path, capsys, monkeypatch, argv):
-        # n comes from --gaussian N,D, so the rule needs no generated data
+        # n comes from the flags (--gaussian N,D, or gaussian-sweep's grid and
+        # --fixed-value), so the rule needs no generated data
         no_data(monkeypatch)
         assert main(argv + ["--out", str(tmp_path / "r")]) == 2
         assert "batch size 2 must divide n = 7; valid divisors: [1, 7]" in capsys.readouterr().err

@@ -52,7 +52,7 @@ class TestBlockOps:
         ds = ss.SparseDataset.from_dense(np.array([[1.0, 2.0]]))
         x0 = np.array([3.0, -1.0])
         with pytest.raises(ConfigError):
-            RunConfig(batch=1, epochs=1, step=0.0, x0=x0).step_schedule()
+            RunConfig(batch=1, epochs=1, step=0.0, x0=x0)
         same = x0.copy()
         ss.primal_block_step(same, ss.BlockLayout(ds, [0], 1), 0, np.zeros(1), 0.7)
         assert np.array_equal(same, x0)
@@ -105,17 +105,19 @@ class TestRunConfig:
     @pytest.mark.parametrize("epochs", [-1, 0])
     @pytest.mark.parametrize("step", [0.1, np.array([0.1])])
     def test_nonpositive_epochs_rejected_first(self, epochs, step):
-        cfg = RunConfig(batch=1, epochs=epochs, step=step, x0=np.zeros(1))
         with pytest.raises(ConfigError, match="epochs must be >= 1"):
-            cfg.step_schedule()
+            RunConfig(batch=1, epochs=epochs, step=step, x0=np.zeros(1))
 
-    @pytest.mark.parametrize("step, shown", [
-        (np.nan, "nan"), (np.inf, "inf"), (np.array([0.1, -np.inf]), "-inf"),
-    ])
+    @pytest.mark.parametrize("step, shown", [(np.nan, "nan"), (np.inf, "inf")])
     def test_non_finite_step_rejected(self, step, shown):
-        cfg = RunConfig(batch=1, epochs=2, step=step, x0=np.zeros(1))
         with pytest.raises(ConfigError, match=f"positive and finite, got {shown}$"):
-            cfg.step_schedule()
+            RunConfig(batch=1, epochs=2, step=step, x0=np.zeros(1))
+
+    @pytest.mark.parametrize("step", [np.array([0.1]), np.array([0.1, 0.2]), [0.1, 0.2]])
+    def test_one_step_per_run(self, step):
+        # a step per epoch is refused when the config is built, not in a run
+        with pytest.raises(ConfigError, match="step must be one value"):
+            RunConfig(batch=1, epochs=2, step=step, x0=np.zeros(1))
 
 
 class TestRun:
@@ -135,30 +137,32 @@ class TestRun:
         assert np.allclose(res.final, expected, rtol=1e-12, atol=1e-12)
 
     def test_weighted_average_output(self, rng):
+        # with one step for every epoch the output is the plain mean of the
+        # epoch ends, against an independent replay of the epochs
         ds, m = least_squares(rng, 6, 2)
-        cfg = RunConfig(2, 2, np.array([1e-3, 3e-3]), np.zeros(2))
-        res, inner = oracles.run_recording_inner(ds, m, ShufflePlan("SO", seed=0), cfg)
-        x1, x2 = inner[0][-1], inner[1][-1]
-        manual = (1e-3 * x1 + 3e-3 * x2) / 4e-3
-        assert np.array_equal(res.averaged, manual)
-        # same weights up to common rescaling
-        assert np.allclose(res.averaged, (x1 + 3.0 * x2) / 4.0)
+        A, t = ds.to_dense(), ds.labels
+        plan = ShufflePlan("SO", seed=0)
+        res = ss.run(ds, m, plan, RunConfig(2, 3, 2e-3, np.zeros(2)))
+        x, ends = np.zeros(2), []
+        for k in range(1, 4):
+            x = oracles.vanilla_epoch(A, t, "squared", ss.permutation_for(plan, ds.n, k), 2,
+                                      2e-3, x)[-1]
+            ends.append(x)
+        assert np.allclose(res.averaged, np.mean(ends, axis=0), rtol=1e-12, atol=1e-15)
 
     def test_average_objectives_replay(self, rng):
         # f(x_bar_k) for every k against an independent replay: plain
-        # updates, then np.average over the epoch ends with the step weights
+        # updates, then np.mean over the epoch ends
         ds, m = least_squares(rng, 6, 3)
         A, t = ds.to_dense(), ds.labels
-        steps = 0.05 * np.array([1.0, 0.25, 2.0, 0.5, 1.5])
         plan = ShufflePlan("RR", seed=2)
-        res = ss.run(ds, m, plan, RunConfig(2, 5, steps, np.zeros(3)))
+        res = ss.run(ds, m, plan, RunConfig(2, 5, 0.05, np.zeros(3)))
         x, ends = np.zeros(3), []
         for k in range(1, 6):
             x = oracles.vanilla_epoch(A, t, "squared", ss.permutation_for(plan, ds.n, k), 2,
-                                      steps[k - 1], x)[-1]
+                                      0.05, x)[-1]
             ends.append(x)
-        want = [np.mean(0.5 * (A @ np.average(ends[:k], axis=0, weights=steps[:k]) - t) ** 2)
-                for k in range(1, 6)]
+        want = [np.mean(0.5 * (A @ np.mean(ends[:k], axis=0) - t) ** 2) for k in range(1, 6)]
         assert np.allclose(res.objectives_avg, want, rtol=1e-12, atol=0)
         assert res.objective_avg == res.objectives_avg[-1]
 
