@@ -1,5 +1,6 @@
-"""Command-line drivers for constants analysis, sweeps, optimizer runs, and
-bound verification.
+"""Command-line drivers: the per-permutation ratio study (analyze), the
+L / tilde study over batch sizes (batch-sweep), optimizer runs (optimize)
+and bound verification (verify-bound).
 
 Every command is deterministic given its full flag set. Permutation trials
 and run seeds go one after another, in order. Numeric outputs go to CSV (LF
@@ -11,7 +12,8 @@ in bounds.GUARANTEES for its constants, step and right-hand side.
 Each flag is checked where it is declared, by its argparse type; rules that
 join two flags open their command. So every usage error returns 2 from main
 before any data is read, except a batch size that must divide the n of an
---input file.
+--input file. A ratio study over --gaussian N,D data is also refused over
+budget before the data is generated; over an --input file, once it is read.
 
 Exit codes: 0 success, 1 verdict failure (a verified bound was violated or
 could not be certified), 2 usage / IO / parse errors.
@@ -116,7 +118,7 @@ def _check_data_flags(args, batches):
 
 
 def _load_dataset(args) -> SparseDataset:
-    if getattr(args, "gaussian", None):
+    if args.gaussian:
         return gen_gaussian(*args.gaussian, args.seed)
     path = args.input
     if not path:
@@ -135,18 +137,30 @@ def _unit_regularity(ds: SparseDataset) -> losses.RegularityDiag:
     return losses.RegularityDiag(np.ones(ds.n))
 
 
-def _check_ratio_study(ds, num_perms, b, args):
-    """Refuse data with no nonzero value, whose L / hat and L / tilde ratios
-    are all 0 / 0, and a study whose estimated cost exceeds --max-cost
-    without --force."""
+def _load_ratio_study(args, num_perms, batches) -> SparseDataset:
+    """The data of a permutation study over the given batch sizes, once the
+    study passes every rule: the data flags, each batch size dividing n, some
+    nonzero value (else every L / hat and L / tilde ratio is 0 / 0), and an
+    estimated cost within --max-cost unless --force."""
+    budget = DEFAULT_COST_BUDGET if args.max_cost is None else args.max_cost
+
+    def check_cost(n, nnz):
+        S, b = _ASSUMED_LANCZOS_STEPS, max(batches)
+        est = num_perms * (S * nnz + 2 * S * S * n + n * b * b)
+        if est > budget and not args.force:
+            raise CliError(f"estimated cost {est:.2e} ops exceeds budget {budget:.2e}; "
+                           "rerun with --force to proceed")
+
+    _check_data_flags(args, batches)
+    if args.gaussian:  # nnz is N·D, so the cost needs no generated data
+        check_cost(args.gaussian[0], math.prod(args.gaussian))
+    ds = _load_dataset(args)
+    for b in batches:
+        shuffle.check_batch(ds.n, b)
     if not np.any(ds.values):
         raise CliError("the data has no nonzero value, so every ratio is 0 / 0")
-    budget = DEFAULT_COST_BUDGET if args.max_cost is None else args.max_cost
-    S = _ASSUMED_LANCZOS_STEPS
-    est = num_perms * (S * ds.nnz + 2 * S * S * ds.n + ds.n * b * b)
-    if est > budget and not args.force:
-        raise CliError(f"estimated cost {est:.2e} ops exceeds budget {budget:.2e}; "
-                       "rerun with --force to proceed")
+    check_cost(ds.n, ds.nnz)
+    return ds
 
 
 def _write_csv(path, rows):
@@ -172,19 +186,13 @@ def _check_sampled_perms(args):
         raise CliError(f"num_perms must be >= 1, got --perms {args.perms}")
 
 
-def _ratio_report(ds, args, num_perms, compute_tilde) -> consts.ConstantsReport:
-    """ratio_stats at unit regularity with the command's --b, --seed and --tol."""
-    return consts.ratio_stats(
-        ds, _unit_regularity(ds), b=args.b, num_perms=num_perms, seed=args.seed,
-        tol=args.tol, compute_tilde=compute_tilde,
-    )
-
-
 def cmd_analyze(args) -> int:
     t0 = time.time()
-    ds = _load_dataset(args)
-    _check_ratio_study(ds, args.num_perms, args.b, args)
-    report = _ratio_report(ds, args, args.num_perms, not args.no_tilde)
+    ds = _load_ratio_study(args, args.num_perms, [args.b])
+    report = consts.ratio_stats(
+        ds, _unit_regularity(ds), b=args.b, num_perms=args.num_perms, seed=args.seed,
+        tol=args.tol, compute_tilde=not args.no_tilde,
+    )
     payload = report.to_json_dict()
     payload["runtime_sec"] = time.time() - t0
     _write_json(args, payload)
@@ -196,39 +204,9 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_gaussian_sweep(args) -> int:
-    for n in args.grid if args.fixed == "d" else [args.fixed_value]:
-        shuffle.check_batch(n, args.b)
-    rows = [("n", "d", "perm_index", "ratio")]
-    summary = [("n", "d", "num_perms", "mean_ratio", "std_ratio")]
-    means = []
-    for g in args.grid:
-        if args.fixed == "d":
-            n, d = g, args.fixed_value
-        else:
-            n, d = args.fixed_value, g
-        ds = gen_gaussian(n, d, seed=consts.prng.mix64(args.seed, g))
-        report = _ratio_report(ds, args, args.perms, False)
-        for j, r in enumerate(report.ratios):
-            rows.append((n, d, j, repr(float(r))))
-        summary.append(
-            (n, d, args.perms, repr(report.ratio_summary["mean"]), repr(report.ratio_summary["std"]))
-        )
-        means.append(report.ratio_summary["mean"])
-    _write_csv(args.out + ".csv", rows)
-    _write_csv(args.out + ".summary.csv", summary)
-    _write_json(args, {"grid": args.grid, "mean_ratios": means})
-    print(" ".join(f"{g}:{m:.4g}" for g, m in zip(args.grid, means)))
-    return 0
-
-
 def cmd_batch_sweep(args) -> int:
     b_grid = args.b_grid
-    _check_data_flags(args, b_grid)
-    ds = _load_dataset(args)
-    for b in b_grid:
-        shuffle.check_batch(ds.n, b)
-    _check_ratio_study(ds, args.perms * len(b_grid), max(b_grid), args)
+    ds = _load_ratio_study(args, args.perms * len(b_grid), b_grid)
     reg = _unit_regularity(ds)
     L = consts.classical_constant(ds, reg)
     rows = [("b", "perm_index", "ratio")]
@@ -252,29 +230,6 @@ def cmd_batch_sweep(args) -> int:
     _write_json(args, {"b_grid": b_grid, "mean_ratios": means, "loglog_slope": alpha})
     slope = "none" if alpha is None else f"{alpha:.4g}"
     print(f"alpha={slope} " + " ".join(f"b={b}:{m:.4g}" for b, m in zip(b_grid, means)))
-    return 0
-
-
-def cmd_histogram(args) -> int:
-    _check_data_flags(args, [args.b])
-    ds = _load_dataset(args)
-    _check_ratio_study(ds, args.num_perms, args.b, args)
-    ratios = _ratio_report(ds, args, args.num_perms, False).ratios
-    lo, hi = float(np.min(ratios)), float(np.max(ratios))
-    if hi - lo <= 1e-12 * hi:
-        # ratios that agree to roundoff are one value: give it the unit-wide
-        # range np.histogram gives equal values, not bins narrower than the
-        # spacing of floats, which it refuses
-        lo, hi = lo - 0.5, hi + 0.5
-    density, edges = np.histogram(ratios, bins=args.bins, range=(lo, hi), density=True)
-    rows = [("bin_left", "bin_right", "density")]
-    for i in range(len(density)):
-        rows.append((repr(float(edges[i])), repr(float(edges[i + 1])), repr(float(density[i]))))
-    mean = float(np.mean(ratios))
-    cv = float(np.std(ratios) / mean)
-    _write_csv(args.out + ".csv", rows)
-    _write_json(args, {"mean_ratio": mean, "coefficient_of_variation": cv})
-    print(f"mean={mean:.4g} cv={cv:.4g}")
     return 0
 
 
@@ -470,53 +425,33 @@ def build_parser() -> argparse.ArgumentParser:
                         "there is an error. batch-sweep computes only the exact tilde "
                         "and ignores it")
     common.add_argument("--out", required=True, help="output path prefix")
-    features = flags()
-    features.add_argument("--features", type=_checked("--features must be >= 1, got {}"),
-                          default=None, help="feature count override")
-    data = flags(features)
+    data = flags()
+    data.add_argument("--features", type=_checked("--features must be >= 1, got {}"),
+                      default=None, help="feature count override")
     data.add_argument("--input")
     data.add_argument("--gaussian", type=_checked("--gaussian expects N,D >= 1, got {}", _ints,
                                                   lambda v: len(v) == 2 and min(v) >= 1),
                       help="N,D synthetic data instead of --input")
     batch = flags()
     batch.add_argument("--b", type=_checked("--b must be >= 1, got {}"), default=1)
-    num_perms = flags()
-    num_perms.add_argument("--num-perms", type=_checked("num_perms must be >= 1, got {}"),
-                           default=1000)
     budget = flags()
     budget.add_argument("--force", action="store_true")
     budget.add_argument("--max-cost", type=_positive_finite("--max-cost"), default=None)
-    sweep = flags()
-    sweep.add_argument("--perms", type=_checked("num_perms must be >= 1, got {}"), default=20)
     run = flags(batch)
     run.add_argument("--loss", choices=losses.FAMILIES, default="squared")
     run.add_argument("--epochs", type=_checked("--epochs must be >= 1, got {}"), default=10)
 
-    sp = sub.add_parser("analyze", parents=[features, batch, num_perms, budget, common],
-                        help="per-permutation hat/tilde constants for one dataset")
-    sp.add_argument("--input", required=True)
+    sp = sub.add_parser("analyze", parents=[data, batch, budget, common],
+                        help="per-permutation hat/tilde constants and L / hat ratios")
+    sp.add_argument("--num-perms", type=_checked("num_perms must be >= 1, got {}"), default=1000)
     sp.add_argument("--no-tilde", action="store_true")
     sp.set_defaults(func=cmd_analyze)
 
-    sp = sub.add_parser("gaussian-sweep", parents=[batch, sweep, common],
-                        help="ratio trend over Gaussian sizes")
-    sp.add_argument("--fixed", choices=("n", "d"), required=True,
-                    help="which dimension stays fixed while the grid varies the other")
-    sp.add_argument("--fixed-value", type=_checked("--fixed-value must be >= 1, got {}"),
-                    required=True)
-    sp.add_argument("--grid", type=_positive_ints("grid"), required=True,
-                    help="comma-separated grid for the varying dimension")
-    sp.set_defaults(func=cmd_gaussian_sweep)
-
-    sp = sub.add_parser("batch-sweep", parents=[data, sweep, budget, common],
+    sp = sub.add_parser("batch-sweep", parents=[data, budget, common],
                         help="L / tilde ratio against batch size")
     sp.add_argument("--b-grid", type=_positive_ints("b-grid"), required=True)
+    sp.add_argument("--perms", type=_checked("num_perms must be >= 1, got {}"), default=20)
     sp.set_defaults(func=cmd_batch_sweep)
-
-    sp = sub.add_parser("histogram", parents=[data, batch, num_perms, budget, common],
-                        help="distribution of L / hat over permutations")
-    sp.add_argument("--bins", type=_checked("bins must be >= 1, got {}"), default=30)
-    sp.set_defaults(func=cmd_histogram)
 
     sp = sub.add_parser("optimize", parents=[data, run, common],
                         help="run shuffled SGD and trace objectives")

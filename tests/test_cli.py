@@ -1,6 +1,7 @@
 import json
 import pathlib
 import runpy
+import shlex
 import sys
 import tempfile
 import tracemalloc
@@ -184,27 +185,6 @@ class TestAnalyze:
         assert not (tmp_path / "r.json").exists()
 
 
-class TestGaussianSweep:
-    def test_single_point_and_determinism(self, tmp_path):
-        args = [
-            "gaussian-sweep", "--fixed", "d", "--fixed-value", "8",
-            "--grid", "6", "--perms", "3", "--seed", "5",
-        ]
-        assert main(args + ["--out", str(tmp_path / "a")]) == 0
-        assert main(args + ["--out", str(tmp_path / "b")]) == 0
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        summary = (tmp_path / "a.summary.csv").read_text().splitlines()
-        assert summary[0] == "n,d,num_perms,mean_ratio,std_ratio"
-        assert len(summary) == 2
-
-    def test_empty_grid_rejected(self, tmp_path):
-        code = main([
-            "gaussian-sweep", "--fixed", "d", "--fixed-value", "8",
-            "--grid", "", "--out", str(tmp_path / "x"),
-        ])
-        assert code == 2
-
-
 class TestBatchSweep:
     def test_non_divisor_rejected(self, identity6, tmp_path, capsys):
         code = main([
@@ -244,61 +224,6 @@ class TestBatchSweep:
         assert code == 2
         assert "b-grid must be nonempty" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-
-class TestHistogram:
-    def test_single_perm_single_bin(self, identity6, tmp_path):
-        out = tmp_path / "h"
-        code = main([
-            "histogram", "--input", str(identity6), "--num-perms", "1",
-            "--bins", "10", "--out", str(out),
-        ])
-        assert code == 0
-        rows = (tmp_path / "h.csv").read_text().splitlines()[1:]
-        densities = [float(r.split(",")[2]) for r in rows]
-        assert sum(1 for v in densities if v > 0) == 1
-
-    def test_ratios_equal_to_roundoff_share_one_bin(self, identity6, tmp_path, monkeypatch):
-        # hat values of identity data agree to a few ulps across permutations:
-        # too close together for 30 bins with distinct float edges
-        ratios = 6.0 + np.array([0.0, 2.0, -2.0, 4.0]) * np.spacing(6.0)
-        monkeypatch.setattr(cli.consts, "ratio_stats",
-                            lambda *args, **kwargs: SimpleNamespace(ratios=ratios))
-        code = main(["histogram", "--input", str(identity6), "--num-perms", "4",
-                     "--out", str(tmp_path / "h")])
-        assert code == 0
-        rows = [r.split(",") for r in (tmp_path / "h.csv").read_text().splitlines()[1:]]
-        assert len(rows) == 30
-        assert float(rows[0][0]) == ratios.min() - 0.5
-        assert float(rows[-1][1]) == ratios.max() + 0.5
-        mass = sum((float(hi) - float(lo)) * float(dens) for lo, hi, dens in rows)
-        assert mass == pytest.approx(1.0, rel=1e-12)
-
-    def test_density_normalized(self, tmp_path):
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((16, 4))
-        ds = ss.SparseDataset.from_dense(A, labels=np.zeros(16))
-        p = tmp_path / "h.svm"
-        p.write_text(ss.serialize_libsvm(ds))
-        code = main([
-            "histogram", "--input", str(p), "--num-perms", "30", "--bins", "8",
-            "--out", str(tmp_path / "hh"),
-        ])
-        assert code == 0
-        rows = (tmp_path / "hh.csv").read_text().splitlines()[1:]
-        mass = sum(
-            (float(r.split(",")[1]) - float(r.split(",")[0])) * float(r.split(",")[2])
-            for r in rows
-        )
-        assert mass == pytest.approx(1.0, rel=1e-9)
-
-    def test_deterministic(self, identity6, tmp_path):
-        args = [
-            "histogram", "--input", str(identity6), "--num-perms", "5", "--seed", "2",
-        ]
-        main(args + ["--out", str(tmp_path / "a")])
-        main(args + ["--out", str(tmp_path / "b")])
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestOptimize:
@@ -680,9 +605,9 @@ class TestRefusedBeforeLoading:
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--input", "data.svm"],
-        ["gaussian-sweep", "--fixed", "d", "--fixed-value", "3", "--grid", "6"],
+        ["analyze", "--gaussian", "6,3", "--no-tilde"],
         ["batch-sweep", "--gaussian", "6,3", "--b-grid", "1,2"],
-        ["histogram", "--gaussian", "6,3"],
+        ["analyze", "--gaussian", "6,3"],
         ["optimize", "--gaussian", "6,3", "--step", "0.1"],
         ["verify-bound", "--bound", "rr", "--gaussian", "6,3"],
         ["verify-bound", "--bound", "nonsmooth", "--planted", "--gaussian", "6,3"],
@@ -717,16 +642,16 @@ class TestRefusedBeforeLoading:
         (["analyze", "--input", "data.svm", "--b", "0"], "argument --b: --b must be >= 1, got 0"),
         (["analyze", "--input", "data.svm", "--features", "0"],
          "argument --features: --features must be >= 1, got 0"),
-        (["histogram", "--gaussian", "24,5", "--num-perms", "0"],
+        (["analyze", "--gaussian", "24,5", "--num-perms", "0"],
          "argument --num-perms: num_perms must be >= 1, got 0"),
-        (["histogram", "--gaussian", "24,5", "--max-cost", "-1"],
+        (["analyze", "--gaussian", "24,5", "--max-cost", "-1"],
          "argument --max-cost: --max-cost must be positive and finite, got -1.0"),
-        (["gaussian-sweep", "--fixed", "d", "--fixed-value", "3", "--grid", "6", "--perms", "0"],
+        (["batch-sweep", "--gaussian", "6,3", "--b-grid", "1", "--perms", "0"],
          "argument --perms: num_perms must be >= 1, got 0"),
-        (["gaussian-sweep", "--fixed", "d", "--fixed-value", "0", "--grid", "6"],
-         "argument --fixed-value: --fixed-value must be >= 1, got 0"),
-        (["gaussian-sweep", "--fixed", "d", "--fixed-value", "3", "--grid", "6,0"],
-         "argument --grid: grid must be nonempty, each entry >= 1, got [6, 0]"),
+        (["analyze", "--gaussian", "24,0"],
+         "argument --gaussian: --gaussian expects N,D >= 1, got [24, 0]"),
+        (["analyze", "--gaussian", "24,5,3"],
+         "argument --gaussian: --gaussian expects N,D >= 1, got [24, 5, 3]"),
         (["batch-sweep", "--gaussian", "6,3", "--b-grid", "0,2"],
          "argument --b-grid: b-grid must be nonempty, each entry >= 1, got [0, 2]"),
     ])
@@ -740,7 +665,7 @@ class TestRefusedBeforeLoading:
     @pytest.mark.parametrize("argv, want", [
         (["optimize", "--input", "four.svm", "--gaussian", "6,3", "--step", "0.1"],
          "give --input PATH or --gaussian N,D, not both"),
-        (["histogram", "--gaussian", "6,3", "--features", "4"],
+        (["analyze", "--gaussian", "6,3", "--features", "4"],
          "--features applies to --input data only, not to --gaussian"),
         (["verify-bound", "--bound", "ig", "--planted", "--gaussian", "6,3"],
          "--planted builds the nonsmooth problem; --bound ig does not use it"),
@@ -756,24 +681,34 @@ class TestRefusedBeforeLoading:
         ["verify-bound", "--bound", "nonsmooth", "--planted", "--gaussian", "7,3", "--b", "2"],
         ["verify-bound", "--bound", "rr", "--gaussian", "7,3", "--b", "2"],
         ["optimize", "--gaussian", "7,3", "--b", "2", "--step", "0.1"],
-        ["histogram", "--gaussian", "7,3", "--b", "2"],
+        ["analyze", "--gaussian", "7,3", "--b", "2"],
         ["batch-sweep", "--gaussian", "7,3", "--b-grid", "1,2"],
-        ["gaussian-sweep", "--fixed", "d", "--fixed-value", "3", "--grid", "4,6,1000,7",
-         "--b", "2"],
-        ["gaussian-sweep", "--fixed", "n", "--fixed-value", "7", "--grid", "3", "--b", "2"],
     ])
     def test_gaussian_batch_must_divide_n(self, tmp_path, capsys, monkeypatch, argv):
-        # n comes from the flags (--gaussian N,D, or gaussian-sweep's grid and
-        # --fixed-value), so the rule needs no generated data
+        # n comes from --gaussian N,D, so the rule needs no generated data
         no_data(monkeypatch)
         assert main(argv + ["--out", str(tmp_path / "r")]) == 2
         assert "batch size 2 must divide n = 7; valid divisors: [1, 7]" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--gaussian", "20000,5000", "--num-perms", "1000"],
+        ["analyze", "--gaussian", "24,5", "--num-perms", "3", "--max-cost", "1e3"],
+        ["batch-sweep", "--gaussian", "20000,5000", "--b-grid", "1,2"],
+    ])
+    def test_gaussian_over_budget_refused_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                            argv):
+        # --gaussian N,D has N * D nonzeros, so the cost needs no generated
+        # data; 20000 x 5000 would take about 2.4 GB to generate
+        no_data(monkeypatch)
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+        assert "exceeds budget" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv, want", [
         ([], "the following arguments are required: command"),
         (["analyze", "--input", "data.svm"], "the following arguments are required: --out"),
-        (["histogram", "--gaussian", "6,3", "--out", "r", "--bogus"],
+        (["analyze", "--gaussian", "6,3", "--out", "r", "--bogus"],
          "unrecognized arguments: --bogus"),
         (["optimize", "--gaussian", "6,3", "--epochs", "two", "--out", "r"],
          "argument --epochs: invalid int value: 'two'"),
@@ -792,7 +727,7 @@ class TestRefusedBeforeLoading:
 class TestAllZeroData:
     @pytest.mark.parametrize("argv", [
         ["analyze", "--num-perms", "2"],
-        ["histogram", "--num-perms", "2"],
+        ["analyze", "--num-perms", "2", "--no-tilde"],
         ["batch-sweep", "--b-grid", "1,2", "--perms", "2"],
     ])
     def test_refused_before_any_constant(self, tmp_path, capsys, monkeypatch, argv):
@@ -811,19 +746,26 @@ class TestAllZeroData:
         assert list(tmp_path.iterdir()) == [zeros]
 
 
-SCRIPTS = sorted((pathlib.Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+SCRIPTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+# gaussian_ratio_sweeps.py reads the reports of the commands it runs, so it
+# runs end to end below (TestGaussianSweep) instead of against the parser
+SCRIPTS = sorted(p for p in SCRIPTS_DIR.glob("*.py") if p.name != "gaussian_ratio_sweeps.py")
+# ratio_histograms.py reads its reports too, so its command lines also run
+REPORT_READERS = ("ratio_histograms.py",)
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
 def test_script_command_lines_parse(script, tmp_path, monkeypatch):
     """Run an experiment script at its default arguments with the CLI's main
-    replaced by the parser alone: every command line it builds must parse."""
+    replaced by the parser alone: every command line it builds must parse.
+    A script that reads the reports of its commands also runs them."""
     calls = []
+    real_main = cli.main
 
     def parse_only(argv):
         cli.build_parser().parse_args(argv)
         calls.append(argv)
-        return 0
+        return real_main(argv) if script.name in REPORT_READERS else 0
 
     monkeypatch.setattr(cli, "main", parse_only)
     monkeypatch.chdir(tmp_path)
@@ -836,6 +778,136 @@ def test_script_command_lines_parse(script, tmp_path, monkeypatch):
     except SystemExit as exc:
         assert exc.code in (0, None)
     assert calls
+    if script.name in REPORT_READERS:
+        assert (tmp_path / "results" / "histograms" / "tiny.csv").exists()
+
+
+def run_script(monkeypatch, name, *argv):
+    """Run scripts/<name> as a program, with the real main, on argv."""
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    try:
+        runpy.run_path(str(SCRIPTS_DIR / name), run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code in (0, None)
+
+
+def histogram_rows(ratios, bins):
+    """The binning rule of scripts/ratio_histograms.py."""
+    return runpy.run_path(str(SCRIPTS_DIR / "ratio_histograms.py"))["histogram_rows"](ratios, bins)
+
+
+@pytest.fixture(scope="class")
+def histogram_runs(tmp_path_factory):
+    """scripts/ratio_histograms.py run twice, into a/ and b/, on a 4-row
+    file and a 16 x 4 Gaussian file."""
+    root = tmp_path_factory.mktemp("histograms")
+    data = root / "data"
+    data.mkdir()
+    (data / "tiny.svm").write_text("1 1:1\n-1 2:1\n1 1:2\n-1 2:2\n")
+    rng = np.random.default_rng(4)
+    ds = ss.SparseDataset.from_dense(rng.standard_normal((16, 4)), labels=np.zeros(16))
+    (data / "gauss.svm").write_text(ss.serialize_libsvm(ds))
+    with pytest.MonkeyPatch.context() as mp:
+        for out in ("a", "b"):
+            run_script(mp, "ratio_histograms.py", str(data), str(root / out))
+    return root
+
+
+class TestHistogram:
+    def test_single_perm_single_bin(self):
+        densities = [float(row[2]) for row in histogram_rows([6.0], 10)[1:]]
+        assert len(densities) == 10
+        assert sum(1 for v in densities if v > 0) == 1
+
+    def test_ratios_equal_to_roundoff_share_one_bin(self):
+        # hat values of identity data agree to a few ulps across permutations:
+        # too close together for 30 bins with distinct float edges
+        ratios = 6.0 + np.array([0.0, 2.0, -2.0, 4.0]) * np.spacing(6.0)
+        rows = histogram_rows([float(r) for r in ratios], 30)[1:]
+        assert len(rows) == 30
+        assert float(rows[0][0]) == ratios.min() - 0.5
+        assert float(rows[-1][1]) == ratios.max() + 0.5
+        mass = sum((float(hi) - float(lo)) * float(dens) for lo, hi, dens in rows)
+        assert mass == pytest.approx(1.0, rel=1e-12)
+
+    def test_density_normalized(self, histogram_runs):
+        for name in ("tiny", "gauss"):
+            lines = (histogram_runs / "a" / f"{name}.csv").read_text().splitlines()
+            assert lines[0] == "bin_left,bin_right,density"
+            rows = [line.split(",") for line in lines[1:]]
+            assert len(rows) == 40
+            mass = sum((float(hi) - float(lo)) * float(dens) for lo, hi, dens in rows)
+            assert mass == pytest.approx(1.0, rel=1e-9)
+            # the binned ratios are those of the analyze --no-tilde report
+            report = strict_json(histogram_runs / "a" / "analyze" / f"{name}.json")
+            assert report["config"]["no_tilde"] and report["num_perms"] == 1000
+            summary = strict_json(histogram_runs / "a" / f"{name}.json")
+            assert summary["mean_ratio"] == float(np.mean(report["ratios"]))
+
+    def test_deterministic(self, histogram_runs):
+        for rel in ("tiny.csv", "tiny.json", "analyze/tiny.csv",
+                    "gauss.csv", "gauss.json", "analyze/gauss.csv"):
+            assert ((histogram_runs / "a" / rel).read_bytes()
+                    == (histogram_runs / "b" / rel).read_bytes())
+
+
+@pytest.fixture(scope="class")
+def sweep_run(tmp_path_factory):
+    """scripts/gaussian_ratio_sweeps.py with 3 as the fixed value."""
+    out = tmp_path_factory.mktemp("sweeps")
+    with pytest.MonkeyPatch.context() as mp:
+        run_script(mp, "gaussian_ratio_sweeps.py", "3", str(out))
+    return out
+
+
+class TestGaussianSweep:
+    def test_script_writes_both_summaries(self, sweep_run):
+        grid = [50, 100, 200, 400, 600, 800, 1000]
+        for tag, shapes in (("vary_n", [(g, 3) for g in grid]),
+                            ("vary_d", [(3, g) for g in grid])):
+            lines = (sweep_run / f"{tag}.summary.csv").read_text().splitlines()
+            assert lines[0] == "n,d,num_perms,mean_ratio,std_ratio"
+            rows = [line.split(",") for line in lines[1:]]
+            assert [(int(n), int(d), int(k)) for n, d, k, _, _ in rows] == [
+                (n, d, 100) for n, d in shapes]
+            # hat <= L, so every ratio is at least 1
+            assert all(np.isfinite(float(mean)) and float(mean) >= 1.0 for *_, mean, _ in rows)
+
+    def test_single_point_and_determinism(self, sweep_run, tmp_path):
+        # grid value g = 50 at d = 3 by hand: data and permutations both on
+        # the stream mix64(0, g)
+        seed = ss.prng.mix64(0, 50)
+        assert main(["analyze", "--gaussian", "50,3", "--num-perms", "100", "--no-tilde",
+                     "--seed", str(seed), "--out", str(tmp_path / "p")]) == 0
+        assert (tmp_path / "p.csv").read_bytes() == (
+            sweep_run / "vary_n" / "n50_d3.csv").read_bytes()
+        stats = strict_json(tmp_path / "p.json")["ratios_L_over_hatL"]
+        row = (sweep_run / "vary_n.summary.csv").read_text().splitlines()[1].split(",")
+        assert row == ["50", "3", "100", repr(stats["mean"]), repr(stats["std"])]
+        # the data of grid value g are gen_gaussian(n, d, mix64(0, g))
+        A = ss.gen_gaussian(50, 3, seed).to_dense()
+        L = strict_json(tmp_path / "p.json")["L"]
+        assert L == pytest.approx(float(np.max(np.sum(A * A, axis=1))), rel=1e-12)
+
+
+def test_help_lists_the_four_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{analyze,batch-sweep,optimize,verify-bound}" in capsys.readouterr().out
+
+
+def test_readme_cli_lines_parse():
+    """Every shuffle-sgd command line in the README's CLI block parses, and
+    the block shows every command, so the docs name no deleted command."""
+    readme = (SCRIPTS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("shuffle-sgd ")]
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
+    assert {argv[0] for argv in commands} == {"analyze", "batch-sweep", "optimize",
+                                              "verify-bound"}
 
 
 class TestStrictJson:
