@@ -7,7 +7,6 @@ Usage: python scripts/bound_verification.py [out_dir]
 
 import pathlib
 import sys
-import tempfile
 
 import numpy as np
 
@@ -20,9 +19,9 @@ out_dir.mkdir(parents=True, exist_ok=True)
 rng = np.random.default_rng(0)
 A = rng.standard_normal((24, 5))
 ds = ss.SparseDataset.from_dense(A, labels=rng.standard_normal(24))
-with tempfile.NamedTemporaryFile("w", suffix=".svm", delete=False) as fh:
+data_path = str(out_dir / "least_squares_24x5.svm")
+with open(data_path, "w") as fh:
     fh.write(ss.serialize_libsvm(ds))
-    data_path = fh.name
 
 checks = [
     ["verify-bound", "--bound", "rr", "--input", data_path, "--loss", "squared",

@@ -2,7 +2,7 @@
 """Ratio growth on synthetic Gaussian data: one sweep varying n at fixed d,
 one varying d at fixed n (100 permutations per grid point).
 
-Each grid value g gets one `analyze --gaussian n,d --no-tilde` run with
+Each grid value g gets one `analyze --gaussian n,d` run with
 --seed mix64(0, g), which keys both its data and its permutations; its
 report goes to out_dir/<sweep>/n<n>_d<d>.{csv,json}. Each sweep's
 n,d,num_perms,mean_ratio,std_ratio rows go to out_dir/<sweep>.summary.csv.
@@ -32,7 +32,7 @@ def sweep(fixed_dim, fixed, out_dir):
         n, d = (g, fixed) if fixed_dim == "d" else (fixed, g)
         report = str(out_dir / f"n{n}_d{d}")
         code = main([
-            "analyze", "--gaussian", f"{n},{d}", "--num-perms", str(NUM_PERMS), "--no-tilde",
+            "analyze", "--gaussian", f"{n},{d}", "--num-perms", str(NUM_PERMS),
             "--seed", str(mix64(SEED, g)), "--out", report,
         ])
         if code != 0:

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Normalized histograms of L / hat over random permutations for every
-LIBSVM file in a directory (1000 permutations each, 40 bins).
+"""The L / hat ratio table and its spread over random permutations, for
+every LIBSVM file in a directory.
 
-Each file gets one `analyze --no-tilde` run, whose report goes to
-out_dir/analyze/<stem>.{csv,json}. Its per-permutation ratios are binned
-into out_dir/<stem>.csv (bin_left,bin_right,density), and their mean and
-coefficient of variation go to out_dir/<stem>.json.
+Each file gets one `analyze --b 1 --seed 0` run: 1000 permutations, or 20
+for a file of more than 5000 rows. Its report, the ratio table row with
+every hat, tilde and ratio, goes to out_dir/analyze/<stem>.{csv,json}. Its
+per-permutation ratios are binned (40 bins) into out_dir/<stem>.csv
+(bin_left,bin_right,density), and their mean and coefficient of variation
+go to out_dir/<stem>.json.
 
 Usage: python scripts/ratio_histograms.py [data_dir] [out_dir]
 """
@@ -17,9 +19,9 @@ import sys
 
 import numpy as np
 
+from shuffle_sgd import load_libsvm
 from shuffle_sgd.cli import main
 
-NUM_PERMS = 1000
 BINS = 40
 
 
@@ -40,13 +42,15 @@ def histogram_rows(ratios, bins):
 
 
 def histogram(path, out_dir):
-    """Bin the L / hat ratios of `analyze --no-tilde` on one file; returns
-    the exit code of analyze."""
+    """Run analyze on one file and bin its L / hat ratios; returns the exit
+    code of analyze."""
     (out_dir / "analyze").mkdir(parents=True, exist_ok=True)
     report = str(out_dir / "analyze" / path.stem)
+    perms = 1000 if load_libsvm(path).n <= 5000 else 20
+    print(f"== {path.name} ({perms} permutations)")
     code = main([
-        "analyze", "--input", str(path), "--b", "1", "--num-perms", str(NUM_PERMS),
-        "--no-tilde", "--seed", "0", "--out", report,
+        "analyze", "--input", str(path), "--b", "1", "--num-perms", str(perms),
+        "--seed", "0", "--out", report,
     ])
     if code != 0:
         return code
@@ -57,7 +61,7 @@ def histogram(path, out_dir):
         csv.writer(fh, lineterminator="\n").writerows(histogram_rows(ratios, BINS))
     mean = float(np.mean(ratios))
     cv = float(np.std(ratios) / mean)
-    summary = {"mean_ratio": mean, "coefficient_of_variation": cv, "num_perms": NUM_PERMS,
+    summary = {"mean_ratio": mean, "coefficient_of_variation": cv, "num_perms": perms,
                "bins": BINS}
     with open(prefix + ".json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
@@ -75,7 +79,6 @@ if __name__ == "__main__":
         sys.exit(f"no dataset files under {data_dir}/; drop LIBSVM files there first")
 
     for path in files:
-        print(f"== {path.name}")
         code = histogram(path, out_dir)
         if code != 0:
             sys.exit(code)

@@ -1,6 +1,7 @@
-"""Command-line drivers: the per-permutation ratio study (analyze), the
-L / tilde study over batch sizes (batch-sweep), optimizer runs (optimize)
-and bound verification (verify-bound).
+"""Command-line drivers: the per-permutation ratio study (analyze: L, L_full
+and the trace bound once, hat and tilde per permutation), the L / tilde
+study over batch sizes (batch-sweep), optimizer runs (optimize) and bound
+verification (verify-bound).
 
 Every command is deterministic given its full flag set. Permutation trials
 and run seeds go one after another, in order. Numeric outputs go to CSV (LF
@@ -40,7 +41,10 @@ from .data import ParseError, SparseDataset, gen_gaussian, load_libsvm
 # operations, unless --force. Per permutation, a hat solve of S Lanczos steps
 # costs S matvecs (nnz each) plus 4 k n for reorthogonalising step k against
 # the basis, 2 S^2 n in all, and tilde's batched eigvalsh costs n b^2.
-DEFAULT_COST_BUDGET = 2e10
+# On 2 cores estimates ran at 1.2e9-6e9 ops/s (analyze --b 1 at 1000 perms
+# took 3-10 s on sonar- to leu-shaped files, 0.2 s a perm on rcv1-shaped
+# 10000 x 23500), so a study within budget takes a minute or two at most.
+DEFAULT_COST_BUDGET = 1e11
 _ASSUMED_LANCZOS_STEPS = 100
 
 
@@ -189,12 +193,11 @@ def _check_sampled_perms(args):
 def cmd_analyze(args) -> int:
     t0 = time.time()
     ds = _load_ratio_study(args, args.num_perms, [args.b])
-    report = consts.ratio_stats(
-        ds, _unit_regularity(ds), b=args.b, num_perms=args.num_perms, seed=args.seed,
-        tol=args.tol, compute_tilde=not args.no_tilde,
-    )
-    payload = report.to_json_dict()
-    payload["runtime_sec"] = time.time() - t0
+    reg = _unit_regularity(ds)
+    L_full = consts.full_gradient_L(ds, reg, tol=args.tol)
+    report = consts.ratio_stats(ds, reg, b=args.b, num_perms=args.num_perms, seed=args.seed,
+                                tol=args.tol)
+    payload = {**report.to_json_dict(), "L_full": L_full, "runtime_sec": time.time() - t0}
     _write_json(args, payload)
     _write_csv(args.out + ".csv", report.to_csv_rows())
     print(
@@ -280,9 +283,6 @@ def cmd_optimize(args) -> int:
         if f_star is not None:
             final_gaps[s] = float(result.objective_avg - f_star)
 
-    if len(diverged) == len(args.seeds):
-        print("all seeds diverged", file=sys.stderr)
-        return 1
     _write_csv(args.out + ".csv", rows)
     payload = {
         "step_size": eta,
@@ -293,6 +293,9 @@ def cmd_optimize(args) -> int:
         payload["final_gaps"] = {str(k): v for k, v in final_gaps.items()}
         payload["mean_final_gap"] = float(np.mean(list(final_gaps.values())))
     _write_json(args, payload)
+    if len(diverged) == len(args.seeds):
+        print("all seeds diverged", file=sys.stderr)
+        return 1
     gap = f" mean_final_gap={payload['mean_final_gap']:.6g}" if final_gaps else ""
     print(f"step={eta:.4g}{gap}")
     return 0
@@ -444,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("analyze", parents=[data, batch, budget, common],
                         help="per-permutation hat/tilde constants and L / hat ratios")
     sp.add_argument("--num-perms", type=_checked("num_perms must be >= 1, got {}"), default=1000)
-    sp.add_argument("--no-tilde", action="store_true")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("batch-sweep", parents=[data, budget, common],

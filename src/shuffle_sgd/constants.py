@@ -361,13 +361,12 @@ class ConstantsReport:
     ratios L / hat_pi and the permutation seeds are derived from them."""
 
     L: float
-    L_full: float
     trace_bound: float
     b: int
     seed: int
     tolerance: float
     hatL_values: np.ndarray
-    tildeL_values: np.ndarray | None = None
+    tildeL_values: np.ndarray
 
     def __post_init__(self):
         # Relaxation chain: every sampled hat value sits below the trace
@@ -375,7 +374,7 @@ class ConstantsReport:
         # classical L, each up to a roundoff slack relative to the bound.
         if np.any(self.hatL_values > self.trace_bound * (1 + 1e-9)):
             raise AssertionError("hat constant exceeded its trace bound")
-        if self.tildeL_values is not None and np.any(self.tildeL_values > self.L * (1 + 1e-9)):
+        if np.any(self.tildeL_values > self.L * (1 + 1e-9)):
             raise AssertionError("tilde constant exceeded the classical constant")
 
     @property
@@ -395,18 +394,17 @@ class ConstantsReport:
         return _summary(self.hatL_values)
 
     @property
-    def tildeL(self) -> dict | None:
-        return None if self.tildeL_values is None else _summary(self.tildeL_values)
+    def tildeL(self) -> dict:
+        return _summary(self.tildeL_values)
 
     @property
     def ratio_summary(self) -> dict:
         return _summary(self.ratios)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "L": self.L,
-            "L_full": self.L_full,
             "b": self.b,
             "num_perms": self.num_perms,
             "seed": self.seed,
@@ -415,19 +413,16 @@ class ConstantsReport:
             "hatL_values": [float(v) for v in self.hatL_values],
             "ratios_L_over_hatL": self.ratio_summary,
             "ratios": [float(v) for v in self.ratios],
+            "tildeL": self.tildeL,
+            "tildeL_values": [float(v) for v in self.tildeL_values],
             "trace_bound": self.trace_bound,
         }
-        if self.tildeL_values is not None:
-            out["tildeL"] = self.tildeL
-            out["tildeL_values"] = [float(v) for v in self.tildeL_values]
-        return out
 
     def to_csv_rows(self) -> list:
-        tilde = ([""] * self.num_perms if self.tildeL_values is None
-                 else [repr(float(v)) for v in self.tildeL_values])
         return [("perm_seed", "hatL", "tildeL", "ratio")] + [
-            (str(ps), repr(float(hat)), tl, repr(float(ratio)))
-            for ps, hat, tl, ratio in zip(self.perm_seeds, self.hatL_values, tilde, self.ratios)
+            (str(ps), repr(float(hat)), repr(float(til)), repr(float(ratio)))
+            for ps, hat, til, ratio in zip(self.perm_seeds, self.hatL_values,
+                                           self.tildeL_values, self.ratios)
         ]
 
 
@@ -438,37 +433,34 @@ def ratio_stats(
     num_perms: int,
     seed: int = 0,
     tol: float = 1e-6,
-    compute_tilde: bool = True,
 ) -> ConstantsReport:
     """Sample uniform permutations and aggregate hat/tilde constants.
 
     Permutation j comes from the stream keyed by (seed, j), so each value
     depends on (seed, j) alone. Ratios are L / hat_pi per permutation
-    (mean of ratios, not ratio of means).
+    (mean of ratios, not ratio of means). tilde at b = 1 costs O(n): it reads
+    the row norms that row_sq_norms computes once per dataset.
     """
     if num_perms < 1:
         raise ValueError("num_perms must be >= 1")
     check_batch(ds.n, b)
     L = classical_constant(ds, reg)
-    L_full = full_gradient_L(ds, reg, tol=tol)
     trace_bound = float(np.sum(reg.values * row_sq_norms(ds)) / ds.n)
 
     hats, tildes = [], []
     for j in range(num_perms):
         perm = random_permutation(ds.n, seed, j)
         hats.append(hat_constant(ds, reg, perm, b, tol=tol))
-        if compute_tilde:
-            tildes.append(tilde_constant(ds, reg, perm, b))
+        tildes.append(tilde_constant(ds, reg, perm, b))
 
     return ConstantsReport(
         L=L,
-        L_full=L_full,
         trace_bound=trace_bound,
         b=b,
         seed=seed,
         tolerance=tol,
         hatL_values=np.array(hats),
-        tildeL_values=np.array(tildes) if compute_tilde else None,
+        tildeL_values=np.array(tildes),
     )
 
 

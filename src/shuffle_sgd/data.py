@@ -37,7 +37,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class SparseDataset:
-    """Immutable n x d row-sparse matrix with one label per row."""
+    """Immutable n x d row-sparse matrix with one label per row. Its CSR matrix
+    (to_csr) and squared row norms (row_sq_norms) are computed once, on first use."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -45,6 +46,7 @@ class SparseDataset:
     labels: np.ndarray
     d: int
     _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    _row_sq: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.indptr = _freeze(np.asarray(self.indptr, dtype=np.int64))
@@ -413,6 +415,8 @@ def gen_gaussian(n: int, d: int, seed: int) -> SparseDataset:
 
 def row_sq_norms(ds: SparseDataset) -> np.ndarray:
     """Vector of squared Euclidean row norms, length n: each row's own
-    squares summed in order (0 for an empty row)."""
-    rows = np.repeat(np.arange(ds.n), np.diff(ds.indptr))
-    return np.bincount(rows, weights=ds.values * ds.values, minlength=ds.n)
+    squares summed in order (0 for an empty row); cached on ds, read-only."""
+    if ds._row_sq is None:
+        rows = np.repeat(np.arange(ds.n), np.diff(ds.indptr))
+        ds._row_sq = _freeze(np.bincount(rows, weights=ds.values * ds.values, minlength=ds.n))
+    return ds._row_sq

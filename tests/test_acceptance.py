@@ -147,7 +147,6 @@ def _file_ratio_stats(path, num_perms):
     ds = ss.load_libsvm(path)
     report = ss.ratio_stats(
         ds, RegularityDiag(np.ones(ds.n)), b=1, num_perms=num_perms, seed=SEED, tol=1e-6,
-        compute_tilde=False,
     )
     return report.ratio_summary["mean"], report.ratio_summary["std"], report.ratios
 
@@ -185,8 +184,7 @@ def test_c06_gaussian_growth_in_n():
     for n in (50, 100, 200, 400):
         ds = ss.gen_gaussian(n, 100, seed=prng.mix64(SEED, n))
         reg = RegularityDiag(np.ones(n))
-        rep = ss.ratio_stats(ds, reg, b=1, num_perms=20, seed=SEED, tol=1e-6,
-                             compute_tilde=False)
+        rep = ss.ratio_stats(ds, reg, b=1, num_perms=20, seed=SEED, tol=1e-6)
         means.append(rep.ratio_summary["mean"])
     assert all(b > a for a, b in zip(means, means[1:])), means
     _report("C6 gaussian-n-trend", f"(means {[f'{m:.1f}' for m in means]})")

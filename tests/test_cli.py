@@ -55,6 +55,9 @@ class TestAnalyze:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["schema_version"] == 1
         assert payload["ratios_L_over_hatL"]["mean"] == pytest.approx(6.0, rel=1e-6)
+        # B B^T = I, so L_full = 1 / n; at b = 1 every tilde is L = 1
+        assert payload["L_full"] == pytest.approx(1 / 6, rel=1e-9)
+        assert payload["tildeL_values"] == [1.0] * 5
         assert "config" in payload
         csv_text = (tmp_path / "report.csv").read_text()
         assert csv_text.splitlines()[0] == "perm_seed,hatL,tildeL,ratio"
@@ -161,17 +164,6 @@ class TestAnalyze:
         # all-zero extra columns leave every constant as it was
         assert wide["hatL_values"] == plain["hatL_values"]
         assert wide["config"]["features"] == 7
-
-    def test_no_tilde(self, identity6, tmp_path):
-        code = main(["analyze", "--input", str(identity6), "--b", "2", "--num-perms", "3",
-                     "--no-tilde", "--out", str(tmp_path / "nt")])
-        assert code == 0
-        payload = json.loads((tmp_path / "nt.json").read_text())
-        assert "tildeL" not in payload and "tildeL_values" not in payload
-        assert len(payload["hatL_values"]) == 3
-        rows = (tmp_path / "nt.csv").read_text().splitlines()
-        assert rows[0] == "perm_seed,hatL,tildeL,ratio"
-        assert len(rows) == 4 and all(row.split(",")[2] == "" for row in rows[1:])
 
     @pytest.mark.parametrize("fail_from, solve", [(1, "full_gradient_L"), (2, "hat_constant")])
     def test_unconverged_solve_exit_1(self, identity6, tmp_path, capsys, monkeypatch,
@@ -388,6 +380,14 @@ class TestOptimize:
         ])
         assert code == 1
         assert "diverged" in capsys.readouterr().err
+        # the run still leaves its record: the CSV header and the JSON
+        assert (tmp_path / "dv.csv").read_text() == (
+            "seed,epoch,f_x,f_avg,retraction_residual\n")
+        payload = strict_json(tmp_path / "dv.json")
+        assert set(payload["diverged"]) == {"0", "1"}
+        assert all(epoch >= 1 for epoch in payload["diverged"].values())
+        assert payload["step_size"] == 5.0 and "final_gaps" not in payload
+        assert payload["minimizer"]["reason"] == "converged"
 
 
 class TestVerifyBound:
@@ -496,12 +496,13 @@ class TestVerifyBound:
         assert payload["minimizer"]["reason"] == "no_finite_minimizer"
 
     @pytest.mark.parametrize("bound, fail_from, solve, minimizer", [
-        # calls: the minimizer's full_gradient_L, then ratio_stats' one, then
-        # the 4 sampled hats, then general_hat_L for the 4 permutations
+        # calls: the minimizer's full_gradient_L, then the 4 sampled hats,
+        # then general_hat_L for the 4 permutations; the planted nonsmooth
+        # problem runs no minimizer, so its first solve is a sampled hat
         ("rr", 1, "full_gradient_L", None),
-        ("rr", 3, "hat_constant", "converged"),
-        ("general-rr", 7, "general_hat_L", "converged"),
-        ("nonsmooth", 1, "full_gradient_L", None),
+        ("rr", 2, "hat_constant", "converged"),
+        ("general-rr", 6, "general_hat_L", "converged"),
+        ("nonsmooth", 1, "hat_constant", None),
     ])
     def test_inconclusive_when_a_constant_does_not_converge(
             self, tmp_path, capsys, monkeypatch, bound, fail_from, solve, minimizer):
@@ -605,7 +606,7 @@ class TestRefusedBeforeLoading:
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--input", "data.svm"],
-        ["analyze", "--gaussian", "6,3", "--no-tilde"],
+        ["analyze", "--gaussian", "6,3", "--b", "3"],
         ["batch-sweep", "--gaussian", "6,3", "--b-grid", "1,2"],
         ["analyze", "--gaussian", "6,3"],
         ["optimize", "--gaussian", "6,3", "--step", "0.1"],
@@ -727,7 +728,7 @@ class TestRefusedBeforeLoading:
 class TestAllZeroData:
     @pytest.mark.parametrize("argv", [
         ["analyze", "--num-perms", "2"],
-        ["analyze", "--num-perms", "2", "--no-tilde"],
+        ["analyze", "--num-perms", "2", "--b", "2"],
         ["batch-sweep", "--b-grid", "1,2", "--perms", "2"],
     ])
     def test_refused_before_any_constant(self, tmp_path, capsys, monkeypatch, argv):
@@ -758,7 +759,9 @@ REPORT_READERS = ("ratio_histograms.py",)
 def test_script_command_lines_parse(script, tmp_path, monkeypatch):
     """Run an experiment script at its default arguments with the CLI's main
     replaced by the parser alone: every command line it builds must parse.
-    A script that reads the reports of its commands also runs them."""
+    A script that reads the reports of its commands also runs them. No
+    script leaves a file in the system temp directory, and the data file
+    of bound_verification.py lies under its output directory."""
     calls = []
     real_main = cli.main
 
@@ -770,7 +773,8 @@ def test_script_command_lines_parse(script, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "main", parse_only)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", [str(script)])
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "data").mkdir()  # the data-directory scripts' default
     (tmp_path / "data" / "tiny.svm").write_text("1 1:1\n-1 2:1\n1 1:2\n-1 2:2\n")
     try:
@@ -778,8 +782,13 @@ def test_script_command_lines_parse(script, tmp_path, monkeypatch):
     except SystemExit as exc:
         assert exc.code in (0, None)
     assert calls
+    assert list((tmp_path / "tmp").iterdir()) == []
     if script.name in REPORT_READERS:
         assert (tmp_path / "results" / "histograms" / "tiny.csv").exists()
+    if script.name == "bound_verification.py":
+        out_dir = (tmp_path / "results" / "bound_checks").resolve()
+        inputs = [argv[argv.index("--input") + 1] for argv in calls if "--input" in argv]
+        assert inputs and all(out_dir in pathlib.Path(p).resolve().parents for p in inputs)
 
 
 def run_script(monkeypatch, name, *argv):
@@ -838,9 +847,10 @@ class TestHistogram:
             assert len(rows) == 40
             mass = sum((float(hi) - float(lo)) * float(dens) for lo, hi, dens in rows)
             assert mass == pytest.approx(1.0, rel=1e-9)
-            # the binned ratios are those of the analyze --no-tilde report
+            # the binned ratios are those of the file's analyze report,
+            # which also holds its tilde values
             report = strict_json(histogram_runs / "a" / "analyze" / f"{name}.json")
-            assert report["config"]["no_tilde"] and report["num_perms"] == 1000
+            assert report["num_perms"] == 1000 and len(report["tildeL_values"]) == 1000
             summary = strict_json(histogram_runs / "a" / f"{name}.json")
             assert summary["mean_ratio"] == float(np.mean(report["ratios"]))
 
@@ -849,6 +859,17 @@ class TestHistogram:
                     "gauss.csv", "gauss.json", "analyze/gauss.csv"):
             assert ((histogram_runs / "a" / rel).read_bytes()
                     == (histogram_runs / "b" / rel).read_bytes())
+
+    def test_more_than_5000_rows_get_20_permutations(self, tmp_path, monkeypatch):
+        # one nonzero row among 5001 keeps every masked Gram rank one
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "tall.svm").write_text("1 1:1\n" + "0\n" * 5000)
+        run_script(monkeypatch, "ratio_histograms.py", str(data), str(tmp_path / "out"))
+        report = strict_json(tmp_path / "out" / "analyze" / "tall.json")
+        assert report["num_perms"] == 20 and len(report["tildeL_values"]) == 20
+        assert strict_json(tmp_path / "out" / "tall.json")["num_perms"] == 20
+        assert len((tmp_path / "out" / "tall.csv").read_text().splitlines()) == 41
 
 
 @pytest.fixture(scope="class")
@@ -877,7 +898,7 @@ class TestGaussianSweep:
         # grid value g = 50 at d = 3 by hand: data and permutations both on
         # the stream mix64(0, g)
         seed = ss.prng.mix64(0, 50)
-        assert main(["analyze", "--gaussian", "50,3", "--num-perms", "100", "--no-tilde",
+        assert main(["analyze", "--gaussian", "50,3", "--num-perms", "100",
                      "--seed", str(seed), "--out", str(tmp_path / "p")]) == 0
         assert (tmp_path / "p.csv").read_bytes() == (
             sweep_run / "vary_n" / "n50_d3.csv").read_bytes()

@@ -528,9 +528,20 @@ class TestRatioStats:
         r2 = ss.ratio_stats(ds, reg, b=2, num_perms=5, seed=9)
         assert np.array_equal(r1.hatL_values, r2.hatL_values)
 
+    def test_b1_tilde_is_the_worst_row_of_each_permutation(self, rng):
+        # with the row norms computed once, every b = 1 tilde is still the
+        # classical constant: the largest w_i ||a_i||^2, each row's squares
+        # summed in order
+        ds = random_sparse_dataset(rng, n=10)
+        w = rng.uniform(0.5, 2.0, ds.n)
+        report = ss.ratio_stats(ds, RegularityDiag(w), b=1, num_perms=6, seed=4)
+        worst = max(w[i] * sum(float(v) * float(v) for v in ds.row(i)[1]) for i in range(ds.n))
+        assert report.tildeL_values.tolist() == [worst] * 6
+        assert report.L == worst
+
     def test_relaxation_chain_refused_at_small_scale(self):
         # values 500 times over their bounds, at a scale far below 1
-        fields = dict(L=1e-12, L_full=1e-12, trace_bound=1e-12, b=1, seed=0, tolerance=1e-6)
+        fields = dict(L=1e-12, trace_bound=1e-12, b=1, seed=0, tolerance=1e-6)
         with pytest.raises(AssertionError, match="trace bound"):
             ss.ConstantsReport(**fields, hatL_values=np.array([5e-10]),
                                tildeL_values=np.array([5e-10]))

@@ -272,6 +272,16 @@ class TestRowSqNorms:
         want = (A * A).sum(1)
         assert np.all(np.abs(got - want) <= 4 * d * np.finfo(float).eps * want)
 
+    def test_computed_once_and_read_only(self, rng):
+        ds = random_sparse_dataset(rng, ensure_nonzero=False)
+        norms = ss.row_sq_norms(ds)
+        plain = [sum(float(v) * float(v) for v in ds.row(i)[1]) for i in range(ds.n)]
+        assert norms.tolist() == plain
+        assert not norms.flags.writeable
+        with pytest.raises(ValueError):
+            norms[0] = 1.0
+        assert ss.row_sq_norms(ds) is norms
+
     def test_nonnegative_zero_iff_empty(self, rng):
         for _ in range(10):
             ds = random_sparse_dataset(rng, ensure_nonzero=False)
