@@ -2,7 +2,8 @@
 query counts for shuffled SGD on linear-predictor ERM.
 
 Symbols: n components, batch b (with b | n), K epochs of one constant
-step eta, so H_K = K eta, D = ||x0 - x*||, sigma_star the RMS
+step eta, so H_K = K eta, D = ||x*|| the distance to the optimum from the
+origin, where every run starts, sigma_star the RMS
 component gradient norm at the optimum, hatL/tildeL the masked-Gram
 constants (worst-case or the sampled max), ystar_norm = ||y*|| weighted by
 inverse smoothness (fixed-order runs only), Gbar the permutation mean of
@@ -201,7 +202,8 @@ class Guarantee:
     """One guarantee: how its runs go, its constants, and what they give."""
 
     scheme: str  # the runs' order: "RR" (reshuffled) or "IG" (fixed)
-    # (ds, model, x_star, b, K, num_perms, seed, tol) -> BoundInputs; x0 = 0
+    # (ds, model, x_star, b, K, num_perms, seed, tol) -> BoundInputs, with
+    # D = ||x_star||: runs start at the origin
     inputs: Callable
     step: Callable  # BoundInputs -> constant step
     rhs: Callable  # (BoundInputs, eta) -> bound on the averaged output's gap

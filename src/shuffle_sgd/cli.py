@@ -8,13 +8,17 @@ and run seeds go one after another, in order. Numeric outputs go to CSV (LF
 endings, `.` decimal); each command also writes a JSON report carrying
 schema_version and the effective configuration for provenance.
 verify-bound and optimize --step theoretical read their guarantee's record
-in bounds.GUARANTEES for its constants, step and right-hand side.
+in bounds.GUARANTEES for its constants, step and right-hand side; every run
+starts at the origin, from which those records measure D = ||x*||. --loss
+defaults to squared, but verify-bound --bound nonsmooth runs the planted
+hinge and takes no other loss. --tol is for the commands that run Lanczos.
 
 Each flag is checked where it is declared, by its argparse type; rules that
 join two flags open their command. So every usage error returns 2 from main
 before any data is read, except a batch size that must divide the n of an
---input file. A ratio study over --gaussian N,D data is also refused over
-budget before the data is generated; over an --input file, once it is read.
+--input file. A ratio study whose estimated cost exceeds DEFAULT_COST_BUDGET
+is refused unless --force: over --gaussian N,D data before the data is
+generated, over an --input file once it is read.
 
 Exit codes: 0 success, 1 verdict failure (a verified bound was violated or
 could not be certified), 2 usage / IO / parse errors.
@@ -34,7 +38,7 @@ import numpy as np
 
 from . import bounds as bd
 from . import constants as consts
-from . import engine, losses, shuffle
+from . import engine, losses, prng, shuffle
 from .data import ParseError, SparseDataset, gen_gaussian, load_libsvm
 
 # Refuse permutation studies whose rough cost estimate exceeds this many
@@ -145,15 +149,13 @@ def _load_ratio_study(args, num_perms, batches) -> SparseDataset:
     """The data of a permutation study over the given batch sizes, once the
     study passes every rule: the data flags, each batch size dividing n, some
     nonzero value (else every L / hat and L / tilde ratio is 0 / 0), and an
-    estimated cost within --max-cost unless --force."""
-    budget = DEFAULT_COST_BUDGET if args.max_cost is None else args.max_cost
-
+    estimated cost within DEFAULT_COST_BUDGET unless --force."""
     def check_cost(n, nnz):
         S, b = _ASSUMED_LANCZOS_STEPS, max(batches)
         est = num_perms * (S * nnz + 2 * S * S * n + n * b * b)
-        if est > budget and not args.force:
-            raise CliError(f"estimated cost {est:.2e} ops exceeds budget {budget:.2e}; "
-                           "rerun with --force to proceed")
+        if est > DEFAULT_COST_BUDGET and not args.force:
+            raise CliError(f"estimated cost {est:.2e} ops exceeds budget "
+                           f"{DEFAULT_COST_BUDGET:.2e}; rerun with --force to proceed")
 
     _check_data_flags(args, batches)
     if args.gaussian:  # nnz is N·D, so the cost needs no generated data
@@ -242,6 +244,7 @@ def _minimizer_record(ref):  # None when no minimizer ran
 
 
 def cmd_optimize(args) -> int:
+    args.loss = args.loss or "squared"
     theoretical = args.step == "theoretical"
     if theoretical and args.loss not in losses.SMOOTH_FAMILIES:
         raise CliError("theoretical step for nonsmooth losses needs verify-bound --planted, "
@@ -268,8 +271,7 @@ def cmd_optimize(args) -> int:
     rows = [("seed", "epoch", "f_x", "f_avg", "retraction_residual")]
     final_gaps = {}
     diverged = {}
-    cfg = engine.RunConfig(batch=args.b, epochs=args.epochs, step=eta, x0=np.zeros(ds.d),
-                           trace=trace)
+    cfg = engine.RunConfig(batch=args.b, epochs=args.epochs, step=eta, trace=trace)
     for s in args.seeds:
         try:
             result = engine.run(ds, model, shuffle.ShufflePlan(args.scheme, seed=s), cfg)
@@ -307,11 +309,10 @@ def _planted_hinge(n, d, seed, margin=2.0):
     margin clears 1, making the minimum value exactly 0."""
     ds0 = gen_gaussian(n, d, seed)
     A = ds0.to_dense()
-    rng = consts.prng.generator(consts.prng.substream(seed, consts.prng.DOMAIN_TRIAL, 999))
-    direction = consts.prng.standard_normal(rng, d)
+    rng = prng.generator(prng.substream(seed, prng.DOMAIN_PLANTED))
+    direction = prng.standard_normal(rng, d)
     direction /= np.linalg.norm(direction)
     z = A @ direction
-    z[np.abs(z) < 1e-6] = 1e-6
     t = np.sign(z)
     scale = margin / np.min(np.abs(z))
     x_star = scale * direction
@@ -348,8 +349,15 @@ def cmd_verify_bound(args) -> int:
     if args.planted and not guarantee.planted:
         raise CliError(f"--planted builds the nonsmooth problem; --bound {args.bound} "
                        "does not use it")
-    if not guarantee.planted and args.loss not in losses.SMOOTH_FAMILIES:
-        raise CliError(f"--bound {args.bound} needs a smooth loss, got --loss {args.loss}")
+    if guarantee.planted:
+        if args.loss not in (None, "hinge"):
+            raise CliError(f"--bound {args.bound} runs the planted hinge problem, "
+                           f"got --loss {args.loss}")
+        args.loss = "hinge"
+    else:
+        args.loss = args.loss or "squared"
+        if args.loss not in losses.SMOOTH_FAMILIES:
+            raise CliError(f"--bound {args.bound} needs a smooth loss, got --loss {args.loss}")
     if guarantee.scheme == "RR":
         _check_sampled_perms(args)
     _check_data_flags(args, [args.b])
@@ -359,7 +367,7 @@ def cmd_verify_bound(args) -> int:
     try:
         if guarantee.planted:
             ds, x_star = _planted_hinge(*args.gaussian, args.seed)
-            model = losses.LossModel.for_dataset("hinge", ds)
+            model = losses.LossModel.for_dataset(args.loss, ds)
             f_star = 0.0
         else:
             ds = _load_dataset(args)
@@ -380,8 +388,7 @@ def cmd_verify_bound(args) -> int:
     # alone: no per-epoch objectives.
     seeds = [0] if guarantee.scheme == "IG" else range(args.seeds)
     run = _run_general if guarantee.general else engine.run
-    cfg = engine.RunConfig(batch=args.b, epochs=args.epochs, step=eta, x0=np.zeros(ds.d),
-                           epoch_objectives=False)
+    cfg = engine.RunConfig(batch=args.b, epochs=args.epochs, step=eta, epoch_objectives=False)
     gaps = []
     for s in seeds:
         result = run(ds, model, shuffle.ShufflePlan(guarantee.scheme, seed=s), cfg)
@@ -421,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = flags()
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=_positive_finite("tol"), default=1e-6,
-                        help="Lanczos stops once the Ritz residual of the top eigenvalue "
-                        "is at most tol times that value (hat, full_gradient_L, and "
-                        "general_hat_L in verify-bound); a solve that does not get "
-                        "there is an error. batch-sweep computes only the exact tilde "
-                        "and ignores it")
     common.add_argument("--out", required=True, help="output path prefix")
+    lanczos = flags()
+    lanczos.add_argument("--tol", type=_positive_finite("tol"), default=1e-6,
+                         help="Lanczos stops once the Ritz residual of the top eigenvalue "
+                         "is at most tol times that value (hat, full_gradient_L, and "
+                         "general_hat_L in verify-bound); a solve that does not get "
+                         "there is an error")
     data = flags()
     data.add_argument("--features", type=_checked("--features must be >= 1, got {}"),
                       default=None, help="feature count override")
@@ -439,12 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--b", type=_checked("--b must be >= 1, got {}"), default=1)
     budget = flags()
     budget.add_argument("--force", action="store_true")
-    budget.add_argument("--max-cost", type=_positive_finite("--max-cost"), default=None)
-    run = flags(batch)
-    run.add_argument("--loss", choices=losses.FAMILIES, default="squared")
+    run = flags(batch, lanczos)
+    run.add_argument("--loss", choices=losses.FAMILIES, default=None,
+                     help="default squared; verify-bound --bound nonsmooth takes only hinge")
     run.add_argument("--epochs", type=_checked("--epochs must be >= 1, got {}"), default=10)
 
-    sp = sub.add_parser("analyze", parents=[data, batch, budget, common],
+    sp = sub.add_parser("analyze", parents=[data, batch, budget, lanczos, common],
                         help="per-permutation hat/tilde constants and L / hat ratios")
     sp.add_argument("--num-perms", type=_checked("num_perms must be >= 1, got {}"), default=1000)
     sp.set_defaults(func=cmd_analyze)

@@ -95,13 +95,15 @@ class SparseDataset:
 
     @classmethod
     def from_dense(cls, array, labels=None) -> "SparseDataset":
+        """The dataset that stores the nonzeros of a dense n x d array, so a
+        row of zeros is an empty row; labels default to zero."""
         array = np.asarray(array, dtype=np.float64)
         n, d = array.shape
         if labels is None:
             labels = np.zeros(n)
-        indices = np.tile(np.arange(d, dtype=np.int64), n)
-        indptr = np.arange(n + 1, dtype=np.int64) * d
-        return cls(indptr=indptr, indices=indices, values=array.ravel().copy(), labels=labels, d=d)
+        nz = array != 0
+        indptr = np.concatenate([[0], np.cumsum(nz.sum(axis=1))])
+        return cls(indptr=indptr, indices=np.nonzero(nz)[1], values=array[nz], labels=labels, d=d)
 
 
 @dataclass
@@ -404,13 +406,17 @@ def gen_gaussian(n: int, d: int, seed: int) -> SparseDataset:
     """Dense i.i.d. standard normal dataset; pure function of (n, d, seed).
 
     Entries come from one PCG64 stream derived from the seed, transformed
-    by Box-Muller, filled row-major. Labels are zero.
+    by Box-Muller, filled row-major. The labels are +-1, each with
+    probability 1/2, drawn from the same stream after the entries, so the
+    entries do not depend on them. (With zero labels the origin, where every
+    run starts, would minimize every loss family.)
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     rng = prng.generator(prng.substream(seed, prng.DOMAIN_DATA))
     flat = prng.standard_normal(rng, n * d)
-    return SparseDataset.from_dense(flat.reshape(n, d))
+    labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return SparseDataset.from_dense(flat.reshape(n, d), labels=labels)
 
 
 def row_sq_norms(ds: SparseDataset) -> np.ndarray:

@@ -12,7 +12,8 @@ The composition is exactly vanilla mini-batch shuffled SGD. Each epoch
 lays its nonzeros out once, block by block and sorted by column within a
 block (BlockLayout), so the primal step updates x in place on the block's
 distinct columns only: every block step costs O(nnz of the block), never
-O(d), traced or not. A run takes one constant step eta. Its output is the
+O(d), traced or not. Every run starts at the origin, from which the bounds
+measure D = ||x*||, and takes one constant step eta. Its output is the
 average of the epoch ends x_1..x_K, x_bar_K = (1/K) sum_k x_k; the loop
 keeps their running sum, so a run holds O(d) state whatever K is. It
 records f(x_k) and f(x_bar_k) after every epoch, or with
@@ -57,7 +58,6 @@ class RunConfig:
     batch: int
     epochs: int
     step: float
-    x0: np.ndarray
     trace: bool = False
     # f(x_k) and f(x_bar_k) after every epoch; else f(x_bar_K) alone
     epoch_objectives: bool = True
@@ -173,10 +173,7 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
     block's gradient aggregate on them, and that block_cols."""
     m_blocks = check_batch(n, cfg.batch)
     eta = cfg.step
-    x = np.asarray(cfg.x0, dtype=np.float64).copy()
-    if x.shape != (d,):
-        raise ConfigError(f"x0 must have dimension d = {d}")
-
+    x = np.zeros(d)
     x_sum = np.zeros(d)  # sum_k x_k
     traces = []
     objectives = []

@@ -19,6 +19,7 @@ DOMAIN_DATA = 0x5D47A1
 DOMAIN_PERM = 0x9E12B3
 DOMAIN_POWER = 0x503EC5
 DOMAIN_TRIAL = 0x7214D7
+DOMAIN_PLANTED = 0x3B8E61
 
 
 def splitmix64(z: int) -> int:

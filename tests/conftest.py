@@ -30,18 +30,6 @@ def random_sparse_dataset(rng, n=None, d=None, density=0.6, ensure_nonzero=True)
     return ss.SparseDataset.from_dense(A, labels=labels)
 
 
-def sparse_dataset(A, labels=None):
-    """The dataset that stores only the nonzeros of the dense array A, so
-    rows of zeros are empty rows."""
-    import shuffle_sgd as ss
-
-    A = np.asarray(A, dtype=np.float64)
-    nz = A != 0
-    indptr = np.concatenate([[0], np.cumsum(nz.sum(axis=1))])
-    labels = np.zeros(len(A)) if labels is None else labels
-    return ss.SparseDataset(indptr, np.nonzero(nz)[1], A[nz], labels, A.shape[1])
-
-
 def assert_same_dataset(a, b):
     """Assert that two datasets have equal d, CSR arrays and labels."""
     assert a.d == b.d

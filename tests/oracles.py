@@ -118,7 +118,7 @@ def numeric_derivative(fn, z, h=1e-5):
 def run_recording_inner(ds, model, plan, cfg):
     """engine.run with a copy of x taken after each of its in-place primal
     block steps; returns the result and, per epoch, the inner iterates
-    x_0 .. x_m (x_0 the previous epoch's end)."""
+    x_0 .. x_m (x_0 the previous epoch's end, the origin for the first)."""
     engine = shuffle_sgd.engine
     steps = []
     primal = engine.primal_block_step
@@ -134,5 +134,5 @@ def run_recording_inner(ds, model, plan, cfg):
     finally:
         engine.primal_block_step = primal
     m = len(steps) // cfg.epochs
-    xs = [np.asarray(cfg.x0, dtype=float)] + steps
+    xs = [np.zeros(ds.d)] + steps
     return result, [xs[k * m : (k + 1) * m + 1] for k in range(cfg.epochs)]

@@ -235,7 +235,7 @@ def _equivalence_runs():
         scheme = ("RR", "SO", "IG")[idx % 3]
         eta = 0.2 / n
         plan = ss.ShufflePlan(scheme, seed=int(rng.integers(0, 2**31)))
-        cfg = ss.RunConfig(b, 2, eta, rng.standard_normal(d), trace=True)
+        cfg = ss.RunConfig(b, 2, eta, trace=True)
         result, inner = oracles.run_recording_inner(ds, model, plan, cfg)
         runs.append((ds, model, plan, b, eta, result, inner))
     return runs
@@ -300,7 +300,7 @@ def test_c11_fixed_order_bound_deterministic():
             eta = ss.step_size_ig(inp)
             rhs = ss.bound_rhs_ig(inp, eta)
             res = ss.run(ds, model, ss.ShufflePlan("IG"),
-                         ss.RunConfig(b, K, eta, np.zeros(d)))
+                         ss.RunConfig(b, K, eta))
             gap = res.objective_avg - f_star
             worst = max(worst, gap / rhs)
             assert gap <= rhs + 1e-12
@@ -326,7 +326,7 @@ def _rr_bound_check(ds, model, b, K, num_seeds):
     gaps = []
     for s in range(num_seeds):
         plan = ss.ShufflePlan("RR", seed=s)
-        res = ss.run(ds, model, plan, ss.RunConfig(b, K, eta, np.zeros(d)))
+        res = ss.run(ds, model, plan, ss.RunConfig(b, K, eta))
         gaps.append(res.objective_avg - f_star)
     mean = float(np.mean(gaps))
     sem = float(np.std(gaps) / math.sqrt(len(gaps)))
@@ -371,7 +371,7 @@ def test_c13_nonsmooth_bound():
     gaps = []
     for s in range(200):
         plan = ss.ShufflePlan("RR", seed=s)
-        res = ss.run(ds, model, plan, ss.RunConfig(b, K, eta, np.zeros(ds.d)))
+        res = ss.run(ds, model, plan, ss.RunConfig(b, K, eta))
         gaps.append(res.objective_avg)  # constructed optimum has value 0
     mean = float(np.mean(gaps))
     assert mean <= rhs

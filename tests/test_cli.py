@@ -107,39 +107,39 @@ class TestAnalyze:
         main(args + ["--out", str(tmp_path / "b")])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_budget_guardrail(self, tmp_path, capsys):
+    def test_budget_guardrail(self, tmp_path, capsys, monkeypatch):
         big = tmp_path / "big.svm"
         write_identity_dataset(big, 200)
+        monkeypatch.setattr(cli, "DEFAULT_COST_BUDGET", 1e3)
         code = main([
             "analyze", "--input", str(big), "--num-perms", "1000",
-            "--max-cost", "1e3", "--out", str(tmp_path / "r"),
+            "--out", str(tmp_path / "r"),
         ])
         assert code == 2
-        assert "--force" in capsys.readouterr().err
+        assert "exceeds budget 1.00e+03; rerun with --force" in capsys.readouterr().err
         code = main([
             "analyze", "--input", str(big), "--num-perms", "2",
-            "--max-cost", "1e3", "--force", "--out", str(tmp_path / "r"),
+            "--force", "--out", str(tmp_path / "r"),
         ])
         assert code == 0
 
-    def test_budget_counts_tilde_eigvalsh(self, tmp_path, capsys):
+    def test_budget_counts_tilde_eigvalsh(self, tmp_path, capsys, monkeypatch):
         # n = 200: the Lanczos terms are about 4e6 ops; b = 200 adds n b^2 = 8e6
         big = tmp_path / "big.svm"
         write_identity_dataset(big, 200)
-        argv = ["analyze", "--input", str(big), "--num-perms", "1", "--max-cost", "1e7",
-                "--out", str(tmp_path / "r")]
+        monkeypatch.setattr(cli, "DEFAULT_COST_BUDGET", 1e7)
+        argv = ["analyze", "--input", str(big), "--num-perms", "1", "--out", str(tmp_path / "r")]
         assert main(argv + ["--b", "200"]) == 2
         assert "--force" in capsys.readouterr().err
         assert main(argv + ["--b", "1"]) == 0
 
     @pytest.mark.parametrize("max_cost", ["0", "-1", "nan", "inf"])
     def test_max_cost_not_positive_finite_exit_2(self, identity6, tmp_path, capsys, max_cost):
-        # 0 once meant the default budget and nan switched the guard off
+        # --max-cost is gone: one fixed budget, and --force to pass it
         code = main(["analyze", "--input", str(identity6), "--num-perms", "2",
                      "--max-cost", max_cost, "--out", str(tmp_path / "r")])
         assert code == 2
-        assert f"--max-cost must be positive and finite, got {float(max_cost)}" in (
-            capsys.readouterr().err)
+        assert f"unrecognized arguments: --max-cost {max_cost}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [identity6]
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
@@ -190,7 +190,7 @@ class TestBatchSweep:
         out = tmp_path / "bs"
         code = main([
             "batch-sweep", "--input", str(identity6), "--b-grid", "1,2,3,6",
-            "--perms", "4", "--tol", "1e-10", "--out", str(out),
+            "--perms", "4", "--out", str(out),
         ])
         assert code == 0
         payload = json.loads((tmp_path / "bs.json").read_text())
@@ -434,6 +434,34 @@ class TestVerifyBound:
         assert code == 0
         payload = json.loads((tmp_path / "v3.json").read_text())
         assert payload["verdict"] == "holds"
+        # the report names the loss the runs used, not the smooth default
+        assert payload["config"]["loss"] == "hinge"
+
+    def test_planted_hinge_optimum_on_a_tiny_margin(self):
+        # seed 711 plants a direction whose smallest |a_i^T u| is 3.4e-7 and
+        # negative: every label must still follow its sign, so that every
+        # margin clears 1 and the optimum value is exactly 0
+        ds, x_star = cli._planted_hinge(2000, 2, 711)
+        z = ds.to_dense() @ (x_star / np.linalg.norm(x_star))
+        assert np.min(np.abs(z)) < 1e-6
+        margins = ds.labels * (ds.to_dense() @ x_star)
+        assert np.min(margins) == pytest.approx(2.0, rel=1e-9)
+        assert ss.objective(ss.LossModel.for_dataset("hinge", ds), ds, x_star) == 0.0
+        # the direction has a stream of its own, apart from the permutations'
+        domains = [getattr(ss.prng, k) for k in dir(ss.prng) if k.startswith("DOMAIN_")]
+        assert len(set(domains)) == len(domains) == 5
+
+    def test_rr_on_gaussian_data_is_not_vacuous(self, tmp_path):
+        # --gaussian labels are +-1, so the optimum is away from the origin
+        # where the runs start, and both sides of the bound are positive
+        code = main(["verify-bound", "--bound", "rr", "--gaussian", "24,5", "--b", "2",
+                     "--epochs", "4", "--seeds", "10", "--perms", "10",
+                     "--out", str(tmp_path / "g")])
+        assert code == 0
+        payload = strict_json(tmp_path / "g.json")
+        assert payload["config"]["loss"] == "squared"
+        assert payload["empirical_mean_gap"] > 0
+        assert payload["rhs"] > payload["empirical_mean_gap"]
 
     def test_general_rr(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -607,7 +635,7 @@ class TestRefusedBeforeLoading:
     @pytest.mark.parametrize("argv", [
         ["analyze", "--input", "data.svm"],
         ["analyze", "--gaussian", "6,3", "--b", "3"],
-        ["batch-sweep", "--gaussian", "6,3", "--b-grid", "1,2"],
+        ["verify-bound", "--bound", "general-rr", "--gaussian", "6,3"],
         ["analyze", "--gaussian", "6,3"],
         ["optimize", "--gaussian", "6,3", "--step", "0.1"],
         ["verify-bound", "--bound", "rr", "--gaussian", "6,3"],
@@ -636,8 +664,9 @@ class TestRefusedBeforeLoading:
          "needs verify-bound --planted, got --loss hinge"),
         (["verify-bound", "--bound", "rr", "--gaussian", "24,5", "--loss", "hinge"],
          "--bound rr needs a smooth loss, got --loss hinge"),
-        (["analyze", "--input", "data.svm", "--max-cost", "nan"],
-         "argument --max-cost: --max-cost must be positive and finite, got nan"),
+        (["verify-bound", "--bound", "nonsmooth", "--planted", "--gaussian", "24,5",
+          "--loss", "squared"],
+         "--bound nonsmooth runs the planted hinge problem, got --loss squared"),
         (["analyze", "--input", "data.svm", "--num-perms", "0"],
          "argument --num-perms: num_perms must be >= 1, got 0"),
         (["analyze", "--input", "data.svm", "--b", "0"], "argument --b: --b must be >= 1, got 0"),
@@ -645,8 +674,8 @@ class TestRefusedBeforeLoading:
          "argument --features: --features must be >= 1, got 0"),
         (["analyze", "--gaussian", "24,5", "--num-perms", "0"],
          "argument --num-perms: num_perms must be >= 1, got 0"),
-        (["analyze", "--gaussian", "24,5", "--max-cost", "-1"],
-         "argument --max-cost: --max-cost must be positive and finite, got -1.0"),
+        (["batch-sweep", "--gaussian", "6,3", "--b-grid", "1", "--tol", "1e-6"],
+         "unrecognized arguments: --tol 1e-6"),
         (["batch-sweep", "--gaussian", "6,3", "--b-grid", "1", "--perms", "0"],
          "argument --perms: num_perms must be >= 1, got 0"),
         (["analyze", "--gaussian", "24,0"],
@@ -694,13 +723,14 @@ class TestRefusedBeforeLoading:
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--gaussian", "20000,5000", "--num-perms", "1000"],
-        ["analyze", "--gaussian", "24,5", "--num-perms", "3", "--max-cost", "1e3"],
+        ["analyze", "--gaussian", "2000,500", "--num-perms", "1000"],
         ["batch-sweep", "--gaussian", "20000,5000", "--b-grid", "1,2"],
     ])
     def test_gaussian_over_budget_refused_before_generating(self, tmp_path, capsys, monkeypatch,
                                                             argv):
         # --gaussian N,D has N * D nonzeros, so the cost needs no generated
-        # data; 20000 x 5000 would take about 2.4 GB to generate
+        # data; 20000 x 5000 would take about 2.4 GB to generate, and 2000 x
+        # 500 at 1000 permutations, about 1.4e11 ops, is just over budget
         no_data(monkeypatch)
         assert main(argv + ["--out", str(tmp_path / "r")]) == 2
         assert "exceeds budget" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from shuffle_sgd.constants import (
 from shuffle_sgd.losses import LossModel, RegularityDiag
 
 import oracles
-from conftest import GRAM_PATHS, divisors, gram_path, random_sparse_dataset, sparse_dataset
+from conftest import GRAM_PATHS, divisors, gram_path, random_sparse_dataset
 
 TIGHT = dict(tol=1e-12)
 
@@ -175,7 +175,7 @@ class TestWeightedCsr:
             ds = random_sparse_dataset(rng, ensure_nonzero=False)
             A = ds.to_dense()
             A[int(rng.integers(ds.n))] = 0.0  # one empty row at least
-            ds = sparse_dataset(A)
+            ds = ss.SparseDataset.from_dense(A)
             w = rng.uniform(0.1, 10.0, ds.n)
             perm = rng.permutation(ds.n)
             # the same products as the oracle's, so equal to the last bit
@@ -334,7 +334,7 @@ class TestClassicalAndFull:
         assert ss.full_gradient_L(ds, unit_reg(2), **TIGHT) == pytest.approx(1.0, rel=1e-9)
 
     def test_full_gradient_zero_matrix(self):
-        ds = sparse_dataset(np.zeros((2, 3)))
+        ds = ss.SparseDataset.from_dense(np.zeros((2, 3)))
         assert ss.full_gradient_L(ds, unit_reg(2)) == 0.0
 
     def test_permutation_invariance(self, rng):
@@ -639,7 +639,7 @@ class TestReferenceMinimizer:
         assert res.x[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_data_already_stationary(self):
-        ds = sparse_dataset(np.zeros((2, 2)))
+        ds = ss.SparseDataset.from_dense(np.zeros((2, 2)))
         m = LossModel.for_dataset("squared", ds)
         res = ss.reference_minimizer(ds, m)
         assert res.converged and np.allclose(res.x, 0.0)

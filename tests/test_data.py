@@ -10,7 +10,7 @@ import shuffle_sgd as ss
 from shuffle_sgd import data
 from shuffle_sgd.data import ParseError
 
-from conftest import assert_same_dataset, random_sparse_dataset, sparse_dataset
+from conftest import assert_same_dataset, random_sparse_dataset
 
 
 class TestParseLibsvm:
@@ -211,13 +211,36 @@ class TestRoundTrip:
         back = ss.parse_libsvm(ss.serialize_libsvm(ds), d=ds.d)
         assert_same_dataset(back, ds)
 
+    def test_from_dense_writes_no_zero_pairs(self):
+        # an a1a-like row pattern: a dense array that is mostly zeros
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((30, 12)) * (rng.random((30, 12)) < 0.2)
+        A[3] = 0.0
+        ds = ss.SparseDataset.from_dense(A)
+        assert ds.nnz == np.count_nonzero(A)
+        assert ds.indptr[4] == ds.indptr[3]  # the zero row is an empty row
+        text = ss.serialize_libsvm(ds)
+        assert ":0.0 " not in text and not any(line.endswith(":0.0")
+                                                for line in text.splitlines())
+        assert np.array_equal(ss.parse_libsvm(text, d=12).to_dense(), A)
+
 
 class TestGenGaussian:
     def test_shape_and_finite(self):
         ds = ss.gen_gaussian(2, 3, seed=7)
         assert (ds.n, ds.d) == (2, 3)
         assert np.all(np.isfinite(ds.to_dense()))
-        assert np.all(ds.labels == 0)
+        assert set(ds.labels.tolist()) <= {-1.0, 1.0}
+
+    def test_labels_follow_the_entries_in_the_stream(self):
+        # the entries are the stream's first n d normals, as before there
+        # were labels, and the +-1 labels are drawn after them
+        n, d, seed = 400, 3, 21
+        ds = ss.gen_gaussian(n, d, seed)
+        rng = ss.prng.generator(ss.prng.substream(seed, ss.prng.DOMAIN_DATA))
+        assert np.array_equal(ds.to_dense(), ss.prng.standard_normal(rng, n * d).reshape(n, d))
+        assert set(ds.labels.tolist()) == {-1.0, 1.0}
+        assert abs(ds.labels.mean()) < 0.15
 
     def test_deterministic(self):
         a = ss.gen_gaussian(5, 4, seed=123).to_dense()
@@ -267,7 +290,7 @@ class TestRowSqNorms:
         scale = 10.0 ** rng.integers(-8, 9, size=(n, 1))
         A = rng.standard_normal((n, d)) * scale * (rng.random((n, d)) < 0.6)
         A[rng.random(n) < 0.3] = 0.0
-        ds = sparse_dataset(A)
+        ds = ss.SparseDataset.from_dense(A)
         got = ss.row_sq_norms(ds)
         want = (A * A).sum(1)
         assert np.all(np.abs(got - want) <= 4 * d * np.finfo(float).eps * want)

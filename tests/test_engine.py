@@ -10,7 +10,7 @@ from shuffle_sgd.losses import LossModel, derivative_vec
 from shuffle_sgd.shuffle import ConfigError, ShufflePlan
 
 import oracles
-from conftest import divisors, random_sparse_dataset, sparse_dataset
+from conftest import divisors, random_sparse_dataset
 
 
 def least_squares(rng, n, d):
@@ -52,7 +52,7 @@ class TestBlockOps:
         ds = ss.SparseDataset.from_dense(np.array([[1.0, 2.0]]))
         x0 = np.array([3.0, -1.0])
         with pytest.raises(ConfigError):
-            RunConfig(batch=1, epochs=1, step=0.0, x0=x0)
+            RunConfig(batch=1, epochs=1, step=0.0)
         same = x0.copy()
         ss.primal_block_step(same, ss.BlockLayout(ds, [0], 1), 0, np.zeros(1), 0.7)
         assert np.array_equal(same, x0)
@@ -72,7 +72,7 @@ class TestBlockOps:
         A = rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
         A[rng.random(n) < 0.3] = 0.0
         t = rng.standard_normal(n)
-        ds = sparse_dataset(A, t)
+        ds = ss.SparseDataset.from_dense(A, labels=t)
         m = LossModel.for_dataset("squared", ds)
         b = {"1": 1, "n": n}.get(batch) or int(rng.choice(divisors(n)))
         perm = rng.permutation(n)
@@ -106,34 +106,36 @@ class TestRunConfig:
     @pytest.mark.parametrize("step", [0.1, np.array([0.1])])
     def test_nonpositive_epochs_rejected_first(self, epochs, step):
         with pytest.raises(ConfigError, match="epochs must be >= 1"):
-            RunConfig(batch=1, epochs=epochs, step=step, x0=np.zeros(1))
+            RunConfig(batch=1, epochs=epochs, step=step)
 
     @pytest.mark.parametrize("step, shown", [(np.nan, "nan"), (np.inf, "inf")])
     def test_non_finite_step_rejected(self, step, shown):
         with pytest.raises(ConfigError, match=f"positive and finite, got {shown}$"):
-            RunConfig(batch=1, epochs=2, step=step, x0=np.zeros(1))
+            RunConfig(batch=1, epochs=2, step=step)
 
     @pytest.mark.parametrize("step", [np.array([0.1]), np.array([0.1, 0.2]), [0.1, 0.2]])
     def test_one_step_per_run(self, step):
         # a step per epoch is refused when the config is built, not in a run
         with pytest.raises(ConfigError, match="step must be one value"):
-            RunConfig(batch=1, epochs=2, step=step, x0=np.zeros(1))
+            RunConfig(batch=1, epochs=2, step=step)
 
 
 class TestRun:
     def test_scalar_problem(self):
         ds = ss.SparseDataset.from_dense(np.array([[1.0]]), labels=[1.0])
         m = LossModel.for_dataset("squared", ds)
-        res = ss.run(ds, m, ShufflePlan("IG"), RunConfig(1, 1, 0.5, np.zeros(1)))
+        res = ss.run(ds, m, ShufflePlan("IG"), RunConfig(1, 1, 0.5))
         assert res.final[0] == 0.5
         assert res.averaged[0] == 0.5
 
     def test_full_batch_is_gradient_descent(self, rng):
+        # two epochs, so the second gradient step starts away from the origin
         ds, m = least_squares(rng, 8, 3)
-        x0 = rng.standard_normal(3)
-        res = ss.run(ds, m, ShufflePlan("RR", seed=4), RunConfig(8, 1, 0.2, x0))
+        res = ss.run(ds, m, ShufflePlan("RR", seed=4), RunConfig(8, 2, 0.2))
         A, t = ds.to_dense(), ds.labels
-        expected = x0 - 0.2 * (A.T @ (A @ x0 - t)) / 8
+        expected = np.zeros(3)
+        for _ in range(2):
+            expected = expected - 0.2 * (A.T @ (A @ expected - t)) / 8
         assert np.allclose(res.final, expected, rtol=1e-12, atol=1e-12)
 
     def test_weighted_average_output(self, rng):
@@ -142,7 +144,7 @@ class TestRun:
         ds, m = least_squares(rng, 6, 2)
         A, t = ds.to_dense(), ds.labels
         plan = ShufflePlan("SO", seed=0)
-        res = ss.run(ds, m, plan, RunConfig(2, 3, 2e-3, np.zeros(2)))
+        res = ss.run(ds, m, plan, RunConfig(2, 3, 2e-3))
         x, ends = np.zeros(2), []
         for k in range(1, 4):
             x = oracles.vanilla_epoch(A, t, "squared", ss.permutation_for(plan, ds.n, k), 2,
@@ -156,7 +158,7 @@ class TestRun:
         ds, m = least_squares(rng, 6, 3)
         A, t = ds.to_dense(), ds.labels
         plan = ShufflePlan("RR", seed=2)
-        res = ss.run(ds, m, plan, RunConfig(2, 5, 0.05, np.zeros(3)))
+        res = ss.run(ds, m, plan, RunConfig(2, 5, 0.05))
         x, ends = np.zeros(3), []
         for k in range(1, 6):
             x = oracles.vanilla_epoch(A, t, "squared", ss.permutation_for(plan, ds.n, k), 2,
@@ -171,10 +173,10 @@ class TestRun:
         # gets the same value to the bit
         ds, m = least_squares(rng, 6, 3)
         plan = ShufflePlan("RR", seed=3)
-        every = ss.run(ds, m, plan, RunConfig(2, 4, 0.05, np.zeros(3)))
+        every = ss.run(ds, m, plan, RunConfig(2, 4, 0.05))
         real, calls = ss.engine.objective, []
         monkeypatch.setattr(ss.engine, "objective", lambda *a: calls.append(1) or real(*a))
-        last = ss.run(ds, m, plan, RunConfig(2, 4, 0.05, np.zeros(3), epoch_objectives=False))
+        last = ss.run(ds, m, plan, RunConfig(2, 4, 0.05, epoch_objectives=False))
         assert len(calls) == 1
         assert last.objectives.size == last.objectives_avg.size == 0
         assert last.objective_avg == every.objective_avg == every.objectives_avg[-1]
@@ -194,7 +196,7 @@ class TestRun:
         def peak(epochs):
             tracemalloc.start()
             res = ss.run(ds, m, ShufflePlan("RR", seed=0),
-                         RunConfig(1, epochs, 0.1, np.zeros(d)))
+                         RunConfig(1, epochs, 0.1))
             peak_bytes = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert len(res.objectives_avg) == epochs
@@ -205,18 +207,18 @@ class TestRun:
     def test_batch_must_divide(self, rng):
         ds, m = least_squares(rng, 6, 2)
         with pytest.raises(ConfigError):
-            ss.run(ds, m, ShufflePlan("RR"), RunConfig(4, 1, 0.1, np.zeros(2)))
+            ss.run(ds, m, ShufflePlan("RR"), RunConfig(4, 1, 0.1))
 
     def test_divergence_names_epoch(self):
         ds = ss.SparseDataset.from_dense(np.array([[1e3], [1e3]]), labels=[1.0, -1.0])
         m = LossModel.for_dataset("squared", ds)
         with pytest.raises(DivergenceError) as err:
-            ss.run(ds, m, ShufflePlan("RR", seed=0), RunConfig(1, 40, 10.0, np.zeros(1)))
+            ss.run(ds, m, ShufflePlan("RR", seed=0), RunConfig(1, 40, 10.0))
         assert err.value.epoch >= 1
 
     def test_deterministic(self, rng):
         ds, m = least_squares(rng, 10, 3)
-        cfg = RunConfig(2, 3, 0.05, np.zeros(3), trace=True)
+        cfg = RunConfig(2, 3, 0.05, trace=True)
         r1 = ss.run(ds, m, ShufflePlan("RR", seed=7), cfg)
         r2 = ss.run(ds, m, ShufflePlan("RR", seed=7), cfg)
         assert np.array_equal(r1.final, r2.final)
@@ -231,7 +233,7 @@ class TestRun:
         b = int(rng.choice(divisors(n)))
         eta = 0.3 / n
         plan = ShufflePlan(scheme, seed=seed)
-        cfg = RunConfig(b, 2, eta, np.zeros(ds.d), trace=True)
+        cfg = RunConfig(b, 2, eta, trace=True)
         _, recorded = oracles.run_recording_inner(ds, m, plan, cfg)
         x = np.zeros(ds.d)
         for k in (1, 2):
@@ -253,10 +255,10 @@ class TestRun:
         p = rng.permutation(n)
         v = ss.PermutedView(ds, p)
         reordered = ss.SparseDataset(v.indptr, v.indices, v.values, ds.labels[p], ds.d)
-        cfg = RunConfig(b, 2, eta, rng.standard_normal(ds.d))
+        cfg = RunConfig(b, 2, eta)
         _, recorded = oracles.run_recording_inner(
             reordered, LossModel.for_dataset(family, reordered), ShufflePlan("IG"), cfg)
-        x = cfg.x0
+        x = np.zeros(ds.d)
         for k in (1, 2):
             inner = oracles.vanilla_epoch(ds.to_dense(), ds.labels, family, p, b, eta, x)
             assert len(recorded[k - 1]) == len(inner) == n // b + 1
@@ -280,7 +282,7 @@ class TestRun:
             for j in range(20)
         )
         eta = ss.step_size_smooth_rr(ss.BoundInputs(n=4, b=2, K=30, hatL=hat, tildeL=til))
-        res = ss.run(ds, m, ShufflePlan("RR", seed=1), RunConfig(2, 30, eta, np.zeros(8)))
+        res = ss.run(ds, m, ShufflePlan("RR", seed=1), RunConfig(2, 30, eta))
         f0 = ss.objective(m, ds, np.zeros(8))
         assert res.objectives[-1] <= f0 + 1e-12
 
@@ -315,7 +317,7 @@ class TestTheoreticalStepConvergence:
                                  sigma_star=sig, D=D)
             eta = ss.step_size_smooth_rr(inp)
             res = ss.run(ds, m, ShufflePlan("RR", seed=4),
-                         RunConfig(3, K, eta, np.zeros(3)))
+                         RunConfig(3, K, eta))
             gaps.append(res.objective_avg - f_star)
         assert gaps[0] > 0
         assert gaps[2] < gaps[0] * 0.5
@@ -324,23 +326,25 @@ class TestTheoreticalStepConvergence:
 class TestRetractionIdentity:
     def test_untraced_run_has_no_traces(self, rng):
         ds, m = least_squares(rng, 4, 2)
-        res = ss.run(ds, m, ShufflePlan("RR", seed=0), RunConfig(2, 1, 0.1, np.zeros(2)))
+        res = ss.run(ds, m, ShufflePlan("RR", seed=0), RunConfig(2, 1, 0.1))
         assert res.traces == []
 
     def test_single_step_epoch_terms_cancel(self, rng):
         # b = n: one inner step, the retraction term is identically zero
         ds, m = least_squares(rng, 5, 3)
-        cfg = RunConfig(5, 1, 0.1, np.zeros(3), trace=True)
+        cfg = RunConfig(5, 1, 0.1, trace=True)
         res = ss.run(ds, m, ShufflePlan("RR", seed=2), cfg)
         tr = res.traces[0]
         assert tr.retraction_term == pytest.approx(0.0, abs=1e-15)
         assert tr.squared_steps == pytest.approx(tr.displacement_sq, rel=1e-12)
 
     def test_random_least_squares_epoch(self, rng):
+        # the second epoch starts away from the origin
         ds, m = least_squares(rng, 10, 5)
-        cfg = RunConfig(2, 1, 0.05, rng.standard_normal(5), trace=True)
+        cfg = RunConfig(2, 2, 0.05, trace=True)
         res = ss.run(ds, m, ShufflePlan("RR", seed=3), cfg)
-        assert ss.retraction_residual(res.traces[0], 2, 10) <= 1e-8
+        for tr in res.traces:
+            assert ss.retraction_residual(tr, 2, 10) <= 1e-8
 
     @settings(max_examples=25)
     @given(
@@ -354,7 +358,7 @@ class TestRetractionIdentity:
         ds = random_sparse_dataset(rng, n=n)
         m = LossModel.for_dataset(family, ds)
         b = int(rng.choice([x for x in (1, 2, n // 2, n) if x >= 1 and n % x == 0]))
-        cfg = RunConfig(b, 3, 0.1 / n, rng.standard_normal(ds.d), trace=True)
+        cfg = RunConfig(b, 3, 0.1 / n, trace=True)
         res = ss.run(ds, m, ShufflePlan(scheme, seed=seed), cfg)
         for tr in res.traces:
             scale = 1.0 + abs(tr.squared_steps) + abs(tr.displacement_sq)
@@ -373,11 +377,10 @@ class TestTracing:
         n = int(rng.choice([2, 4, 6, 8, 12]))
         ds = random_sparse_dataset(rng, n=n)
         m = LossModel.for_dataset(family, ds)
-        x0 = rng.standard_normal(ds.d)
         plan = ShufflePlan(scheme, seed=seed)
         for b in divisors(n):
             (plain, plain_inner), (traced, traced_inner) = (
-                oracles.run_recording_inner(ds, m, plan, RunConfig(b, 3, 0.1 / n, x0, trace=t))
+                oracles.run_recording_inner(ds, m, plan, RunConfig(b, 3, 0.1 / n, trace=t))
                 for t in (False, True))
             assert plain.traces == [] and len(traced.traces) == 3
             for ep, et in zip(plain_inner, traced_inner, strict=True):
@@ -404,7 +407,7 @@ class TestTracing:
         def peak(trace):
             tracemalloc.start()
             res = ss.run(ds, m, ShufflePlan("RR", seed=0),
-                         RunConfig(1, 1, 0.1, np.zeros(d), trace=trace))
+                         RunConfig(1, 1, 0.1, trace=trace))
             peak_bytes = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert len(res.traces) == trace
@@ -427,11 +430,10 @@ class TestTracing:
                               values=rng.standard_normal(n * k),
                               labels=rng.choice([-1.0, 1.0], n), d=d)
         m = LossModel.for_dataset("hinge", ds)
-        x0 = np.zeros(d)
 
         def peak(trace):
             tracemalloc.start()
-            res = ss.run(ds, m, ShufflePlan("RR", seed=0), RunConfig(1, 1, 0.1, x0, trace=trace))
+            res = ss.run(ds, m, ShufflePlan("RR", seed=0), RunConfig(1, 1, 0.1, trace=trace))
             peak_bytes = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert len(res.traces) == trace
@@ -450,16 +452,14 @@ class TestRunGeneral:
             e[i] = 1.0
             return x - e
 
-        res = ss.run_general(oracle, 2, 2, ShufflePlan("IG"), RunConfig(2, 1, 1.0, np.zeros(2)))
+        res = ss.run_general(oracle, 2, 2, ShufflePlan("IG"), RunConfig(2, 1, 1.0))
         assert np.allclose(res.final, [0.5, 0.5])
 
-    def test_zero_oracle_keeps_x(self, rng):
-        x0 = rng.standard_normal(3)
+    def test_zero_oracle_keeps_x(self):
         res = ss.run_general(
-            lambda i, x: np.zeros(3), 4, 3, ShufflePlan("RR", seed=1),
-            RunConfig(2, 2, 0.5, x0),
-        )
-        assert np.array_equal(res.final, x0)
+            lambda i, x: np.zeros(3), 4, 3, ShufflePlan("RR", seed=1), RunConfig(2, 2, 0.5))
+        assert np.array_equal(res.final, np.zeros(3))
+        assert np.array_equal(res.averaged, np.zeros(3))
 
     def test_glm_oracle_reproduces_run(self, rng):
         ds, m = least_squares(rng, 6, 3)
@@ -472,7 +472,7 @@ class TestRunGeneral:
             return derivative_vec(m, np.array([i]), np.array([A[i] @ x])) * A[i]
 
         plan = ShufflePlan("SO", seed=9)
-        cfg = RunConfig(2, 2, 0.04, np.zeros(3), trace=True)
+        cfg = RunConfig(2, 2, 0.04, trace=True)
         direct, direct_inner = oracles.run_recording_inner(ds, m, plan, cfg)
         general = ss.run_general(
             oracle, 6, 3, plan, cfg, objective_fn=lambda x: ss.objective(m, ds, x)
@@ -495,21 +495,20 @@ class TestRunGeneral:
         def oracle(i, x):
             return (x - i) ** 3 * 0.01  # arbitrary nonlinear components
 
-        cfg = RunConfig(2, 2, 0.3, rng.standard_normal(3), trace=True)
+        cfg = RunConfig(2, 2, 0.3, trace=True)
         res = ss.run_general(oracle, 4, 3, ShufflePlan("RR", seed=5), cfg)
         for tr in res.traces:
             assert ss.retraction_residual(tr, 2, 4) <= 1e-10
 
 
 @pytest.mark.parametrize("entry", ["run", "run_general"])
-@pytest.mark.parametrize("n, batch, x0_dim, match", [
+@pytest.mark.parametrize("n, batch, d, match", [
     (6, 4, 2, "must divide"),  # b does not divide n
-    (6, 2, 3, "x0"),  # x0 has the wrong dimension
 ])
-def test_entry_points_check_config(entry, n, batch, x0_dim, match, rng):
-    ds, m = least_squares(rng, n, 2)
+def test_entry_points_check_config(entry, n, batch, d, match, rng):
+    ds, m = least_squares(rng, n, d)
     plan = ShufflePlan("RR")
-    cfg = RunConfig(batch, 1, 0.1, np.zeros(x0_dim))
+    cfg = RunConfig(batch, 1, 0.1)
     A = ds.to_dense()
     with pytest.raises(ConfigError, match=match):
         if entry == "run":
@@ -518,3 +517,33 @@ def test_entry_points_check_config(entry, n, batch, x0_dim, match, rng):
             ss.run_general(
                 lambda i, x: derivative_vec(m, np.array([i]), np.array([A[i] @ x])) * A[i],
                 ds.n, ds.d, plan, cfg)
+
+
+@pytest.mark.parametrize("family", ["squared", "hinge"])
+def test_stored_zeros_change_no_constant_or_iterate(family, rng):
+    # a LIBSVM file may store explicit j:0 entries; the dataset then keeps
+    # them, and hat, tilde and every iterate must match its nonzero-only twin
+    n, d, b = 12, 5, 3
+    A = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.5)
+    A[2] = 0.0
+    t = rng.choice([-1.0, 1.0], n)
+    twin = ss.SparseDataset.from_dense(A, labels=t)
+    stored = ss.SparseDataset(np.arange(n + 1) * d, np.tile(np.arange(d), n), A.ravel(), t, d)
+    assert stored.nnz == n * d > twin.nnz
+    models = [LossModel.for_dataset(family, ds) for ds in (twin, stored)]
+    reg = ss.regularity(models[0])
+    for j in range(3):
+        perm = ss.random_permutation(n, 1, j)
+        hat = [ss.hat_constant(ds, reg, perm, b, tol=1e-10) for ds in (twin, stored)]
+        tilde = [ss.tilde_constant(ds, reg, perm, b) for ds in (twin, stored)]
+        assert hat[1] == pytest.approx(hat[0], rel=1e-9)
+        assert tilde[1] == pytest.approx(tilde[0], rel=1e-12)
+    cfg = RunConfig(b, 3, 0.05, trace=True)
+    (r0, inner0), (r1, inner1) = (
+        oracles.run_recording_inner(ds, m, ShufflePlan("RR", seed=2), cfg)
+        for ds, m in zip((twin, stored), models))
+    for e0, e1 in zip(inner0, inner1, strict=True):
+        for x0, x1 in zip(e0, e1, strict=True):
+            assert np.allclose(x1, x0, rtol=1e-13, atol=1e-15)
+    assert np.allclose(r1.averaged, r0.averaged, rtol=1e-13, atol=1e-15)
+    assert r1.objective_avg == pytest.approx(r0.objective_avg, rel=1e-13)
