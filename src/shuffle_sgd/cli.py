@@ -193,13 +193,14 @@ def _check_sampled_perms(args):
 
 
 def cmd_analyze(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     ds = _load_ratio_study(args, args.num_perms, [args.b])
     reg = _unit_regularity(ds)
     L_full = consts.full_gradient_L(ds, reg, tol=args.tol)
     report = consts.ratio_stats(ds, reg, b=args.b, num_perms=args.num_perms, seed=args.seed,
                                 tol=args.tol)
-    payload = {**report.to_json_dict(), "L_full": L_full, "runtime_sec": time.time() - t0}
+    payload = {**report.to_json_dict(), "L_full": L_full,
+               "runtime_sec": time.perf_counter() - t0}
     _write_json(args, payload)
     _write_csv(args.out + ".csv", report.to_csv_rows())
     print(

@@ -31,8 +31,10 @@ fixed cap, M is formed once as a dense n x n array, so a matvec is one BLAS
 product, and the block Grams are one batched product of the dense blocks.
 Elsewhere both stay matrix-free: the prefix-masked matvec costs O(nnz(B))
 time and memory per step (segmented prefix sums over the nonzeros; no
-m x d buffer), and one sparse product yields all m block Grams. The two
-agree to roundoff.
+m x d buffer), and the block Grams are pair sums: entry (k, l) of a block's
+Gram adds v_k v_l over the pairs of nonzeros of rows k and l that share a
+column. The two agree to roundoff. All of it runs on the CSR arrays with
+numpy; no scipy matrix is built.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import prng
 from .data import PermutedView, SparseDataset, row_sq_norms
@@ -63,14 +64,34 @@ class StationarityError(ValueError):
         )
 
 
-def _weighted_csr(ds: SparseDataset, weights, perm=None) -> sp.csr_matrix:
-    """CSR matrix with rows sqrt(w_{perm_i}) * a_{perm_i}; perm=None is the identity."""
+class WeightedRows(NamedTuple):
+    """An n x d matrix B as the row, column and value of each nonzero, in
+    row-major order with each row's columns increasing."""
+
+    rows: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    n: int
+    d: int
+
+    @property
+    def nnz(self) -> int:
+        return len(self.values)
+
+    def to_dense(self) -> np.ndarray:
+        B = np.zeros((self.n, self.d))
+        B[self.rows, self.indices] = self.values
+        return B
+
+
+def _weighted_csr(ds: SparseDataset, weights, perm=None) -> WeightedRows:
+    """The matrix with rows sqrt(w_{perm_i}) * a_{perm_i}; perm=None is the identity."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (ds.n,):
         raise ValueError("weights must have one entry per row")
     view = PermutedView(ds, np.arange(ds.n) if perm is None else perm)
     values = view.values * np.sqrt(w[view.perm])[view.rows]
-    return sp.csr_matrix((values, view.indices, view.indptr), shape=(ds.n, ds.d))
+    return WeightedRows(view.rows, view.indices, values, ds.n, ds.d)
 
 
 # The Gram is formed densely when n^2 <= _DENSE_COST * nnz: a dense matvec's
@@ -89,20 +110,23 @@ def _dense_gram(n: int, d: int, nnz: int) -> bool:
     return n * n <= _DENSE_COST * nnz and n * (n + d) <= _DENSE_MAX_FLOATS
 
 
-def _column_block_runs(B: sp.csr_matrix, batch: int):
+def _column_block_runs(B: WeightedRows, batch: int):
     """B's nonzeros in (column, block) order: values, rows, column pointers,
     and the end offsets of the runs that share a column and a block.
 
-    CSC lists each column's nonzeros by row, hence by block. Indices come
-    back as intp, so later gathers with them need no conversion."""
-    C = B.tocsc()
-    C.sort_indices()
-    indptr = C.indptr.astype(np.intp)
-    rows = C.indices.astype(np.intp)
+    A stable sort by column keeps each column's nonzeros in row order, hence
+    in block order: the CSC layout. The columns are sorted as the smallest
+    integer type that holds them, on which numpy sorts by radix (up to 16
+    bits). Indices come back as intp, so later gathers with them need no
+    conversion."""
+    order = np.argsort(B.indices.astype(np.min_scalar_type(B.d - 1)), kind="stable")
+    indptr = np.zeros(B.d + 1, dtype=np.intp)
+    np.cumsum(np.bincount(B.indices, minlength=B.d), out=indptr[1:])
+    rows = B.rows[order].astype(np.intp, copy=False)
     blk = rows // batch
     last = np.repeat(indptr[1:], np.diff(indptr)) == np.arange(1, len(rows) + 1)
     last[:-1] |= blk[1:] != blk[:-1]
-    return C.data, rows, indptr, np.flatnonzero(last) + 1
+    return B.values[order], rows, indptr, np.flatnonzero(last) + 1
 
 
 class MaskedGramOperator:
@@ -120,15 +144,15 @@ class MaskedGramOperator:
     O(nnz) time and memory.
     """
 
-    def __init__(self, B: sp.csr_matrix, batch: int):
-        n, d = B.shape
+    def __init__(self, B: WeightedRows, batch: int):
+        n, d = B.n, B.d
         self.m = check_batch(n, batch)
-        self.B = B.tocsr()
+        self.B = B
         self.batch = batch
         self.n, self.d = n, d
         self._M = None
-        if _dense_gram(n, d, self.B.nnz):
-            A = self.B.toarray()
+        if _dense_gram(n, d, B.nnz):
+            A = B.to_dense()
             # C[k, l] = min(block(k), block(l)) + 1, as int32: half the size
             # of a float mask, and the multiply casts it in small buffers
             blk1 = np.arange(n, dtype=np.int32) // batch + 1
@@ -268,12 +292,12 @@ def classical_constant(ds: SparseDataset, reg: RegularityDiag) -> float:
 
 
 def full_gradient_L(ds: SparseDataset, reg: RegularityDiag, tol: float = 1e-6) -> float:
-    """(1/n) || B B^T || for the weighted matrix B (permutation invariant)."""
-    B = _weighted_csr(ds, reg.values)
-    Bt = B.T.tocsr()
+    """(1/n) || B B^T || for the weighted matrix B = diag(s) A, s = sqrt(w)
+    (permutation invariant)."""
+    s = np.sqrt(reg.values)
 
     def mv(v):
-        return B @ (Bt @ v)
+        return s * ds.matvec(ds.rmatvec(s * v))
 
     res = operator_norm(mv, ds.n, tol=tol)
     return _converged_value("full_gradient_L", res, tol) / ds.n
@@ -287,27 +311,64 @@ def hat_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, tol: floa
     return _converged_value("hat_constant", res, tol) / (m * ds.n)
 
 
+# Pairs of nonzeros that _block_grams adds in one pass. A pass's
+# temporaries take about 40 bytes a pair, so it holds about 10 MB whatever
+# the input, where all pairs at once could take O(n b d).
+_PAIR_CHUNK = 1 << 18
+
+
+def _block_grams(B: WeightedRows, b: int) -> np.ndarray:
+    """Every diagonal block Gram B_j B_j^T, as an (m, b, b) array.
+
+    Entry (k, l) of a block's Gram adds v_k v_l over the columns that rows
+    k and l share: over the (column, block) runs that hold both. The
+    diagonal is each row's sum of squares. A strictly lower entry adds one
+    term per run, from the pair of nonzeros that holds row k (the later one)
+    and row l; the pairs go to np.add.at in the order of their later nonzero,
+    in passes of about _PAIR_CHUNK pairs. So each entry adds its terms from
+    0 in column order, as a sparse product B_j B_j^T adds them, and the
+    upper triangle is the mirror image of the lower."""
+    m = B.n // b
+    data, rows, _, run_ends = _column_block_runs(B, b)
+    lens = np.diff(run_ends, prepend=0)
+    # each nonzero pairs with the nonzeros before it in its run
+    before = np.arange(len(data)) - np.repeat(run_ends - lens, lens)
+    later = np.flatnonzero(before)
+    reps = before[later]
+    pair_ends = np.cumsum(reps)
+    k = np.arange(B.n)
+    grams = np.zeros((m, b, b))
+    grams[k // b, k % b, k % b] = np.bincount(B.rows, weights=B.values * B.values,
+                                              minlength=B.n)
+    flat = grams.reshape(-1)  # entry (k, l) of row k's block is bin k b + l mod b
+    lo = 0
+    while lo < len(later):
+        first = pair_ends[lo] - reps[lo]  # the pairs before this pass
+        hi = max(int(np.searchsorted(pair_ends, first + _PAIR_CHUNK, side="right")), lo + 1)
+        p, r = later[lo:hi], reps[lo:hi]
+        # pair t of nonzero p is with nonzero p - r + (t - p's first pair)
+        q = np.arange(pair_ends[hi - 1] - first)
+        q += np.repeat(p - r - (np.cumsum(r) - r), r)
+        np.add.at(flat, np.repeat(rows[p] * b, r) + rows[q] % b, np.repeat(data[p], r) * data[q])
+        lo = hi
+    lower = np.tril_indices(b, -1)
+    grams[:, lower[1], lower[0]] = grams[:, lower[0], lower[1]]
+    return grams
+
+
 def block_top_eigenvalues(ds: SparseDataset, weights, perm, b: int) -> np.ndarray:
     """lambda_max(B_j B_j^T) for each of the m diagonal blocks, exactly.
 
     Dense B (under the same rule as MaskedGramOperator): one batched product
-    of the (m, b, d) stack of blocks. Otherwise, giving each block its own
-    copy of the columns (one per (column, block) pair that occurs) makes one
-    sparse product hold every block Gram. Either way a batched eigvalsh then
-    solves all m b x b problems at once."""
+    of the (m, b, d) stack of blocks. Otherwise the pair sums of _block_grams.
+    Either way a batched eigvalsh then solves all m b x b problems at once."""
     m = check_batch(ds.n, b)
     B = _weighted_csr(ds, weights, perm)
     if _dense_gram(ds.n, ds.d, B.nnz):
-        blocks = B.toarray().reshape(m, b, ds.d)
+        blocks = B.to_dense().reshape(m, b, ds.d)
         grams = blocks @ blocks.transpose(0, 2, 1)
     else:
-        data, rows, _, run_ends = _column_block_runs(B, b)
-        # row r of Bt is one (column, block) run: block j's own copy of a column
-        Bt = sp.csr_matrix((data, rows, np.concatenate([[0], run_ends])),
-                           shape=(len(run_ends), ds.n))
-        G = (Bt.T @ Bt).tocoo()
-        grams = np.zeros((m, b, b))
-        grams[G.row // b, G.row % b, G.col % b] = G.data
+        grams = _block_grams(B, b)
     return np.linalg.eigvalsh(grams)[:, -1]
 
 
@@ -330,7 +391,7 @@ def general_hat_L(L_values, perm, b: int, tol: float = 1e-6) -> float:
     n = len(L)
     m = check_batch(n, b)
     column = np.sqrt(L[np.asarray(perm, dtype=np.int64)])
-    B = sp.csr_matrix((column, np.zeros(n, dtype=np.int64), np.arange(n + 1)), shape=(n, 1))
+    B = WeightedRows(np.arange(n), np.zeros(n, dtype=np.int64), column, n, 1)
     res = operator_norm(MaskedGramOperator(B, b).matvec, n, tol=tol)
     return _converged_value("general_hat_L", res, tol) / (m * n)
 

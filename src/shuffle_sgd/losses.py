@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import SparseDataset
 
@@ -76,13 +75,20 @@ def value_vec(m: LossModel, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.abs(z - t)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) to a few ulp for every x, without overflow or a
+    warning: the one exponential taken is e^-|x| <= 1."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def derivative_vec(m: LossModel, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Vectorized (sub)derivatives with the documented kink selections."""
     t = m.targets[idx]
     if m.family == "squared":
         return z - t
     if m.family == "logistic":
-        return -t * expit(-t * z)
+        return -t * _sigmoid(-t * z)
     if m.family == "hinge":
         return np.where(t * z < 1.0, -t, 0.0)
     return np.sign(z - t)
@@ -101,17 +107,17 @@ def regularity(m: LossModel) -> RegularityDiag:
 
 
 def objective(m: LossModel, ds: SparseDataset, x: np.ndarray) -> float:
-    z = ds.to_csr() @ x
+    z = ds.matvec(x)
     return float(np.mean(value_vec(m, np.arange(ds.n), z)))
 
 
 def conjugate_pair(m: LossModel, ds: SparseDataset, x: np.ndarray) -> np.ndarray:
     """Dual vector paired with x: entry i is the (sub)derivative at a_i^T x."""
-    z = ds.to_csr() @ x
+    z = ds.matvec(x)
     return derivative_vec(m, np.arange(ds.n), z)
 
 
 def full_gradient(m: LossModel, ds: SparseDataset, x: np.ndarray) -> np.ndarray:
     """(1/n) sum_i l_i'(a_i^T x) a_i, computed sparsely."""
     y = conjugate_pair(m, ds, x)
-    return (ds.to_csr().T @ y) / ds.n
+    return ds.rmatvec(y) / ds.n

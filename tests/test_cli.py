@@ -1,7 +1,9 @@
 import json
+import os
 import pathlib
 import runpy
 import shlex
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -939,6 +941,47 @@ class TestGaussianSweep:
         A = ss.gen_gaussian(50, 3, seed).to_dense()
         L = strict_json(tmp_path / "p.json")["L"]
         assert L == pytest.approx(float(np.max(np.sum(A * A, axis=1))), rel=1e-12)
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """The package computes on numpy alone: after analyze on both Gram paths,
+    optimize and three verify-bound kinds, no scipy module is loaded. It runs
+    in a fresh interpreter, because other test modules import scipy."""
+    rng = np.random.default_rng(24)
+    n, d, k = 400, 50, 3
+    cols = np.sort(np.argsort(rng.random((n, d)), axis=1)[:, :k], axis=1)
+    sparse = ss.SparseDataset(np.arange(n + 1) * k, cols.ravel(), rng.standard_normal(n * k),
+                              np.ones(n), d)
+    assert not ss.constants._dense_gram(n, d, sparse.nnz)  # the prefix-sum path
+    path = tmp_path / "sparse.svm"
+    path.write_text(ss.serialize_libsvm(sparse))
+    runs = 2
+    small = ["--gaussian", "24,5", "--b", "2", "--epochs", "2", "--seeds", str(runs)]
+    commands = [
+        ["analyze", "--gaussian", "24,5", "--b", "2"],
+        ["optimize", "--loss", "squared", "--step", "theoretical", "--perms", "3", *small],
+        ["verify-bound", "--bound", "rr", "--perms", "3", *small],
+        ["verify-bound", "--bound", "general-rr", "--perms", "3", *small],
+        ["verify-bound", "--bound", "nonsmooth", "--planted", "--gaussian", "20,4", "--b", "1",
+         "--epochs", "2", "--seeds", str(runs), "--perms", "3"],
+        ["analyze", "--input", str(path), "--b", "4", "--num-perms", "2"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from shuffle_sgd.cli import main\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    assert main(argv + ['--out', sys.argv[2] + str(i)]) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    src = str(SCRIPTS_DIR.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands),
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert len(list(tmp_path.glob("out*.json"))) == len(commands)
 
 
 def test_help_lists_the_four_commands(capsys):

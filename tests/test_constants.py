@@ -180,15 +180,60 @@ class TestWeightedCsr:
             perm = rng.permutation(ds.n)
             # the same products as the oracle's, so equal to the last bit
             B = constants._weighted_csr(ds, w, perm)
-            assert B.shape == (ds.n, ds.d)
-            assert np.array_equal(B.toarray(), oracles.weighted_rows(A, w, perm))
-            identity = constants._weighted_csr(ds, w).toarray()
+            assert (B.n, B.d, B.nnz) == (ds.n, ds.d, ds.nnz)
+            assert np.array_equal(B.to_dense(), oracles.weighted_rows(A, w, perm))
+            identity = constants._weighted_csr(ds, w).to_dense()
             assert np.array_equal(identity, oracles.weighted_rows(A, w, np.arange(ds.n)))
 
     def test_weights_must_match_rows(self):
         ds = ss.SparseDataset.from_dense(np.eye(3))
         with pytest.raises(ValueError, match="one entry per row"):
             constants._weighted_csr(ds, np.ones(2))
+
+
+class TestSparseKernels:
+    """The column sort and the block Grams equal scipy's CSC conversion and
+    sparse product, to the bit."""
+
+    def weighted(self, rng, n, d, density):
+        A = rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
+        A[[0, int(rng.integers(n))]] = 0.0  # empty rows
+        ds = ss.SparseDataset.from_dense(A)
+        return constants._weighted_csr(ds, rng.uniform(0.1, 10.0, n), rng.permutation(n))
+
+    def scipy_csr(self, B):
+        import scipy.sparse as sp
+
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(B.rows, minlength=B.n))])
+        return sp.csr_matrix((B.values, B.indices, indptr), shape=(B.n, B.d))
+
+    # d = 70000 sorts on uint32, past the radix sort's 16 bits
+    @pytest.mark.parametrize("n,d,density", [(12, 1, 0.7), (30, 300, 0.3), (8, 70000, 4e-4)])
+    def test_column_order_is_scipy_csc(self, rng, n, d, density):
+        for _ in range(5):
+            B = self.weighted(rng, n, d, density)
+            ref = self.scipy_csr(B).tocsc()
+            data, rows, indptr, _ = constants._column_block_runs(B, 2)
+            assert np.array_equal(indptr, ref.indptr)
+            assert np.array_equal(rows, ref.indices)
+            assert np.array_equal(data.view(np.int64), ref.data.view(np.int64))
+
+    @pytest.mark.parametrize("chunk", [1, 5, constants._PAIR_CHUNK])
+    def test_block_grams_equal_the_sparse_product(self, rng, monkeypatch, chunk):
+        import scipy.sparse as sp
+
+        monkeypatch.setattr(constants, "_PAIR_CHUNK", chunk)  # one pass or many
+        for n, d, density in [(12, 3, 0.7), (24, 40, 0.5), (60, 200, 0.1)]:
+            B = self.weighted(rng, n, d, density)
+            for b in divisors(n):
+                data, rows, _, run_ends = constants._column_block_runs(B, b)
+                # row r of Bt is one (column, block) run: a block's own copy of a column
+                Bt = sp.csr_matrix((data, rows, np.concatenate([[0], run_ends])),
+                                   shape=(len(run_ends), n))
+                G = (Bt.T @ Bt).toarray()
+                want = np.stack([G[j:j + b, j:j + b] for j in range(0, n, b)])
+                got = constants._block_grams(B, b)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestOperatorNorm:

@@ -316,6 +316,31 @@ class TestRowSqNorms:
                 assert (norms[i] == 0.0) == empty
 
 
+def _with_empty_rows(rng, n, d, density):
+    """A random dataset whose first row and one more are empty."""
+    A = rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
+    A[[0, int(rng.integers(n))]] = 0.0
+    return ss.SparseDataset.from_dense(A)
+
+
+class TestProducts:
+    @pytest.mark.parametrize("n,d,density", [(9, 4, 0.6), (40, 300, 0.5), (200, 30, 0.2)])
+    def test_equal_the_scipy_products_to_the_bit(self, rng, n, d, density):
+        # rows of up to ~150 terms: a pairwise or reordered sum would differ
+        for _ in range(5):
+            ds = _with_empty_rows(rng, n, d, density)
+            x, y = rng.standard_normal(ds.d), rng.standard_normal(ds.n)
+            csr = ds.to_csr()
+            assert np.array_equal(ds.matvec(x).view(np.int64), (csr @ x).view(np.int64))
+            assert np.array_equal(ds.rmatvec(y).view(np.int64), (csr.T @ y).view(np.int64))
+
+    def test_row_ids_are_cached_and_read_only(self, rng):
+        ds = _with_empty_rows(rng, 12, 5, 0.5)
+        rows = data.row_ids(ds)
+        assert data.row_ids(ds) is rows and not rows.flags.writeable
+        assert np.array_equal(rows, np.repeat(np.arange(ds.n), np.diff(ds.indptr)))
+
+
 class TestPermutedView:
     def test_rows_resolve_through_perm(self, rng):
         ds = random_sparse_dataset(rng)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,25 @@ class TestDerivatives:
             z = kink + 0.01
         fd = oracles.numeric_derivative(lambda u: value(m, u), z)
         assert derivative(m, z) == pytest.approx(fd, abs=1e-8)
+
+
+class TestLogisticExtremeMargins:
+    MARGINS = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])  # t z
+
+    @pytest.mark.parametrize("t", [1.0, -1.0, 0.5])
+    def test_finite_warning_free_and_exact(self, t):
+        m = model("logistic", np.full(5, t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = derivative_vec(m, np.arange(5), self.MARGINS / t)
+        assert np.all(np.isfinite(g))
+        for got, tz in zip(g, self.MARGINS):
+            try:
+                want = -t / (1.0 + math.exp(tz))
+            except OverflowError:  # e^800: the derivative underflows to 0
+                assert got == 0.0
+                continue
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestRegularityConstants:
