@@ -3,6 +3,8 @@ and the trace bound once, hat and tilde per permutation), the L / tilde
 study over batch sizes (batch-sweep), optimizer runs (optimize) and bound
 verification (verify-bound).
 
+Every command reads its data from an --input LIBSVM file, with as many
+columns as its largest feature index, or generates --gaussian N,D.
 Every command is deterministic given its full flag set. Permutation trials
 and run seeds go one after another, in order. Numeric outputs go to CSV (LF
 endings, `.` decimal); each command also writes a JSON report carrying
@@ -114,13 +116,10 @@ def _step(text):
 
 def _check_data_flags(args, batches):
     """Rules that join the data flags, checked before any data is read:
-    one source of data, --features for a file only, and for --gaussian N,D
-    every batch size dividing N."""
+    one source of data, and for --gaussian N,D every batch size dividing N."""
     if args.gaussian:
         if args.input:
             raise CliError("give --input PATH or --gaussian N,D, not both")
-        if args.features is not None:
-            raise CliError("--features applies to --input data only, not to --gaussian")
         for b in batches:
             shuffle.check_batch(args.gaussian[0], b)
 
@@ -134,7 +133,7 @@ def _load_dataset(args) -> SparseDataset:
     if not os.path.exists(path):
         raise CliError(f"input file not found: {path}")
     try:
-        return load_libsvm(path, d=args.features)
+        return load_libsvm(path)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -304,10 +303,10 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _planted_hinge(n, d, seed, margin=2.0):
+def _planted_hinge(n, d, seed):
     """Hinge problem with a known optimum: targets are the signs of a planted
-    direction's margins and the optimum is that direction scaled so every
-    margin clears 1, making the minimum value exactly 0."""
+    direction's margins and the optimum is that direction scaled so the
+    smallest margin is 2, making the minimum value exactly 0."""
     ds0 = gen_gaussian(n, d, seed)
     A = ds0.to_dense()
     rng = prng.generator(prng.substream(seed, prng.DOMAIN_PLANTED))
@@ -315,7 +314,7 @@ def _planted_hinge(n, d, seed, margin=2.0):
     direction /= np.linalg.norm(direction)
     z = A @ direction
     t = np.sign(z)
-    scale = margin / np.min(np.abs(z))
+    scale = 2.0 / np.min(np.abs(z))
     x_star = scale * direction
     ds = SparseDataset.from_dense(A, labels=t)
     return ds, x_star
@@ -437,8 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "general_hat_L in verify-bound); a solve that does not get "
                          "there is an error")
     data = flags()
-    data.add_argument("--features", type=_checked("--features must be >= 1, got {}"),
-                      default=None, help="feature count override")
     data.add_argument("--input")
     data.add_argument("--gaussian", type=_checked("--gaussian expects N,D >= 1, got {}", _ints,
                                                   lambda v: len(v) == 2 and min(v) >= 1),

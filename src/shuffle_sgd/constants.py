@@ -34,7 +34,8 @@ time and memory per step (segmented prefix sums over the nonzeros; no
 m x d buffer), and the block Grams are pair sums: entry (k, l) of a block's
 Gram adds v_k v_l over the pairs of nonzeros of rows k and l that share a
 column. The two agree to roundoff. All of it runs on the CSR arrays with
-numpy; no scipy matrix is built.
+numpy; only the logistic separability LP (_logistic_unbounded) builds a
+scipy matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import prng
-from .data import PermutedView, SparseDataset, row_sq_norms
+from .data import PermutedView, SparseDataset, row_ids, row_sq_norms
 from .losses import (LossModel, RegularityDiag, conjugate_pair, full_gradient, objective,
                      regularity)
 from .shuffle import check_batch, random_permutation
@@ -84,12 +85,12 @@ class WeightedRows(NamedTuple):
         return B
 
 
-def _weighted_csr(ds: SparseDataset, weights, perm=None) -> WeightedRows:
-    """The matrix with rows sqrt(w_{perm_i}) * a_{perm_i}; perm=None is the identity."""
+def _weighted_csr(ds: SparseDataset, weights, perm) -> WeightedRows:
+    """The matrix with rows sqrt(w_{perm_i}) * a_{perm_i}."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (ds.n,):
         raise ValueError("weights must have one entry per row")
-    view = PermutedView(ds, np.arange(ds.n) if perm is None else perm)
+    view = PermutedView(ds, perm)
     values = view.values * np.sqrt(w[view.perm])[view.rows]
     return WeightedRows(view.rows, view.indices, values, ds.n, ds.d)
 
@@ -200,10 +201,6 @@ class MaskedGramOperator:
         w *= self._data
         return np.bincount(self._rows, weights=w, minlength=self.n)
 
-    @classmethod
-    def from_dataset(cls, ds, weights, perm, batch):
-        return cls(_weighted_csr(ds, weights, perm), batch)
-
 
 class OperatorNormResult(NamedTuple):
     value: float
@@ -306,7 +303,7 @@ def full_gradient_L(ds: SparseDataset, reg: RegularityDiag, tol: float = 1e-6) -
 def hat_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, tol: float = 1e-6) -> float:
     """(1/(m n)) || prefix-masked Gram sum || for one permutation."""
     m = check_batch(ds.n, b)
-    op = MaskedGramOperator.from_dataset(ds, reg.values, perm, b)
+    op = MaskedGramOperator(_weighted_csr(ds, reg.values, perm), b)
     res = operator_norm(op.matvec, ds.n, tol=tol)
     return _converged_value("hat_constant", res, tol) / (m * ds.n)
 
@@ -589,11 +586,15 @@ def _logistic_unbounded(ds: SparseDataset, m: LossModel) -> bool:
     > 0 for at least one: f then decreases forever along u. One LP finds
     the largest margin sum over that cone within the box -1 <= u <= 1; the
     margins are recomputed here and must clear thresholds relative to the
-    largest possible sum over the box, sum_i |t_i| ||a_i||_1.
+    largest possible sum over the box, sum_i |t_i| ||a_i||_1. This LP is
+    the package's one use of scipy, imported here on first call.
     """
+    import scipy.sparse as sp
     from scipy.optimize import linprog
 
-    TA = ds.to_csr().multiply(m.targets[:, None]).tocsr()
+    # the rows t_i a_i, on the dataset's own CSR arrays
+    TA = sp.csr_matrix((ds.values * m.targets[row_ids(ds)], ds.indices, ds.indptr),
+                       shape=(ds.n, ds.d))
     scale = float(abs(TA).sum())
     res = linprog(-np.asarray(TA.sum(axis=0)).ravel(), A_ub=-TA, b_ub=np.zeros(ds.n),
                   bounds=(-1.0, 1.0), method="highs")

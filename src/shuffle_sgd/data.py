@@ -3,7 +3,7 @@
 The dataset is stored CSR-style (indptr / indices / values) with 0-based
 column indices; LIBSVM input uses 1-based indices, mapped on parse. All
 arrays are frozen after construction, so datasets can be shared freely
-across threads.
+across threads. Everything here runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -13,14 +13,10 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import prng
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class ParseError(ValueError):
@@ -44,15 +40,13 @@ class SparseDataset:
 
     The products A x and A^T y (matvec, rmatvec) run on the CSR arrays with
     numpy alone. The row of every nonzero (row_ids) and the squared row
-    norms (row_sq_norms) are computed once, on first use. to_csr builds a
-    scipy matrix for callers that want one; no product here goes through it."""
+    norms (row_sq_norms) are computed once, on first use."""
 
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
     labels: np.ndarray
     d: int
-    _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
     _row_sq: np.ndarray | None = field(default=None, repr=False, compare=False)
     _rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -107,17 +101,6 @@ class SparseDataset:
         out = np.zeros(self.d)
         np.add.at(out, self.indices, self.values * y[row_ids(self)])
         return out
-
-    def to_csr(self) -> sp.csr_matrix:
-        """The scipy CSR matrix on these arrays; scipy.sparse is imported here,
-        on first call, so that loading the package does not import it."""
-        if self._csr is None:
-            import scipy.sparse as sp
-
-            self._csr = sp.csr_matrix(
-                (self.values, self.indices, self.indptr), shape=(self.n, self.d)
-            )
-        return self._csr
 
     def to_dense(self) -> np.ndarray:
         A = np.zeros((self.n, self.d))
@@ -388,7 +371,7 @@ def _dataset(labels, indptr, indices, values, d: int | None) -> SparseDataset:
     max_idx = int(indices.max()) if indices.size else -1
     if d is None:
         if max_idx < 0:
-            raise ParseError("no features present; pass an explicit feature count")
+            raise ParseError("no features present; parse_libsvm(..., d=) sets the feature count")
         d = max_idx + 1
     elif d < max_idx + 1:
         raise ParseError(f"feature count override {d} smaller than max index {max_idx + 1}")

@@ -152,21 +152,6 @@ class TestAnalyze:
         assert "tol must be positive and finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [identity6]
 
-    def test_features_override(self, tmp_path, capsys):
-        rng = np.random.default_rng(4)
-        p = tmp_path / "g.svm"
-        p.write_text(ss.serialize_libsvm(ss.SparseDataset.from_dense(rng.standard_normal((6, 3)))))
-        argv = ["analyze", "--input", str(p), "--b", "2", "--num-perms", "3", "--seed", "2"]
-        assert main(argv + ["--features", "2", "--out", str(tmp_path / "narrow")]) == 2
-        assert "smaller than max index 3" in capsys.readouterr().err
-        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
-        assert main(argv + ["--features", "7", "--out", str(tmp_path / "wide")]) == 0
-        plain, wide = (json.loads((tmp_path / f"{name}.json").read_text())
-                       for name in ("plain", "wide"))
-        # all-zero extra columns leave every constant as it was
-        assert wide["hatL_values"] == plain["hatL_values"]
-        assert wide["config"]["features"] == 7
-
     @pytest.mark.parametrize("fail_from, solve", [(1, "full_gradient_L"), (2, "hat_constant")])
     def test_unconverged_solve_exit_1(self, identity6, tmp_path, capsys, monkeypatch,
                                       fail_from, solve):
@@ -672,8 +657,8 @@ class TestRefusedBeforeLoading:
         (["analyze", "--input", "data.svm", "--num-perms", "0"],
          "argument --num-perms: num_perms must be >= 1, got 0"),
         (["analyze", "--input", "data.svm", "--b", "0"], "argument --b: --b must be >= 1, got 0"),
-        (["analyze", "--input", "data.svm", "--features", "0"],
-         "argument --features: --features must be >= 1, got 0"),
+        (["analyze", "--input", "data.svm", "--features", "7"],
+         "unrecognized arguments: --features"),
         (["analyze", "--gaussian", "24,5", "--num-perms", "0"],
          "argument --num-perms: num_perms must be >= 1, got 0"),
         (["batch-sweep", "--gaussian", "6,3", "--b-grid", "1", "--tol", "1e-6"],
@@ -697,8 +682,8 @@ class TestRefusedBeforeLoading:
     @pytest.mark.parametrize("argv, want", [
         (["optimize", "--input", "four.svm", "--gaussian", "6,3", "--step", "0.1"],
          "give --input PATH or --gaussian N,D, not both"),
-        (["analyze", "--gaussian", "6,3", "--features", "4"],
-         "--features applies to --input data only, not to --gaussian"),
+        (["verify-bound", "--bound", "nonsmooth", "--planted", "--input", "four.svm"],
+         "nonsmooth verification needs --planted --gaussian N,D (known optimum)"),
         (["verify-bound", "--bound", "ig", "--planted", "--gaussian", "6,3"],
          "--planted builds the nonsmooth problem; --bound ig does not use it"),
     ])

@@ -44,7 +44,7 @@ def gram_operators(ds, w, perm, b):
     ops = []
     for path in GRAM_PATHS:
         with gram_path(path):
-            ops.append(MaskedGramOperator.from_dataset(ds, w, perm, b))
+            ops.append(MaskedGramOperator(constants._weighted_csr(ds, w, perm), b))
     return ops
 
 
@@ -109,7 +109,8 @@ class TestMaskedGramMatvec:
         v = rng.standard_normal(n)
         tracemalloc.start()
         try:
-            op = MaskedGramOperator.from_dataset(ds, np.ones(n), rng.permutation(n), 1)
+            B = constants._weighted_csr(ds, np.ones(n), rng.permutation(n))
+            op = MaskedGramOperator(B, 1)
             _, setup_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             op.matvec(v)
@@ -136,7 +137,7 @@ class TestGramRepresentation:
             out = {}
             for path in GRAM_PATHS:
                 with gram_path(path):
-                    op = MaskedGramOperator.from_dataset(ds, w, perm, b)
+                    op = MaskedGramOperator(constants._weighted_csr(ds, w, perm), b)
                     out[path] = (ss.operator_norm(op.matvec, n),
                                  ss.hat_constant(ds, reg, perm, b),
                                  ss.tilde_constant(ds, reg, perm, b),
@@ -165,7 +166,8 @@ class TestGramRepresentation:
                                   rng.standard_normal(n * k), np.ones(n), d)
         dense = ss.SparseDataset.from_dense(rng.standard_normal((208, 60)))
         for ds, is_dense in ((sparse, False), (dense, True)):
-            op = MaskedGramOperator.from_dataset(ds, np.ones(ds.n), rng.permutation(ds.n), 4)
+            B = constants._weighted_csr(ds, np.ones(ds.n), rng.permutation(ds.n))
+            op = MaskedGramOperator(B, 4)
             assert (op._M is not None) is is_dense
 
 
@@ -182,13 +184,13 @@ class TestWeightedCsr:
             B = constants._weighted_csr(ds, w, perm)
             assert (B.n, B.d, B.nnz) == (ds.n, ds.d, ds.nnz)
             assert np.array_equal(B.to_dense(), oracles.weighted_rows(A, w, perm))
-            identity = constants._weighted_csr(ds, w).to_dense()
+            identity = constants._weighted_csr(ds, w, np.arange(ds.n)).to_dense()
             assert np.array_equal(identity, oracles.weighted_rows(A, w, np.arange(ds.n)))
 
     def test_weights_must_match_rows(self):
         ds = ss.SparseDataset.from_dense(np.eye(3))
         with pytest.raises(ValueError, match="one entry per row"):
-            constants._weighted_csr(ds, np.ones(2))
+            constants._weighted_csr(ds, np.ones(2), np.arange(3))
 
 
 class TestSparseKernels:
@@ -516,6 +518,36 @@ class TestRelaxationChain:
         assert trace <= ds.n * L + 1e-9  # trace of the weighted Gram over n
         til = ss.tilde_constant(ds, reg, perm, b)
         assert til <= L + 1e-9 * max(L, 1.0)
+
+
+class TestZeroColumns:
+    # n x d with k nonzeros a row; the size rule puts each in one form
+    @pytest.mark.parametrize("n, d, k, form", [
+        pytest.param(24, 5, 5, "dense", id="dense"),
+        pytest.param(60, 40, 3, "prefix-sum", id="prefix-sum"),
+    ])
+    def test_constants_and_runs_ignore_zero_columns(self, rng, n, d, k, form):
+        """All-zero columns appended to A leave every constant and every
+        iterate's objective as they were."""
+        cols = np.sort(np.argsort(rng.random((n, d)), axis=1)[:, :k], axis=1)
+        arrays = (np.arange(n + 1) * k, cols.ravel(), rng.standard_normal(n * k),
+                  rng.choice([-1.0, 1.0], n))
+        ds, wide = ss.SparseDataset(*arrays, d), ss.SparseDataset(*arrays, d + 4)
+        for A in (ds, wide):
+            assert constants._dense_gram(A.n, A.d, A.nnz) is (form == "dense")
+        reg = RegularityDiag(rng.uniform(0.5, 2.0, n))
+        perm = rng.permutation(n)
+
+        def measured(A):
+            model = LossModel.for_dataset("squared", A)
+            result = ss.run(A, model, ss.ShufflePlan("RR", seed=3),
+                            ss.RunConfig(batch=2, epochs=3, step=0.01))
+            return ([ss.classical_constant(A, reg), ss.full_gradient_L(A, reg)]
+                    + [ss.hat_constant(A, reg, perm, b) for b in (1, 2)]
+                    + [ss.tilde_constant(A, reg, perm, b) for b in (1, 2)]
+                    + list(result.objectives) + list(result.objectives_avg))
+
+        assert measured(wide) == measured(ds)
 
 
 class TestGeneralConstants:

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 import shuffle_sgd as ss
@@ -83,6 +84,12 @@ class TestParseLibsvm:
         ds = ss.parse_libsvm("1 1:1\n0\n")
         idx, val = ds.row(1)
         assert idx.size == 0 and val.size == 0
+
+    def test_labels_alone_need_a_feature_count(self):
+        with pytest.raises(ParseError, match=r"^no features present; parse_libsvm\(\.\.\., d=\)"):
+            ss.parse_libsvm("1\n0\n")
+        ds = ss.parse_libsvm("1\n0\n", d=3)
+        assert (ds.n, ds.d, ds.nnz) == (2, 3, 0)
 
     def test_non_utf8_reports_line(self):
         with pytest.raises(ParseError, match="^line 2: invalid UTF-8 byte 0xff"):
@@ -330,7 +337,7 @@ class TestProducts:
         for _ in range(5):
             ds = _with_empty_rows(rng, n, d, density)
             x, y = rng.standard_normal(ds.d), rng.standard_normal(ds.n)
-            csr = ds.to_csr()
+            csr = sp.csr_matrix((ds.values, ds.indices, ds.indptr), shape=(ds.n, ds.d))
             assert np.array_equal(ds.matvec(x).view(np.int64), (csr @ x).view(np.int64))
             assert np.array_equal(ds.rmatvec(y).view(np.int64), (csr.T @ y).view(np.int64))
 
@@ -351,7 +358,7 @@ class TestPermutedView:
             bi, bv = ds.row(int(perm[i]))
             assert np.array_equal(view.indices[lo:hi], bi)
             assert np.array_equal(view.values[lo:hi], bv)
-        ref = ds.to_csr()[perm]
+        ref = sp.csr_matrix((ds.values, ds.indices, ds.indptr), shape=(ds.n, ds.d))[perm]
         assert np.array_equal(view.indptr, ref.indptr)
         assert np.array_equal(view.indices, ref.indices)
         assert np.array_equal(view.values, ref.data)
