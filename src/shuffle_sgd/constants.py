@@ -36,6 +36,18 @@ Gram adds v_k v_l over the pairs of nonzeros of rows k and l that share a
 column. The two agree to roundoff. All of it runs on the CSR arrays with
 numpy; only the logistic separability LP (_logistic_unbounded) builds a
 scipy matrix.
+
+Memory, above the dataset: the dense form holds the n x n Gram, at most
+128 bytes per nonzero under the size rule, plus the dense B and, while the
+mask is applied, an int32 n x n array (at 208 x 60, b = 4, a hat call
+peaks at 79 bytes per nonzero, a tilde call at 40). The prefix-sum form
+reads one column-ordered copy of B (ColumnRuns, about 24 bytes per
+nonzero), which ratio_stats builds once per permutation for both
+constants; the operator adds each nonzero's block factor and run end (16)
+and three work buffers (24), and nothing of length d. On rcv1-shaped
+inputs (74 nonzeros a row, b = 2 and 10) a hat call peaks at 74-82 bytes
+per nonzero, the Lanczos basis (8 n bytes a step) included, and a tilde
+call at about 65.
 """
 
 from __future__ import annotations
@@ -125,34 +137,78 @@ def _column_block_runs(B: WeightedRows, batch: int):
     np.cumsum(np.bincount(B.indices, minlength=B.d), out=indptr[1:])
     rows = B.rows[order].astype(np.intp, copy=False)
     blk = rows // batch
-    last = np.repeat(indptr[1:], np.diff(indptr)) == np.arange(1, len(rows) + 1)
-    last[:-1] |= blk[1:] != blk[:-1]
-    return B.values[order], rows, indptr, np.flatnonzero(last) + 1
+    # a run ends at every column pointer and wherever the block changes;
+    # offset 0 (marked by leading empty columns) ends none
+    end = np.zeros(len(rows) + 1, dtype=bool)
+    end[indptr] = True
+    end[1:-1] |= blk[1:] != blk[:-1]
+    end[0] = False
+    return B.values[order], rows, indptr, np.flatnonzero(end)
+
+
+class ColumnRuns(NamedTuple):
+    """An n x d matrix B as its nonzeros in (column, block) order for blocks
+    of `batch` rows (_column_block_runs): values and rows, the bounds of the
+    nonempty columns (column c's nonzeros are col_ptr[c]:col_ptr[c + 1], so
+    nothing here has length d) and the end offsets of the runs that share a
+    column and a block."""
+
+    values: np.ndarray
+    rows: np.ndarray
+    col_ptr: np.ndarray
+    run_ends: np.ndarray
+    n: int
+    d: int
+    batch: int
+
+    @property
+    def nnz(self) -> int:
+        return len(self.values)
+
+
+def _column_runs(B: WeightedRows | ColumnRuns, batch: int) -> ColumnRuns:
+    """B in (column, block) order for blocks of `batch` rows."""
+    if isinstance(B, ColumnRuns):
+        if B.batch != batch:
+            raise ValueError(f"column runs were cut at batch {B.batch}, not {batch}")
+        return B
+    values, rows, indptr, run_ends = _column_block_runs(B, batch)
+    return ColumnRuns(values, rows, np.unique(indptr), run_ends, B.n, B.d, batch)
+
+
+def _gram_rows(ds: SparseDataset, weights, perm, b: int) -> WeightedRows | ColumnRuns:
+    """The weighted rows of one permutation in the form its Grams read:
+    row-major where _dense_gram forms them densely, else in (column, block)
+    order alone, the row-major copy freed."""
+    B = _weighted_csr(ds, weights, perm)
+    return B if _dense_gram(B.n, B.d, B.nnz) else _column_runs(B, b)
 
 
 class MaskedGramOperator:
     """The n x n prefix-masked Gram sum (B B^T) o C, in one of two forms.
 
-    Dense (when _dense_gram(n, d, nnz) holds): the masked Gram is formed once
-    as an n x n array from the dense B, and a matvec is one BLAS product.
+    Dense (row-major B on which _dense_gram holds): the masked Gram is formed
+    once as an n x n array from the dense B, and a matvec is one BLAS
+    product.
 
-    Prefix-sum (otherwise), matrix-free: with W[p] = sum_q (min(p, q) + 1) t_q,
-    where t_q = B_q^T v_q is block q's contribution, row k of the product is
-    b_k . W[block(k)]. Splitting the sum at q = p gives W[p] = (p+1)(T - R_p)
-    + U_p, with T the total of the t_q and R_p / U_p their plain /
-    (q+1)-weighted prefix sums over q <= p. Per column these are segmented
-    prefix sums over the nonzeros in (column, block) order, so a matvec costs
-    O(nnz) time and memory.
+    Prefix-sum (otherwise, and always for ColumnRuns), matrix-free: with
+    W[p] = sum_q (min(p, q) + 1) t_q, where t_q = B_q^T v_q is block q's
+    contribution, row k of the product is b_k . W[block(k)]. Splitting the
+    sum at q = p gives W[p] = (p+1)(T - R_p) + U_p, with T the total of the
+    t_q and R_p / U_p their plain / (q+1)-weighted prefix sums over q <= p.
+    Per column these are segmented prefix sums over the nonzeros in
+    (column, block) order, so a matvec costs O(nnz) time and memory. The
+    operator keeps only the column-ordered copy of B (as self.B), each
+    nonzero's block factor and run end, and three work buffers.
     """
 
-    def __init__(self, B: WeightedRows, batch: int):
+    def __init__(self, B: WeightedRows | ColumnRuns, batch: int):
         n, d = B.n, B.d
         self.m = check_batch(n, batch)
-        self.B = B
-        self.batch = batch
         self.n, self.d = n, d
         self._M = None
-        if _dense_gram(n, d, B.nnz):
+        if isinstance(B, WeightedRows) and _dense_gram(n, d, B.nnz):
+            self.B = B
             A = B.to_dense()
             # C[k, l] = min(block(k), block(l)) + 1, as int32: half the size
             # of a float mask, and the multiply casts it in small buffers
@@ -160,22 +216,13 @@ class MaskedGramOperator:
             self._M = A @ A.T
             self._M *= np.minimum.outer(blk1, blk1)
             return
-        self._data, self._rows, indptr, grp_ends = _column_block_runs(self.B, batch)
-        counts = np.diff(indptr)
-        self._blk1 = self._rows // batch + 1.0
-        # exclusive-prefix positions: sums over [col_start, grp_end) give R_p
-        # and U_p, and [grp_end, col_end) gives T - R_p
-        self._col_start = np.repeat(indptr[:-1], counts)
-        self._col_end = np.repeat(indptr[1:], counts)
-        self._grp_end = np.repeat(grp_ends, np.diff(grp_ends, prepend=0))
-        # work buffers reused by every matvec: fresh nnz-sized temporaries
-        # cost more in page faults than the arithmetic on them (so one
-        # instance must not run matvecs from two threads at once)
-        nnz = len(self._data)
-        self._x = np.empty(nnz)
-        self._w = np.empty(nnz)
-        self._s1 = np.zeros(nnz + 1)
-        self._s2 = np.zeros(nnz + 1)
+        self.B = B = _column_runs(B, batch)
+        self._blk1 = B.rows // batch + 1.0
+        # each nonzero's run end: sums over [col_start, run_end) give R_p and
+        # U_p, and [run_end, col_end) gives T - R_p
+        self._grp_end = np.repeat(B.run_ends, np.diff(B.run_ends, prepend=0))
+        self._col_len = np.diff(B.col_ptr)
+        self._work = None
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -183,23 +230,32 @@ class MaskedGramOperator:
             raise ValueError(f"expected vector of length {self.n}")
         if self._M is not None:
             return self._M @ v
-        x, w, s1, s2 = self._x, self._w, self._s1, self._s2
-        g = self._grp_end
+        B = self.B
+        if self._work is None:
+            # work buffers reused by every matvec: fresh nnz-sized temporaries
+            # cost more in page faults than the arithmetic on them (so one
+            # instance must not run matvecs from two threads at once). Made
+            # here, not in __init__, so an operator built from a temporary
+            # row-major copy makes them after that copy is freed.
+            self._work = np.empty(B.nnz), np.zeros(B.nnz + 1), np.zeros(B.nnz + 1)
+        w, s1, s2 = self._work
+        g, lens = self._grp_end, self._col_len
         # indices are in range by construction; "clip" skips take's bounds
         # check and the copy that comes with it
-        np.take(v, self._rows, out=x, mode="clip")
-        x *= self._data
-        np.cumsum(x, out=s1[1:])
-        x *= self._blk1
-        np.cumsum(x, out=s2[1:])
-        # w = (p+1) (T - R_p) + U_p, then scaled by the nonzero's value
-        np.take(s1, self._col_end, out=w, mode="clip")
-        w -= np.take(s1, g, out=x, mode="clip")
+        np.take(v, B.rows, out=w, mode="clip")
+        w *= B.values
+        np.cumsum(w, out=s1[1:])
         w *= self._blk1
-        w += np.take(s2, g, out=x, mode="clip")
-        w -= np.take(s2, self._col_start, out=x, mode="clip")
-        w *= self._data
-        return np.bincount(self._rows, weights=w, minlength=self.n)
+        np.cumsum(w, out=s2[1:])
+        # w = (p+1) (T - R_p) + U_p, then scaled by the nonzero's value; the
+        # sums at each column's end and start repeat over its nonzeros
+        np.subtract(np.repeat(s1[B.col_ptr[1:]], lens), np.take(s1, g, out=w, mode="clip"),
+                    out=w)
+        w *= self._blk1
+        w += np.take(s2, g, out=s1[1:], mode="clip")  # s1 is spent
+        w -= np.repeat(s2[B.col_ptr[:-1]], lens)
+        w *= B.values
+        return np.bincount(B.rows, weights=w, minlength=self.n)
 
 
 class OperatorNormResult(NamedTuple):
@@ -252,20 +308,21 @@ def operator_norm(
     # k steps rather than a min(dim, max_iter) * dim block allocated up front
     Q = np.empty((min(steps, 16), dim))
     Q[0] = prng.random_unit_vector(rng, dim)
-    alpha, beta = [], []
+    # the tridiagonal T, alpha on its diagonal and beta below it; grown with Q
+    T = np.zeros((len(Q), len(Q)))
     for k in range(1, steps + 1):
         basis = Q[:k]
         w = matvec(Q[k - 1])
         h = basis @ w
         w = w - h @ basis  # a new array: the matvec's output may alias its input
         w -= (basis @ w) @ basis
-        alpha.append(float(h[-1]))
-        beta.append(float(np.linalg.norm(w)))
+        T[k - 1, k - 1] = h[-1]
+        beta = float(np.linalg.norm(w))
         # the top eigenpair of T_k, read from its lower triangle only
-        evals, evecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+        evals, evecs = np.linalg.eigh(T[:k, :k])
         theta = float(evals[-1])
-        resid = beta[-1] * abs(float(evecs[-1, -1]))
-        if k == dim or beta[-1] == 0.0 or resid <= tol * theta:
+        resid = beta * abs(float(evecs[-1, -1]))
+        if k == dim or beta == 0.0 or resid <= tol * theta:
             return OperatorNormResult(max(theta, 0.0), True, k, resid)
         if k == steps or not math.isfinite(resid):
             break  # out of steps, or NaN/inf from the operator: no estimate
@@ -273,7 +330,9 @@ def operator_norm(
             grown = np.empty((min(2 * k, steps), dim))
             grown[:k] = Q
             Q = grown
-        np.divide(w, beta[-1], out=Q[k])
+            T = np.pad(T, (0, len(Q) - k))
+        T[k, k - 1] = beta
+        np.divide(w, beta, out=Q[k])
     return OperatorNormResult(max(theta, 0.0), False, k, resid)
 
 
@@ -300,10 +359,14 @@ def full_gradient_L(ds: SparseDataset, reg: RegularityDiag, tol: float = 1e-6) -
     return _converged_value("full_gradient_L", res, tol) / ds.n
 
 
-def hat_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, tol: float = 1e-6) -> float:
-    """(1/(m n)) || prefix-masked Gram sum || for one permutation."""
+def hat_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, tol: float = 1e-6,
+                 B=None) -> float:
+    """(1/(m n)) || prefix-masked Gram sum || for one permutation.
+
+    B, if given, is _gram_rows(ds, reg.values, perm, b), built once for
+    both constants of a permutation."""
     m = check_batch(ds.n, b)
-    op = MaskedGramOperator(_weighted_csr(ds, reg.values, perm), b)
+    op = MaskedGramOperator(_gram_rows(ds, reg.values, perm, b) if B is None else B, b)
     res = operator_norm(op.matvec, ds.n, tol=tol)
     return _converged_value("hat_constant", res, tol) / (m * ds.n)
 
@@ -314,7 +377,7 @@ def hat_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, tol: floa
 _PAIR_CHUNK = 1 << 18
 
 
-def _block_grams(B: WeightedRows, b: int) -> np.ndarray:
+def _block_grams(B: WeightedRows | ColumnRuns, b: int) -> np.ndarray:
     """Every diagonal block Gram B_j B_j^T, as an (m, b, b) array.
 
     Entry (k, l) of a block's Gram adds v_k v_l over the columns that rows
@@ -325,18 +388,19 @@ def _block_grams(B: WeightedRows, b: int) -> np.ndarray:
     in passes of about _PAIR_CHUNK pairs. So each entry adds its terms from
     0 in column order, as a sparse product B_j B_j^T adds them, and the
     upper triangle is the mirror image of the lower."""
-    m = B.n // b
-    data, rows, _, run_ends = _column_block_runs(B, b)
+    runs = _column_runs(B, b)
+    n, m = runs.n, runs.n // b
+    data, rows, run_ends = runs.values, runs.rows, runs.run_ends
     lens = np.diff(run_ends, prepend=0)
     # each nonzero pairs with the nonzeros before it in its run
     before = np.arange(len(data)) - np.repeat(run_ends - lens, lens)
     later = np.flatnonzero(before)
     reps = before[later]
     pair_ends = np.cumsum(reps)
-    k = np.arange(B.n)
+    k = np.arange(n)
     grams = np.zeros((m, b, b))
-    grams[k // b, k % b, k % b] = np.bincount(B.rows, weights=B.values * B.values,
-                                              minlength=B.n)
+    # in (column, block) order each row's nonzeros still come in column order
+    grams[k // b, k % b, k % b] = np.bincount(rows, weights=data * data, minlength=n)
     flat = grams.reshape(-1)  # entry (k, l) of row k's block is bin k b + l mod b
     lo = 0
     while lo < len(later):
@@ -353,15 +417,17 @@ def _block_grams(B: WeightedRows, b: int) -> np.ndarray:
     return grams
 
 
-def block_top_eigenvalues(ds: SparseDataset, weights, perm, b: int) -> np.ndarray:
+def block_top_eigenvalues(ds: SparseDataset, weights, perm, b: int, B=None) -> np.ndarray:
     """lambda_max(B_j B_j^T) for each of the m diagonal blocks, exactly.
 
     Dense B (under the same rule as MaskedGramOperator): one batched product
     of the (m, b, d) stack of blocks. Otherwise the pair sums of _block_grams.
-    Either way a batched eigvalsh then solves all m b x b problems at once."""
+    Either way a batched eigvalsh then solves all m b x b problems at once.
+    B, if given, is _gram_rows(ds, weights, perm, b)."""
     m = check_batch(ds.n, b)
-    B = _weighted_csr(ds, weights, perm)
-    if _dense_gram(ds.n, ds.d, B.nnz):
+    if B is None:
+        B = _gram_rows(ds, weights, perm, b)
+    if isinstance(B, WeightedRows) and _dense_gram(ds.n, ds.d, B.nnz):
         blocks = B.to_dense().reshape(m, b, ds.d)
         grams = blocks @ blocks.transpose(0, 2, 1)
     else:
@@ -369,15 +435,15 @@ def block_top_eigenvalues(ds: SparseDataset, weights, perm, b: int) -> np.ndarra
     return np.linalg.eigvalsh(grams)[:, -1]
 
 
-def tilde_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int) -> float:
+def tilde_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, B=None) -> float:
     """(1/b) max over blocks of the block Gram spectral norm.
 
     At b = 1 each block Gram is the scalar w_i ||a_i||^2, so the value is
-    exactly the classical constant."""
+    exactly the classical constant. B is as for hat_constant."""
     check_batch(ds.n, b)
     if b == 1:
         return classical_constant(ds, reg)
-    return float(np.max(block_top_eigenvalues(ds, reg.values, perm, b))) / b
+    return float(np.max(block_top_eigenvalues(ds, reg.values, perm, b, B=B))) / b
 
 
 def general_hat_L(L_values, perm, b: int, tol: float = 1e-6) -> float:
@@ -497,7 +563,8 @@ def ratio_stats(
     Permutation j comes from the stream keyed by (seed, j), so each value
     depends on (seed, j) alone. Ratios are L / hat_pi per permutation
     (mean of ratios, not ratio of means). tilde at b = 1 costs O(n): it reads
-    the row norms that row_sq_norms computes once per dataset.
+    the row norms that row_sq_norms computes once per dataset. hat and tilde
+    read one copy of each permutation's weighted rows.
     """
     if num_perms < 1:
         raise ValueError("num_perms must be >= 1")
@@ -508,8 +575,10 @@ def ratio_stats(
     hats, tildes = [], []
     for j in range(num_perms):
         perm = random_permutation(ds.n, seed, j)
-        hats.append(hat_constant(ds, reg, perm, b, tol=tol))
-        tildes.append(tilde_constant(ds, reg, perm, b))
+        B = _gram_rows(ds, reg.values, perm, b)
+        hats.append(hat_constant(ds, reg, perm, b, tol=tol, B=B))
+        tildes.append(tilde_constant(ds, reg, perm, b, B=B))
+        del B  # before the next permutation's rows are built
 
     return ConstantsReport(
         L=L,

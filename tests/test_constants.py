@@ -123,6 +123,28 @@ class TestMaskedGramMatvec:
         assert setup_peak < 64 * ds.nnz * 8
 
 
+class TestGramMemory:
+    @pytest.mark.parametrize("b", [2, 10])
+    def test_peak_bytes_per_nonzero(self, b):
+        """On an rcv1-shaped input (74 sorted nonzeros a row, prefix-sum
+        path) neither hat nor tilde holds more than 88 bytes per nonzero
+        above the dataset at its peak."""
+        n, d, k = 2000, 6000, 74
+        rng = np.random.default_rng(26)
+        cols = np.sort(rng.integers(0, d - k, size=(n, k)), axis=1) + np.arange(k)
+        ds = ss.SparseDataset(np.arange(n + 1) * k, cols.ravel(), rng.random(n * k) + 0.05,
+                              np.ones(n), d)
+        assert not constants._dense_gram(n, d, ds.nnz)
+        reg, perm = unit_reg(n), rng.permutation(n)
+        for constant in (ss.hat_constant, ss.tilde_constant):
+            tracemalloc.start()
+            try:
+                constant(ds, reg, perm, b)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 88 * ds.nnz, (constant.__name__, peak / ds.nnz)
+
 class TestGramRepresentation:
     def test_paths_agree_at_sonar_shape(self):
         """Dense and prefix-sum constants agree to 1e-12 in the same number
