@@ -182,12 +182,14 @@ def _rr_inputs(ds, model, x_star, b, K, num_perms, seed, tol) -> BoundInputs:
 
 
 def _ig_inputs(ds, model, x_star, b, K, num_perms, seed, tol) -> BoundInputs:
-    """hat and tilde at the identity order, which every fixed-order epoch runs."""
+    """hat and tilde at the identity order, which every fixed-order epoch
+    runs, both read from one copy of its weighted rows."""
     reg, perm0 = regularity(model), np.arange(ds.n)
+    B = constants._gram_rows(ds, reg.values, perm0, b)
     sig = constants.sigma_star(ds, model, x_star, grad_tol=1e-6)
     return BoundInputs(
-        n=ds.n, b=b, K=K, hatL=constants.hat_constant(ds, reg, perm0, b, tol=tol),
-        tildeL=constants.tilde_constant(ds, reg, perm0, b), sigma_star=sig,
+        n=ds.n, b=b, K=K, hatL=constants.hat_constant(ds, reg, perm0, b, tol=tol, B=B),
+        tildeL=constants.tilde_constant(ds, reg, perm0, b, B=B), sigma_star=sig,
         D=float(np.linalg.norm(x_star)),
         ystar_norm=constants.ystar_weighted_norm(ds, model, x_star, grad_tol=1e-6))
 

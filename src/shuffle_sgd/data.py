@@ -39,8 +39,9 @@ class SparseDataset:
     """Immutable n x d row-sparse matrix with one label per row.
 
     The products A x and A^T y (matvec, rmatvec) run on the CSR arrays with
-    numpy alone. The row of every nonzero (row_ids) and the squared row
-    norms (row_sq_norms) are computed once, on first use."""
+    numpy alone. The row of every nonzero (row_ids), the squared row norms
+    (row_sq_norms) and whether every row stores the same columns
+    (rows_share_columns) are computed once, on first use."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -49,6 +50,7 @@ class SparseDataset:
     d: int
     _row_sq: np.ndarray | None = field(default=None, repr=False, compare=False)
     _rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _same_cols: bool | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.indptr = _freeze(np.asarray(self.indptr, dtype=np.int64))
@@ -137,20 +139,27 @@ class PermutedView:
     rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.perm = np.asarray(self.perm, dtype=np.int64)
-        base = self.base
-        n = base.n
-        if self.perm.shape != (n,) or not np.array_equal(np.sort(self.perm), np.arange(n)):
-            raise ValueError("perm must be a permutation of range(n)")
-        starts = base.indptr[:-1][self.perm]
-        lengths = base.indptr[1:][self.perm] - starts
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=self.indptr[1:])
-        self.rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        src = np.repeat(starts - self.indptr[:-1], lengths)
-        src += np.arange(base.nnz, dtype=np.int64)
-        self.indices = base.indices[src]
-        self.values = base.values[src]
+        self.perm, self.indptr, src = permuted_nonzeros(self.base, self.perm)
+        self.rows = np.repeat(np.arange(self.base.n, dtype=np.int64), np.diff(self.indptr))
+        self.indices = self.base.indices[src]
+        self.values = self.base.values[src]
+
+
+def permuted_nonzeros(base: SparseDataset, perm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(perm, indptr, src) of base's rows in the order perm: perm checked
+    and as int64, the permuted rows' indptr, and the place in base of each
+    of their nonzeros, so that base.values[src] are the permuted values."""
+    perm = np.asarray(perm, dtype=np.int64)
+    n = base.n
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ValueError("perm must be a permutation of range(n)")
+    starts = base.indptr[:-1][perm]
+    lengths = base.indptr[1:][perm] - starts
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    src = np.repeat(starts - indptr[:-1], lengths)
+    src += np.arange(base.nnz, dtype=np.int64)
+    return perm, indptr, src
 
 
 def _parse_token(tok: str, line_no: int):
@@ -438,6 +447,17 @@ def row_ids(ds: SparseDataset) -> np.ndarray:
     if ds._rows is None:
         ds._rows = _freeze(np.repeat(np.arange(ds.n), np.diff(ds.indptr)))
     return ds._rows
+
+
+def rows_share_columns(ds: SparseDataset) -> bool:
+    """Whether every row stores the same columns, explicit zeros counted as
+    stored (so a dense n x d file does, whatever its values); cached on ds."""
+    if ds._same_cols is None:
+        k = ds.nnz // ds.n
+        ds._same_cols = bool(
+            np.array_equal(ds.indptr, np.arange(ds.n + 1) * k)
+            and (ds.indices.reshape(ds.n, k) == ds.indices[:k]).all())
+    return ds._same_cols
 
 
 def row_sq_norms(ds: SparseDataset) -> np.ndarray:

@@ -9,15 +9,18 @@ data-weighted sum:
     x    <- x - (eta/b) sum_{j in block i} y^(i)_j a_{pi_j}
 
 The composition is exactly vanilla mini-batch shuffled SGD. Each epoch
-lays its nonzeros out once, block by block and sorted by column within a
-block (BlockLayout), so the primal step updates x in place on the block's
-distinct columns only: every block step costs O(nnz of the block), never
-O(d), traced or not. Every run starts at the origin, from which the bounds
-measure D = ||x*||, and takes one constant step eta. Its output is the
-average of the epoch ends x_1..x_K, x_bar_K = (1/K) sum_k x_k; the loop
-keeps their running sum, so a run holds O(d) state whatever K is. It
-records f(x_k) and f(x_bar_k) after every epoch, or with
-RunConfig.epoch_objectives off f(x_bar_K) alone.
+lays its nonzeros out once, block by block (BlockLayout). Where a block's
+rows store the same columns (always at b = 1, and at every b when all rows
+of the dataset do) the block is a small dense b x k matrix on those k
+columns; otherwise each block's nonzeros are sorted by column. Either way
+the primal step updates x in place on the block's distinct columns only:
+every block step costs O(nnz of the block), never O(d), traced or not.
+Every run starts at the origin, from which the bounds measure D = ||x*||,
+and takes one constant step eta. Its output is the average of the epoch
+ends x_1..x_K, x_bar_K = (1/K) sum_k x_k; the loop keeps their running
+sum, so a run holds O(d) state whatever K is. It records f(x_k) and
+f(x_bar_k) after every epoch, or with RunConfig.epoch_objectives off
+f(x_bar_K) alone.
 
 Traced epochs also check the retraction identity: with the inner iterate
 x_i after block i (x_0 the epoch start, x_m its end) and block gradient
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PermutedView, SparseDataset
+from .data import PermutedView, SparseDataset, permuted_nonzeros, rows_share_columns
 from .losses import LossModel, derivative_vec, objective
 from .shuffle import ConfigError, ShufflePlan, check_batch, permutation_for
 
@@ -90,22 +93,42 @@ class RunResult:
 
 
 class BlockLayout:
-    """One epoch's nonzeros, block by block, each block's sorted by column.
+    """One epoch's nonzeros, block by block, in one of two forms.
 
-    Built once per epoch from the PermutedView of perm with a stable sort
-    on (block, column). A row's entries stay in column order (the dataset
-    stores each row's columns increasing) and a column's entries in row
-    order, so every per-row and per-column sum adds the same terms in the
-    same order as on the view. Block i holds the nonzeros
-    ptr[i]:ptr[i+1], with `rows` their row within the block; its distinct
-    columns are ucols[uptr[i]:uptr[i+1]], and `seg` gives each nonzero its
-    column's place among them. Four nnz-length arrays in all: a nonzero's
-    column is ucols[uptr[i] + seg].
+    Block i holds the rows perm[i*b:(i+1)*b] and the nonzeros
+    ptr[i]:ptr[i+1] of the epoch's permuted CSR arrays. The form follows
+    from the data and b alone, never from d:
+
+    - Shared (`sorted` False), when every block's rows store the same
+      columns: always at b = 1, and at any b when every row of the dataset
+      stores the same columns (data.rows_share_columns, decided once per
+      dataset). The layout is just the permuted `values` and `indices`, with
+      `ptr` as Python ints, which the per-block slicing reads faster. Block
+      i's nonzeros are a row-major b x k_i matrix on the block's first k_i
+      indices (shared_block), so each block step is one small dense product.
+      It agrees with a dense step to roundoff.
+    - Sorted (`sorted` True), for sparse data at b > 1: a stable sort on
+      (block, column). A row's entries stay in column order (the dataset
+      stores each row's columns increasing) and a column's entries in row
+      order, so every per-row and per-column sum adds the same terms in the
+      same order as on the permuted view, and the iterates are the same to
+      the bit as a dense step's. `rows` gives each nonzero's row within
+      its block; the block's distinct columns are ucols[uptr[i]:uptr[i+1]],
+      and `seg` gives each nonzero its column's place among them. Four
+      nnz-length arrays in all: a nonzero's column is ucols[uptr[i] + seg].
     """
 
     def __init__(self, ds: SparseDataset, perm: np.ndarray, b: int):
+        self.b = b
+        self.sorted = b > 1 and not rows_share_columns(ds)
+        if not self.sorted:
+            self.perm, indptr, src = permuted_nonzeros(ds, perm)
+            self.ptr = indptr[::b].tolist()
+            self.indices = ds.indices[src]
+            self.values = ds.values[src]
+            return
         view = PermutedView(ds, perm)
-        self.perm, self.b = view.perm, b
+        self.perm = view.perm
         self.ptr = view.indptr[::b]
         rows, values = view.rows, view.values
         key = rows // b  # (block, column) as one integer
@@ -132,7 +155,15 @@ class BlockLayout:
 
     def block_cols(self, block: int) -> np.ndarray:
         """The distinct columns of one block's rows."""
-        return self.ucols[self.uptr[block] : self.uptr[block + 1]]
+        if self.sorted:
+            return self.ucols[self.uptr[block] : self.uptr[block + 1]]
+        return self.shared_block(block)[1]
+
+    def shared_block(self, block: int) -> tuple[np.ndarray, np.ndarray]:
+        """In the shared form, block i's b x k_i values and its k_i columns."""
+        s, e = self.ptr[block], self.ptr[block + 1]
+        k = (e - s) // self.b
+        return self.values[s:e].reshape(self.b, k), self.indices[s : s + k]
 
 
 def dual_block_update(m: LossModel, layout: BlockLayout, block: int,
@@ -143,10 +174,14 @@ def dual_block_update(m: LossModel, layout: BlockLayout, block: int,
     rows enter in the primal step. Blocks are numbered 0..m-1; the cost is
     O(nnz of the block).
     """
-    s, e = layout.ptr[block], layout.ptr[block + 1]
     b = layout.b
-    x_nz = x[layout.block_cols(block)][layout.seg[s:e]]
-    z = np.bincount(layout.rows[s:e], weights=layout.values[s:e] * x_nz, minlength=b)
+    if layout.sorted:
+        s, e = layout.ptr[block], layout.ptr[block + 1]
+        x_nz = x[layout.block_cols(block)][layout.seg[s:e]]
+        z = np.bincount(layout.rows[s:e], weights=layout.values[s:e] * x_nz, minlength=b)
+    else:
+        vals, cols = layout.shared_block(block)
+        z = vals.dot(x[cols])
     return derivative_vec(m, layout.perm[block * b : (block + 1) * b], z)
 
 
@@ -158,9 +193,14 @@ def primal_block_step(x: np.ndarray, layout: BlockLayout, block: int,
     Returns the block's gradient aggregate sum_j y_j a_{pi_j} on those
     columns (layout.block_cols(block)).
     """
-    s, e = layout.ptr[block], layout.ptr[block + 1]
-    g = np.bincount(layout.seg[s:e], weights=layout.values[s:e] * y_block[layout.rows[s:e]])
-    x[layout.block_cols(block)] -= (step / layout.b) * g
+    if layout.sorted:
+        s, e = layout.ptr[block], layout.ptr[block + 1]
+        g = np.bincount(layout.seg[s:e], weights=layout.values[s:e] * y_block[layout.rows[s:e]])
+        cols = layout.block_cols(block)
+    else:
+        vals, cols = layout.shared_block(block)
+        g = y_block.dot(vals)
+    x[cols] -= (step / layout.b) * g
     return g
 
 

@@ -44,7 +44,7 @@ class ShufflePlan:
 def _draw(seed: int, k: int, n: int) -> np.ndarray:
     rng = prng.generator(prng.substream(seed, prng.DOMAIN_PERM, k))
     # Generator.permutation is a Fisher-Yates shuffle under the hood.
-    return rng.permutation(n).astype(np.int64)
+    return rng.permutation(n).astype(np.int64, copy=False)
 
 
 def permutation_for(plan: ShufflePlan, n: int, k: int) -> np.ndarray:
@@ -58,4 +58,4 @@ def random_permutation(n: int, seed: int, trial: int = 0) -> np.ndarray:
     """Standalone uniform permutation on the (seed, trial) stream, for
     permutation-sampling experiments outside any epoch schedule."""
     rng = prng.generator(prng.substream(seed, prng.DOMAIN_TRIAL, trial))
-    return rng.permutation(n).astype(np.int64)
+    return rng.permutation(n).astype(np.int64, copy=False)

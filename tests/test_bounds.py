@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import shuffle_sgd as ss
+from shuffle_sgd import bounds, constants
 from shuffle_sgd.bounds import BoundInputs, base_step
+from shuffle_sgd.losses import LossModel
+
+from conftest import GRAM_PATHS, gram_path
 
 
 class TestSmoothRRStep:
@@ -101,6 +105,30 @@ class TestIGPair:
             eta = ss.step_size_ig(inp)
             assert eta <= base_step(inp)
             assert ss.bound_rhs_ig(inp, eta) > 0
+
+
+class TestIGInputs:
+    @pytest.mark.parametrize("path", GRAM_PATHS)
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_one_copy_of_the_rows_gives_both_constants(self, rng, monkeypatch, path, b):
+        # hat and tilde at the identity order read one _gram_rows, and each
+        # equals its own separate call to the bit
+        n, d = 12, 4
+        A = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.7)
+        t = rng.standard_normal(n)
+        ds = ss.SparseDataset.from_dense(A, labels=t)
+        model = LossModel.for_dataset("squared", ds)
+        x_star = np.linalg.lstsq(A, t, rcond=None)[0]
+        reg, perm0 = ss.regularity(model), np.arange(n)
+        with gram_path(path):
+            hat = ss.hat_constant(ds, reg, perm0, b, tol=1e-10)
+            tilde = ss.tilde_constant(ds, reg, perm0, b)
+            built, real = [], constants._gram_rows
+            monkeypatch.setattr(constants, "_gram_rows", lambda *a: built.append(a) or real(*a))
+            inp = bounds._ig_inputs(ds, model, x_star, b, 5, 1, 0, 1e-10)
+        assert len(built) == 1
+        assert inp.hatL == hat
+        assert inp.tildeL == tilde
 
 
 class TestNonsmoothPair:

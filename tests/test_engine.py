@@ -101,6 +101,100 @@ class TestBlockOps:
             assert np.max(np.abs(g - agg[cols]), initial=0.0) <= 1e-12 * (1.0 + np.abs(agg).max())
 
 
+class TestSharedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 6),
+        st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        st.booleans(),
+    )
+    def test_block_ops_match_dense_rows(self, seed, n, d, density, shared):
+        # b = 1 on any sparse rows (empty ones included); with `shared` every
+        # row stores the same columns, explicit zeros included, and every
+        # divisor b takes the shared form
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
+        t = rng.standard_normal(n)
+        if shared:
+            stored = np.flatnonzero(rng.random(d) < 0.7)
+            A[:, np.setdiff1d(np.arange(d), stored)] = 0.0
+            ds = ss.SparseDataset(np.arange(n + 1) * stored.size, np.tile(stored, n),
+                                  A[:, stored].ravel(), t, d)
+            batches = divisors(n)
+        else:
+            ds = ss.SparseDataset.from_dense(A, labels=t)
+            batches = [1]
+        m = LossModel.for_dataset("squared", ds)
+        perm = rng.permutation(n)
+        x = rng.standard_normal(d)
+        for b in batches:
+            layout = ss.BlockLayout(ds, perm, b)
+            assert not layout.sorted
+            for i in range(n // b):
+                rows = perm[i * b : (i + 1) * b]
+                blk = A[rows]
+                y = ss.dual_block_update(m, layout, i, x)
+                assert y.shape == (b,)
+                assert np.max(np.abs(y - (blk @ x - t[rows]))) <= 1e-12 * (1.0 + np.abs(blk).sum())
+                y_any = rng.standard_normal(b)
+                got = x.copy()
+                g = ss.primal_block_step(got, layout, i, y_any, 0.7)
+                ref = x - (0.7 / b) * (blk.T @ y_any)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.abs(ref).max())
+                # the block's stored columns, and no other column moves
+                cols = layout.block_cols(i)
+                assert np.array_equal(cols, stored if shared else ds.row(rows[0])[0])
+                rest = np.setdiff1d(np.arange(d), cols)
+                assert np.array_equal(got[rest], x[rest])
+                agg = blk.T @ y_any
+                assert g.shape == cols.shape
+                tol = 1e-12 * (1.0 + np.abs(agg).max())
+                assert np.max(np.abs(g - agg[cols]), initial=0.0) <= tol
+
+    def test_form_follows_the_rows_not_d(self, rng):
+        # a dataset and its twin with four more all-zero columns take the
+        # same form at every b: shared when all rows store the same columns,
+        # else shared at b = 1 alone
+        n, d = 8, 5
+        dense = (np.arange(n + 1) * d, np.tile(np.arange(d), n), rng.standard_normal(n * d))
+        # row 0 stores column 0 alone, every other row all d columns
+        uneven = (np.r_[0, 1 + np.arange(n) * d], np.r_[0, np.tile(np.arange(d), n - 1)],
+                  rng.standard_normal(1 + (n - 1) * d))
+        perm = rng.permutation(n)
+        for arrays, shared_at in ((dense, divisors(n)), (uneven, [1])):
+            twins = [ss.SparseDataset(*arrays, np.zeros(n), width) for width in (d, d + 4)]
+            for b in divisors(n):
+                forms = {ss.BlockLayout(ds, perm, b).sorted for ds in twins}
+                assert forms == {b not in shared_at}
+
+    def test_layout_bytes_per_nonzero(self):
+        # rcv1-shaped rows, 74 sorted nonzeros each. The shared form holds the
+        # permuted values and indices, 16 bytes a nonzero, and peaks with
+        # their source positions besides. The sorted form (b = 10) holds four
+        # nnz-length arrays and never the shared form's arrays on top.
+        rng = np.random.default_rng(8)
+        n, d, k = 2000, 23500, 74
+        edges = np.floor(d * (np.arange(k + 1) / k) ** 2).astype(np.int64)
+        cols = edges[:-1] + (rng.random((n, k)) * np.diff(edges)).astype(np.int64)
+        ds = ss.SparseDataset(np.arange(n + 1) * k, cols.ravel(), rng.random(n * k) + 0.05,
+                              np.ones(n), d)
+        perm = rng.permutation(n)
+
+        def per_nonzero(b):
+            tracemalloc.start()
+            layout = ss.BlockLayout(ds, perm, b)
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            return layout.sorted, held / ds.nnz, peak / ds.nnz
+
+        is_sorted, held, peak = per_nonzero(1)
+        assert not is_sorted and held <= 17 and peak <= 26
+        is_sorted, held, peak = per_nonzero(10)
+        assert is_sorted and held <= 32 and peak <= 41.5
+
+
 class TestRunConfig:
     @pytest.mark.parametrize("epochs", [-1, 0])
     @pytest.mark.parametrize("step", [0.1, np.array([0.1])])
