@@ -30,7 +30,6 @@ from .constants import (
 )
 from .data import (
     ParseError,
-    PermutedView,
     SparseDataset,
     gen_gaussian,
     load_libsvm,

@@ -25,10 +25,11 @@ instead of returning a possibly low value. tilde is exact: a batched
 symmetric eigensolver takes the top eigenvalues of all m block Grams.
 
 M and the block Grams have two representations, chosen by one size rule
-on n, d and nnz(B) alone (_dense_gram; no flag or environment variable
-selects one). Where n^2 is small against nnz(B) and the dense arrays fit a
-fixed cap, M is formed once as a dense n x n array, so a matvec is one BLAS
-product, and the block Grams are one batched product of the dense blocks.
+on n, d and nnz(B) alone (_dense_gram, applied once per permutation by
+_gram_rows; no flag or environment variable selects one). Where n^2 is
+small against nnz(B) and the dense arrays fit a fixed cap, M is formed
+once as a dense n x n array, so a matvec is one BLAS product, and the
+block Grams are one batched product of the dense blocks.
 Elsewhere both stay matrix-free: the prefix-masked matvec costs O(nnz(B))
 time and memory per step (segmented prefix sums over the nonzeros; no
 m x d buffer), and the block Grams are pair sums: entry (k, l) of a block's
@@ -38,9 +39,10 @@ numpy; only the logistic separability LP (_logistic_unbounded) builds a
 scipy matrix.
 
 Memory, above the dataset: the dense form holds the n x n Gram, at most
-128 bytes per nonzero under the size rule, plus the dense B and, while the
-mask is applied, an int32 n x n array (at 208 x 60, b = 4, a hat call
-peaks at 79 bytes per nonzero, a tilde call at 40). The prefix-sum form
+128 bytes per nonzero under the size rule, plus the dense B (DenseRows)
+and, while the mask is applied, an int32 n x n array (at 208 x 60, b = 4,
+a hat call peaks at 55 bytes per nonzero, a tilde call at 16, once the
+dataset's row ids are cached: 8 more on a first call). The prefix-sum form
 reads one column-ordered copy of B (ColumnRuns, about 24 bytes per
 nonzero), which ratio_stats builds once per permutation for both
 constants; the operator adds each nonzero's block factor and run end (16)
@@ -59,7 +61,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import prng
-from .data import PermutedView, SparseDataset, row_ids, row_sq_norms
+from .data import (SparseDataset, check_permutation, permuted_nonzeros, row_ids,
+                   row_sq_norms)
 from .losses import (LossModel, RegularityDiag, conjugate_pair, full_gradient, objective,
                      regularity)
 from .shuffle import check_batch, random_permutation
@@ -77,34 +80,12 @@ class StationarityError(ValueError):
         )
 
 
-class WeightedRows(NamedTuple):
-    """An n x d matrix B as the row, column and value of each nonzero, in
-    row-major order with each row's columns increasing."""
+class DenseRows(NamedTuple):
+    """An n x d matrix B as a dense array, with the nonzero count of the
+    dataset it was built from."""
 
-    rows: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-    n: int
-    d: int
-
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
-
-    def to_dense(self) -> np.ndarray:
-        B = np.zeros((self.n, self.d))
-        B[self.rows, self.indices] = self.values
-        return B
-
-
-def _weighted_csr(ds: SparseDataset, weights, perm) -> WeightedRows:
-    """The matrix with rows sqrt(w_{perm_i}) * a_{perm_i}."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (ds.n,):
-        raise ValueError("weights must have one entry per row")
-    view = PermutedView(ds, perm)
-    values = view.values * np.sqrt(w[view.perm])[view.rows]
-    return WeightedRows(view.rows, view.indices, values, ds.n, ds.d)
+    A: np.ndarray
+    nnz: int
 
 
 # The Gram is formed densely when n^2 <= _DENSE_COST * nnz: a dense matvec's
@@ -121,29 +102,6 @@ _DENSE_MAX_FLOATS = 1 << 23
 def _dense_gram(n: int, d: int, nnz: int) -> bool:
     """True when the n x n Gram of an n x d, nnz-nonzero B is formed densely."""
     return n * n <= _DENSE_COST * nnz and n * (n + d) <= _DENSE_MAX_FLOATS
-
-
-def _column_block_runs(B: WeightedRows, batch: int):
-    """B's nonzeros in (column, block) order: values, rows, column pointers,
-    and the end offsets of the runs that share a column and a block.
-
-    A stable sort by column keeps each column's nonzeros in row order, hence
-    in block order: the CSC layout. The columns are sorted as the smallest
-    integer type that holds them, on which numpy sorts by radix (up to 16
-    bits). Indices come back as intp, so later gathers with them need no
-    conversion."""
-    order = np.argsort(B.indices.astype(np.min_scalar_type(B.d - 1)), kind="stable")
-    indptr = np.zeros(B.d + 1, dtype=np.intp)
-    np.cumsum(np.bincount(B.indices, minlength=B.d), out=indptr[1:])
-    rows = B.rows[order].astype(np.intp, copy=False)
-    blk = rows // batch
-    # a run ends at every column pointer and wherever the block changes;
-    # offset 0 (marked by leading empty columns) ends none
-    end = np.zeros(len(rows) + 1, dtype=bool)
-    end[indptr] = True
-    end[1:-1] |= blk[1:] != blk[:-1]
-    end[0] = False
-    return B.values[order], rows, indptr, np.flatnonzero(end)
 
 
 class ColumnRuns(NamedTuple):
@@ -166,32 +124,68 @@ class ColumnRuns(NamedTuple):
         return len(self.values)
 
 
-def _column_runs(B: WeightedRows | ColumnRuns, batch: int) -> ColumnRuns:
-    """B in (column, block) order for blocks of `batch` rows."""
-    if isinstance(B, ColumnRuns):
-        if B.batch != batch:
-            raise ValueError(f"column runs were cut at batch {B.batch}, not {batch}")
-        return B
-    values, rows, indptr, run_ends = _column_block_runs(B, batch)
-    return ColumnRuns(values, rows, np.unique(indptr), run_ends, B.n, B.d, batch)
+def _column_block_runs(rows, indices, values, n: int, d: int, batch: int) -> ColumnRuns:
+    """The n x d matrix with nonzeros (rows, indices, values), given in
+    row-major order with each row's columns increasing, in (column, block)
+    order for blocks of `batch` rows.
+
+    A stable sort by column keeps each column's nonzeros in row order, hence
+    in block order: the CSC layout. The columns are sorted as the smallest
+    integer type that holds them, on which numpy sorts by radix (up to 16
+    bits). Rows come back as intp, so later gathers with them need no
+    conversion."""
+    order = np.argsort(indices.astype(np.min_scalar_type(d - 1)), kind="stable")
+    indptr = np.zeros(d + 1, dtype=np.intp)
+    np.cumsum(np.bincount(indices, minlength=d), out=indptr[1:])
+    rows = rows[order].astype(np.intp, copy=False)
+    blk = rows // batch
+    # a run ends at every column pointer and wherever the block changes;
+    # offset 0 (marked by leading empty columns) ends none
+    end = np.zeros(len(rows) + 1, dtype=bool)
+    end[indptr] = True
+    end[1:-1] |= blk[1:] != blk[:-1]
+    end[0] = False
+    return ColumnRuns(values[order], rows, np.unique(indptr), np.flatnonzero(end), n, d, batch)
 
 
-def _gram_rows(ds: SparseDataset, weights, perm, b: int) -> WeightedRows | ColumnRuns:
-    """The weighted rows of one permutation in the form its Grams read:
-    row-major where _dense_gram forms them densely, else in (column, block)
-    order alone, the row-major copy freed."""
-    B = _weighted_csr(ds, weights, perm)
-    return B if _dense_gram(B.n, B.d, B.nnz) else _column_runs(B, b)
+def _weights(values) -> np.ndarray:
+    """Regularity weights (L_i or G_i^2) as float64: each must be finite and
+    nonnegative (an empty row's L_i is 0)."""
+    w = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError("weights must be finite and nonnegative")
+    return w
+
+
+def _gram_rows(ds: SparseDataset, weights, perm, b: int) -> DenseRows | ColumnRuns:
+    """The weighted rows sqrt(w_{perm_i}) * a_{perm_i} of one permutation, in
+    the form its Grams read: dense where _dense_gram forms them densely,
+    else in (column, block) order for blocks of b rows. This is the one
+    place the size rule is applied."""
+    w = _weights(weights)
+    if w.shape != (ds.n,):
+        raise ValueError("weights must have one entry per row")
+    if _dense_gram(ds.n, ds.d, ds.nnz):
+        perm = check_permutation(perm, ds.n)
+        A = ds.to_dense()[perm]
+        A *= np.sqrt(w[perm])[:, None]
+        return DenseRows(A, ds.nnz)
+    perm, indptr, src = permuted_nonzeros(ds, perm)
+    rows = np.repeat(np.arange(ds.n, dtype=np.int64), np.diff(indptr))
+    values = ds.values[src]
+    values *= np.sqrt(w[perm])[rows]
+    indices = ds.indices[src]
+    del src  # before the column sort, which holds the most at once
+    return _column_block_runs(rows, indices, values, ds.n, ds.d, b)
 
 
 class MaskedGramOperator:
     """The n x n prefix-masked Gram sum (B B^T) o C, in one of two forms.
 
-    Dense (row-major B on which _dense_gram holds): the masked Gram is formed
-    once as an n x n array from the dense B, and a matvec is one BLAS
-    product.
+    Dense (DenseRows): the masked Gram is formed once as an n x n array
+    from the dense B, and a matvec is one BLAS product.
 
-    Prefix-sum (otherwise, and always for ColumnRuns), matrix-free: with
+    Prefix-sum (ColumnRuns), matrix-free: with
     W[p] = sum_q (min(p, q) + 1) t_q, where t_q = B_q^T v_q is block q's
     contribution, row k of the product is b_k . W[block(k)]. Splitting the
     sum at q = p gives W[p] = (p+1)(T - R_p) + U_p, with T the total of the
@@ -202,27 +196,30 @@ class MaskedGramOperator:
     nonzero's block factor and run end, and three work buffers.
     """
 
-    def __init__(self, B: WeightedRows | ColumnRuns, batch: int):
-        n, d = B.n, B.d
-        self.m = check_batch(n, batch)
-        self.n, self.d = n, d
+    def __init__(self, B: DenseRows | ColumnRuns, batch: int):
+        self.B = B
+        dense = isinstance(B, DenseRows)
+        self.n, self.d = B.A.shape if dense else (B.n, B.d)
+        self.m = check_batch(self.n, batch)
         self._M = None
-        if isinstance(B, WeightedRows) and _dense_gram(n, d, B.nnz):
-            self.B = B
-            A = B.to_dense()
+        if dense:
             # C[k, l] = min(block(k), block(l)) + 1, as int32: half the size
             # of a float mask, and the multiply casts it in small buffers
-            blk1 = np.arange(n, dtype=np.int32) // batch + 1
-            self._M = A @ A.T
+            blk1 = np.arange(self.n, dtype=np.int32) // batch + 1
+            self._M = B.A @ B.A.T
             self._M *= np.minimum.outer(blk1, blk1)
             return
-        self.B = B = _column_runs(B, batch)
+        if B.batch != batch:
+            raise ValueError(f"column runs were cut at batch {B.batch}, not {batch}")
         self._blk1 = B.rows // batch + 1.0
         # each nonzero's run end: sums over [col_start, run_end) give R_p and
         # U_p, and [run_end, col_end) gives T - R_p
         self._grp_end = np.repeat(B.run_ends, np.diff(B.run_ends, prepend=0))
         self._col_len = np.diff(B.col_ptr)
-        self._work = None
+        # work buffers reused by every matvec: fresh nnz-sized temporaries
+        # cost more in page faults than the arithmetic on them (so one
+        # instance must not run matvecs from two threads at once)
+        self._work = np.empty(B.nnz), np.zeros(B.nnz + 1), np.zeros(B.nnz + 1)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -231,13 +228,6 @@ class MaskedGramOperator:
         if self._M is not None:
             return self._M @ v
         B = self.B
-        if self._work is None:
-            # work buffers reused by every matvec: fresh nnz-sized temporaries
-            # cost more in page faults than the arithmetic on them (so one
-            # instance must not run matvecs from two threads at once). Made
-            # here, not in __init__, so an operator built from a temporary
-            # row-major copy makes them after that copy is freed.
-            self._work = np.empty(B.nnz), np.zeros(B.nnz + 1), np.zeros(B.nnz + 1)
         w, s1, s2 = self._work
         g, lens = self._grp_end, self._col_len
         # indices are in range by construction; "clip" skips take's bounds
@@ -377,8 +367,9 @@ def hat_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, tol: floa
 _PAIR_CHUNK = 1 << 18
 
 
-def _block_grams(B: WeightedRows | ColumnRuns, b: int) -> np.ndarray:
-    """Every diagonal block Gram B_j B_j^T, as an (m, b, b) array.
+def _block_grams(runs: ColumnRuns, b: int) -> np.ndarray:
+    """Every diagonal block Gram B_j B_j^T of B in (column, block) order, as
+    an (m, b, b) array.
 
     Entry (k, l) of a block's Gram adds v_k v_l over the columns that rows
     k and l share: over the (column, block) runs that hold both. The
@@ -388,7 +379,8 @@ def _block_grams(B: WeightedRows | ColumnRuns, b: int) -> np.ndarray:
     in passes of about _PAIR_CHUNK pairs. So each entry adds its terms from
     0 in column order, as a sparse product B_j B_j^T adds them, and the
     upper triangle is the mirror image of the lower."""
-    runs = _column_runs(B, b)
+    if runs.batch != b:
+        raise ValueError(f"column runs were cut at batch {runs.batch}, not {b}")
     n, m = runs.n, runs.n // b
     data, rows, run_ends = runs.values, runs.rows, runs.run_ends
     lens = np.diff(run_ends, prepend=0)
@@ -420,15 +412,15 @@ def _block_grams(B: WeightedRows | ColumnRuns, b: int) -> np.ndarray:
 def block_top_eigenvalues(ds: SparseDataset, weights, perm, b: int, B=None) -> np.ndarray:
     """lambda_max(B_j B_j^T) for each of the m diagonal blocks, exactly.
 
-    Dense B (under the same rule as MaskedGramOperator): one batched product
-    of the (m, b, d) stack of blocks. Otherwise the pair sums of _block_grams.
+    Dense B (DenseRows): one batched product of the (m, b, d) stack of
+    blocks. Otherwise (ColumnRuns) the pair sums of _block_grams.
     Either way a batched eigvalsh then solves all m b x b problems at once.
     B, if given, is _gram_rows(ds, weights, perm, b)."""
     m = check_batch(ds.n, b)
     if B is None:
         B = _gram_rows(ds, weights, perm, b)
-    if isinstance(B, WeightedRows) and _dense_gram(ds.n, ds.d, B.nnz):
-        blocks = B.to_dense().reshape(m, b, ds.d)
+    if isinstance(B, DenseRows):
+        blocks = B.A.reshape(m, b, ds.d)
         grams = blocks @ blocks.transpose(0, 2, 1)
     else:
         grams = _block_grams(B, b)
@@ -447,24 +439,24 @@ def tilde_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, B=None)
 
 
 def general_hat_L(L_values, perm, b: int, tol: float = 1e-6) -> float:
-    """Finite-sum analogue of hat_constant: the weighted data matrix collapses
-    to the single column sqrt(L_{perm_i}) (the Kronecker identity factor
-    contributes eigenvalue 1)."""
+    """Finite-sum analogue of hat_constant: hat_constant of the n x 1 matrix
+    of ones with weights L, to the bit, so the weighted matrix is the single
+    column sqrt(L_{perm_i}) (the Kronecker identity factor contributes
+    eigenvalue 1)."""
     L = np.asarray(L_values, dtype=np.float64)
     n = len(L)
     m = check_batch(n, b)
-    column = np.sqrt(L[np.asarray(perm, dtype=np.int64)])
-    B = WeightedRows(np.arange(n), np.zeros(n, dtype=np.int64), column, n, 1)
-    res = operator_norm(MaskedGramOperator(B, b).matvec, n, tol=tol)
+    ones = SparseDataset(np.arange(n + 1), np.zeros(n, dtype=np.int64), np.ones(n), np.zeros(n), 1)
+    res = operator_norm(MaskedGramOperator(_gram_rows(ones, L, perm, b), b).matvec, n, tol=tol)
     return _converged_value("general_hat_L", res, tol) / (m * n)
 
 
 def general_tilde_L(L_values, perm, b: int) -> float:
     """Exact closed form: max over blocks of the mean of L along the permutation."""
-    L = np.asarray(L_values, dtype=np.float64)
+    L = _weights(L_values)
     n = len(L)
     m = check_batch(n, b)
-    Lp = L[np.asarray(perm, dtype=np.int64)]
+    Lp = L[check_permutation(perm, n)]
     return float(np.max(Lp.reshape(m, b).mean(axis=1)))
 
 

@@ -1,4 +1,4 @@
-"""Row-sparse datasets: LIBSVM parsing, synthetic Gaussian data, row views.
+"""Row-sparse datasets: LIBSVM parsing, synthetic Gaussian data, permuted rows.
 
 The dataset is stored CSR-style (indptr / indices / values) with 0-based
 column indices; LIBSVM input uses 1-based indices, mapped on parse. All
@@ -48,9 +48,10 @@ class SparseDataset:
     values: np.ndarray
     labels: np.ndarray
     d: int
-    _row_sq: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _rows: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _same_cols: bool | None = field(default=None, repr=False, compare=False)
+    # derived from the arrays above on first use, never passed in
+    _row_sq: np.ndarray | None = field(default=None, init=False, repr=False)
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
+    _same_cols: bool | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.indptr = _freeze(np.asarray(self.indptr, dtype=np.int64))
@@ -122,37 +123,20 @@ class SparseDataset:
         return cls(indptr=indptr, indices=np.nonzero(nz)[1], values=array[nz], labels=labels, d=d)
 
 
-@dataclass
-class PermutedView:
-    """A dataset with its rows reordered by a permutation; row i is base row perm[i].
-
-    The permuted CSR arrays are gathered once, so rows lo:hi are the
-    contiguous nonzero range [indptr[lo], indptr[hi]) of `indices`/`values`,
-    and `rows` holds the (permuted) row of every nonzero.
-    """
-
-    base: SparseDataset
-    perm: np.ndarray
-    indptr: np.ndarray = field(init=False, repr=False)
-    indices: np.ndarray = field(init=False, repr=False)
-    values: np.ndarray = field(init=False, repr=False)
-    rows: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.perm, self.indptr, src = permuted_nonzeros(self.base, self.perm)
-        self.rows = np.repeat(np.arange(self.base.n, dtype=np.int64), np.diff(self.indptr))
-        self.indices = self.base.indices[src]
-        self.values = self.base.values[src]
+def check_permutation(perm, n: int) -> np.ndarray:
+    """perm as int64, which must be a permutation of range(n)."""
+    perm = np.asarray(perm, dtype=np.int64)
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ValueError("perm must be a permutation of range(n)")
+    return perm
 
 
 def permuted_nonzeros(base: SparseDataset, perm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(perm, indptr, src) of base's rows in the order perm: perm checked
     and as int64, the permuted rows' indptr, and the place in base of each
     of their nonzeros, so that base.values[src] are the permuted values."""
-    perm = np.asarray(perm, dtype=np.int64)
     n = base.n
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-        raise ValueError("perm must be a permutation of range(n)")
+    perm = check_permutation(perm, n)
     starts = base.indptr[:-1][perm]
     lengths = base.indptr[1:][perm] - starts
     indptr = np.zeros(n + 1, dtype=np.int64)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PermutedView, SparseDataset, permuted_nonzeros, rows_share_columns
+from .data import SparseDataset, permuted_nonzeros, rows_share_columns
 from .losses import LossModel, derivative_vec, objective
 from .shuffle import ConfigError, ShufflePlan, check_batch, permutation_for
 
@@ -111,7 +111,7 @@ class BlockLayout:
       (block, column). A row's entries stay in column order (the dataset
       stores each row's columns increasing) and a column's entries in row
       order, so every per-row and per-column sum adds the same terms in the
-      same order as on the permuted view, and the iterates are the same to
+      same order as on the permuted rows, and the iterates are the same to
       the bit as a dense step's. `rows` gives each nonzero's row within
       its block; the block's distinct columns are ucols[uptr[i]:uptr[i+1]],
       and `seg` gives each nonzero its column's place among them. Four
@@ -121,20 +121,19 @@ class BlockLayout:
     def __init__(self, ds: SparseDataset, perm: np.ndarray, b: int):
         self.b = b
         self.sorted = b > 1 and not rows_share_columns(ds)
+        self.perm, indptr, src = permuted_nonzeros(ds, perm)
         if not self.sorted:
-            self.perm, indptr, src = permuted_nonzeros(ds, perm)
             self.ptr = indptr[::b].tolist()
             self.indices = ds.indices[src]
             self.values = ds.values[src]
             return
-        view = PermutedView(ds, perm)
-        self.perm = view.perm
-        self.ptr = view.indptr[::b]
-        rows, values = view.rows, view.values
+        self.ptr = indptr[::b]
+        rows = np.repeat(np.arange(ds.n, dtype=np.int64), np.diff(indptr))
         key = rows // b  # (block, column) as one integer
         key *= ds.d
-        key += view.indices
-        del view  # so each of its arrays is freed once its sorted copy exists
+        key += ds.indices[src]
+        values = ds.values[src]
+        del src  # before the sort, which holds the most at once
         order = np.argsort(key, kind="stable")
         key = key[order]
         self.values = values[order]

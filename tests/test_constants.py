@@ -44,7 +44,7 @@ def gram_operators(ds, w, perm, b):
     ops = []
     for path in GRAM_PATHS:
         with gram_path(path):
-            ops.append(MaskedGramOperator(constants._weighted_csr(ds, w, perm), b))
+            ops.append(MaskedGramOperator(constants._gram_rows(ds, w, perm, b), b))
     return ops
 
 
@@ -109,7 +109,7 @@ class TestMaskedGramMatvec:
         v = rng.standard_normal(n)
         tracemalloc.start()
         try:
-            B = constants._weighted_csr(ds, np.ones(n), rng.permutation(n))
+            B = constants._gram_rows(ds, np.ones(n), rng.permutation(n), 1)
             op = MaskedGramOperator(B, 1)
             _, setup_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
@@ -159,7 +159,7 @@ class TestGramRepresentation:
             out = {}
             for path in GRAM_PATHS:
                 with gram_path(path):
-                    op = MaskedGramOperator(constants._weighted_csr(ds, w, perm), b)
+                    op = MaskedGramOperator(constants._gram_rows(ds, w, perm, b), b)
                     out[path] = (ss.operator_norm(op.matvec, n),
                                  ss.hat_constant(ds, reg, perm, b),
                                  ss.tilde_constant(ds, reg, perm, b),
@@ -188,59 +188,75 @@ class TestGramRepresentation:
                                   rng.standard_normal(n * k), np.ones(n), d)
         dense = ss.SparseDataset.from_dense(rng.standard_normal((208, 60)))
         for ds, is_dense in ((sparse, False), (dense, True)):
-            B = constants._weighted_csr(ds, np.ones(ds.n), rng.permutation(ds.n))
+            B = constants._gram_rows(ds, np.ones(ds.n), rng.permutation(ds.n), 4)
+            assert isinstance(B, constants.DenseRows) is is_dense
             op = MaskedGramOperator(B, 4)
             assert (op._M is not None) is is_dense
 
 
-class TestWeightedCsr:
+class TestGramRows:
     def test_matches_dense_weighted_rows(self, rng):
+        """The same products as the oracle's, so equal to the last bit (the
+        other form is checked against the oracle in TestSparseKernels)."""
         for _ in range(10):
             ds = random_sparse_dataset(rng, ensure_nonzero=False)
             A = ds.to_dense()
             A[int(rng.integers(ds.n))] = 0.0  # one empty row at least
             ds = ss.SparseDataset.from_dense(A)
             w = rng.uniform(0.1, 10.0, ds.n)
-            perm = rng.permutation(ds.n)
-            # the same products as the oracle's, so equal to the last bit
-            B = constants._weighted_csr(ds, w, perm)
-            assert (B.n, B.d, B.nnz) == (ds.n, ds.d, ds.nnz)
-            assert np.array_equal(B.to_dense(), oracles.weighted_rows(A, w, perm))
-            identity = constants._weighted_csr(ds, w, np.arange(ds.n)).to_dense()
-            assert np.array_equal(identity, oracles.weighted_rows(A, w, np.arange(ds.n)))
+            for perm in (rng.permutation(ds.n), np.arange(ds.n)):
+                with gram_path("dense"):
+                    B = constants._gram_rows(ds, w, perm, 1)
+                assert B.nnz == ds.nnz
+                assert np.array_equal(B.A, oracles.weighted_rows(A, w, perm))
 
     def test_weights_must_match_rows(self):
         ds = ss.SparseDataset.from_dense(np.eye(3))
         with pytest.raises(ValueError, match="one entry per row"):
-            constants._weighted_csr(ds, np.ones(2), np.arange(3))
+            constants._gram_rows(ds, np.ones(2), np.arange(3), 1)
+
+    @pytest.mark.parametrize("path", GRAM_PATHS)
+    def test_rejects_a_non_permutation(self, path):
+        ds = ss.SparseDataset.from_dense(np.eye(4))
+        with gram_path(path), pytest.raises(ValueError, match="permutation"):
+            constants._gram_rows(ds, np.ones(4), [0, 0, 1, 2], 1)
+
+    def test_runs_cut_at_another_batch_are_refused(self):
+        ds = ss.SparseDataset.from_dense(np.eye(4))
+        with gram_path("prefix-sum"):
+            runs = constants._gram_rows(ds, np.ones(4), np.arange(4), 2)
+        with pytest.raises(ValueError, match="cut at batch 2"):
+            MaskedGramOperator(runs, 4)
+        with pytest.raises(ValueError, match="cut at batch 2"):
+            constants._block_grams(runs, 4)
 
 
 class TestSparseKernels:
     """The column sort and the block Grams equal scipy's CSC conversion and
-    sparse product, to the bit."""
+    sparse product of the oracle's weighted rows, to the bit."""
 
     def weighted(self, rng, n, d, density):
-        A = rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
-        A[[0, int(rng.integers(n))]] = 0.0  # empty rows
-        ds = ss.SparseDataset.from_dense(A)
-        return constants._weighted_csr(ds, rng.uniform(0.1, 10.0, n), rng.permutation(n))
-
-    def scipy_csr(self, B):
+        """A random dataset with empty rows, its weights and a permutation,
+        and the oracle's weighted rows as a scipy CSR matrix."""
         import scipy.sparse as sp
 
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(B.rows, minlength=B.n))])
-        return sp.csr_matrix((B.values, B.indices, indptr), shape=(B.n, B.d))
+        A = rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
+        A[[0, int(rng.integers(n))]] = 0.0  # empty rows
+        w, perm = rng.uniform(0.1, 10.0, n), rng.permutation(n)
+        ref = sp.csr_matrix(oracles.weighted_rows(A, w, perm))
+        return ss.SparseDataset.from_dense(A), w, perm, ref
 
     # d = 70000 sorts on uint32, past the radix sort's 16 bits
     @pytest.mark.parametrize("n,d,density", [(12, 1, 0.7), (30, 300, 0.3), (8, 70000, 4e-4)])
     def test_column_order_is_scipy_csc(self, rng, n, d, density):
         for _ in range(5):
-            B = self.weighted(rng, n, d, density)
-            ref = self.scipy_csr(B).tocsc()
-            data, rows, indptr, _ = constants._column_block_runs(B, 2)
-            assert np.array_equal(indptr, ref.indptr)
-            assert np.array_equal(rows, ref.indices)
-            assert np.array_equal(data.view(np.int64), ref.data.view(np.int64))
+            ds, w, perm, ref = self.weighted(rng, n, d, density)
+            ref = ref.tocsc()
+            with gram_path("prefix-sum"):
+                runs = constants._gram_rows(ds, w, perm, 2)
+            assert np.array_equal(runs.col_ptr, np.unique(ref.indptr))
+            assert np.array_equal(runs.rows, ref.indices)
+            assert np.array_equal(runs.values.view(np.int64), ref.data.view(np.int64))
 
     @pytest.mark.parametrize("chunk", [1, 5, constants._PAIR_CHUNK])
     def test_block_grams_equal_the_sparse_product(self, rng, monkeypatch, chunk):
@@ -248,15 +264,16 @@ class TestSparseKernels:
 
         monkeypatch.setattr(constants, "_PAIR_CHUNK", chunk)  # one pass or many
         for n, d, density in [(12, 3, 0.7), (24, 40, 0.5), (60, 200, 0.1)]:
-            B = self.weighted(rng, n, d, density)
+            ds, w, perm, _ = self.weighted(rng, n, d, density)
             for b in divisors(n):
-                data, rows, _, run_ends = constants._column_block_runs(B, b)
+                with gram_path("prefix-sum"):
+                    runs = constants._gram_rows(ds, w, perm, b)
                 # row r of Bt is one (column, block) run: a block's own copy of a column
-                Bt = sp.csr_matrix((data, rows, np.concatenate([[0], run_ends])),
-                                   shape=(len(run_ends), n))
+                Bt = sp.csr_matrix((runs.values, runs.rows, np.concatenate([[0], runs.run_ends])),
+                                   shape=(len(runs.run_ends), n))
                 G = (Bt.T @ Bt).toarray()
                 want = np.stack([G[j:j + b, j:j + b] for j in range(0, n, b)])
-                got = constants._block_grams(B, b)
+                got = constants._block_grams(runs, b)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -599,17 +616,41 @@ class TestGeneralConstants:
             hat = ss.general_hat_L(L, perm, b, tol=1e-9)
             assert hat <= L.mean() + 1e-9 * max(L.max(), 1.0)
 
-    def test_matches_glm_hat_with_unit_rows(self, rng):
-        # scalar rows a_i = 1 with weights L_i reproduce the finite-sum constant
-        n = 6
-        L = rng.uniform(0.5, 4.0, n)
+    @settings(max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(GRAM_PATHS))
+    def test_matches_glm_hat_with_unit_rows(self, seed, path):
+        """Scalar rows a_i = 1 with weights L_i reproduce the finite-sum
+        constants: general_hat_L is that matrix's hat_constant to the bit,
+        and general_tilde_L its tilde_constant."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([1, 2, 4, 6, 12, 20, 36]))
+        L = rng.uniform(0.1, 10.0, n)
         perm = rng.permutation(n)
+        b = int(rng.choice(divisors(n)))
         ds = ss.SparseDataset.from_dense(np.ones((n, 1)))
         reg = RegularityDiag(L)
-        for b in (1, 2, 3, 6):
-            assert ss.general_hat_L(L, perm, b, **TIGHT) == pytest.approx(
-                ss.hat_constant(ds, reg, perm, b, **TIGHT), rel=1e-9
-            )
+        with gram_path(path):
+            assert ss.general_hat_L(L, perm, b) == ss.hat_constant(ds, reg, perm, b)
+            assert ss.general_tilde_L(L, perm, b) == pytest.approx(
+                ss.tilde_constant(ds, reg, perm, b), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_invalid_L_is_refused(self, bad):
+        L = [4.0, bad, 2.0, 3.0]
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ss.general_tilde_L(L, np.arange(4), 2)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ss.general_hat_L(L, np.arange(4), 1)
+
+    def test_a_non_permutation_is_refused(self):
+        for constant in (ss.general_tilde_L, ss.general_hat_L):
+            with pytest.raises(ValueError, match="permutation"):
+                constant([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1], 2)
+
+    def test_zero_L_is_valid(self):
+        # an empty row has L_i = 0
+        assert ss.general_tilde_L([0.0, 2.0], [0, 1], 2) == 1.0
+        assert ss.general_hat_L([0.0, 0.0], [0, 1], 1) == 0.0
 
 
 class TestRatioStats:

@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import tracemalloc
 from unittest import mock
@@ -348,26 +349,28 @@ class TestProducts:
         assert np.array_equal(rows, np.repeat(np.arange(ds.n), np.diff(ds.indptr)))
 
 
-class TestPermutedView:
+class TestPermutedNonzeros:
     def test_rows_resolve_through_perm(self, rng):
         ds = random_sparse_dataset(rng)
         perm = rng.permutation(ds.n)
-        view = ss.PermutedView(ds, perm)
+        checked, indptr, src = data.permuted_nonzeros(ds, perm)
+        assert checked.dtype == np.int64 and np.array_equal(checked, perm)
+        indices, values = ds.indices[src], ds.values[src]
         for i in range(ds.n):
-            lo, hi = view.indptr[i], view.indptr[i + 1]
+            lo, hi = indptr[i], indptr[i + 1]
             bi, bv = ds.row(int(perm[i]))
-            assert np.array_equal(view.indices[lo:hi], bi)
-            assert np.array_equal(view.values[lo:hi], bv)
+            assert np.array_equal(indices[lo:hi], bi)
+            assert np.array_equal(values[lo:hi], bv)
         ref = sp.csr_matrix((ds.values, ds.indices, ds.indptr), shape=(ds.n, ds.d))[perm]
-        assert np.array_equal(view.indptr, ref.indptr)
-        assert np.array_equal(view.indices, ref.indices)
-        assert np.array_equal(view.values, ref.data)
-        assert np.array_equal(view.rows, np.repeat(np.arange(ds.n), np.diff(ref.indptr)))
+        assert np.array_equal(indptr, ref.indptr)
+        assert np.array_equal(indices, ref.indices)
+        assert np.array_equal(values, ref.data)
 
     def test_rejects_non_bijection(self, rng):
         ds = random_sparse_dataset(rng, n=4)
-        with pytest.raises(ValueError):
-            ss.PermutedView(ds, np.array([0, 0, 1, 2]))
+        for perm in ([0, 0, 1, 2], [0, 1, 2], [0, 1, 2, 4]):
+            with pytest.raises(ValueError, match="permutation"):
+                data.permuted_nonzeros(ds, np.array(perm))
 
 
 class TestImmutability:
@@ -377,6 +380,30 @@ class TestImmutability:
             ds.values[0] = 99.0
         with pytest.raises(ValueError):
             ds.labels[0] = 99.0
+
+
+class TestDerivedArrays:
+    """Row ids, squared row norms and the shared-columns flag come from the
+    CSR arrays alone: none can be passed in, and a copy recomputes them."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("_row_sq", np.array([5.0, 25.0])), ("_rows", np.array([0, 0])), ("_same_cols", True)])
+    def test_cannot_be_passed_in(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            ss.SparseDataset([0, 1, 2], [0, 1], [1.0, 2.0], [0.0, 0.0], 2, **{name: value})
+
+    def test_replace_recomputes_them(self):
+        ds = ss.SparseDataset([0, 2, 4], [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0], [0.0, 0.0], 2)
+        assert ss.row_sq_norms(ds).tolist() == [5.0, 25.0]
+        assert data.rows_share_columns(ds)
+        assert data.row_ids(ds).tolist() == [0, 0, 1, 1]
+        changed = dataclasses.replace(ds, values=[10.0, 2.0, 3.0, 4.0])
+        assert ss.row_sq_norms(changed).tolist() == [104.0, 25.0]
+        # other columns in row 1, and rows of one and three nonzeros
+        moved = dataclasses.replace(ds, indptr=[0, 1, 4], indices=[1, 0, 1, 2], d=3)
+        assert not data.rows_share_columns(moved)
+        assert data.row_ids(moved).tolist() == [0, 1, 1, 1]
+        assert ss.row_sq_norms(moved).tolist() == [1.0, 29.0]
 
 
 class TestRowOrderCheck:

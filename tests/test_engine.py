@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shuffle_sgd as ss
+from shuffle_sgd.data import permuted_nonzeros
 from shuffle_sgd.engine import DivergenceError, RunConfig
 from shuffle_sgd.losses import LossModel, derivative_vec
 from shuffle_sgd.shuffle import ConfigError, ShufflePlan
@@ -347,8 +348,8 @@ class TestRun:
         n, b, eta = 8, 2, 0.05
         ds = random_sparse_dataset(rng, n=n)
         p = rng.permutation(n)
-        v = ss.PermutedView(ds, p)
-        reordered = ss.SparseDataset(v.indptr, v.indices, v.values, ds.labels[p], ds.d)
+        _, indptr, src = permuted_nonzeros(ds, p)
+        reordered = ss.SparseDataset(indptr, ds.indices[src], ds.values[src], ds.labels[p], ds.d)
         cfg = RunConfig(b, 2, eta)
         _, recorded = oracles.run_recording_inner(
             reordered, LossModel.for_dataset(family, reordered), ShufflePlan("IG"), cfg)
