@@ -171,31 +171,30 @@ def _queries_nonsmooth(epsilon: float, inp: BoundInputs) -> float:
     return 4.0 * inp.n * inp.Gbar * inp.D**2 / epsilon**2
 
 
-def _rr_inputs(ds, model, x_star, b, K, num_perms, seed, tol) -> BoundInputs:
+def _rr_inputs(ds, model, x_star, b, K, num_perms, seed) -> BoundInputs:
     """The sampled max of hat and tilde over num_perms random permutations:
     a deterministic constant step must cover every epoch."""
     sig = constants.sigma_star(ds, model, x_star, grad_tol=1e-6)
-    report = constants.ratio_stats(ds, regularity(model), b=b, num_perms=num_perms,
-                                   seed=seed, tol=tol)
+    report = constants.ratio_stats(ds, regularity(model), b=b, num_perms=num_perms, seed=seed)
     return BoundInputs(n=ds.n, b=b, K=K, hatL=report.hatL["max"], tildeL=report.tildeL["max"],
                        sigma_star=sig, D=float(np.linalg.norm(x_star)))
 
 
-def _ig_inputs(ds, model, x_star, b, K, num_perms, seed, tol) -> BoundInputs:
+def _ig_inputs(ds, model, x_star, b, K, num_perms, seed) -> BoundInputs:
     """hat and tilde at the identity order, which every fixed-order epoch
     runs, both read from one copy of its weighted rows."""
     reg, perm0 = regularity(model), np.arange(ds.n)
     B = constants._gram_rows(ds, reg.values, perm0, b)
     sig = constants.sigma_star(ds, model, x_star, grad_tol=1e-6)
     return BoundInputs(
-        n=ds.n, b=b, K=K, hatL=constants.hat_constant(ds, reg, perm0, b, tol=tol, B=B),
+        n=ds.n, b=b, K=K, hatL=constants.hat_constant(ds, reg, perm0, b, B=B),
         tildeL=constants.tilde_constant(ds, reg, perm0, b, B=B), sigma_star=sig,
         D=float(np.linalg.norm(x_star)),
         ystar_norm=constants.ystar_weighted_norm(ds, model, x_star, grad_tol=1e-6))
 
 
-def _nonsmooth_inputs(ds, model, x_star, b, K, num_perms, seed, tol) -> BoundInputs:
-    gbar = constants.gbar_estimate(ds, regularity(model), b, num_perms, seed=seed, tol=tol)
+def _nonsmooth_inputs(ds, model, x_star, b, K, num_perms, seed) -> BoundInputs:
+    gbar = constants.gbar_estimate(ds, regularity(model), b, num_perms, seed=seed)
     return BoundInputs(n=ds.n, b=b, K=K, D=float(np.linalg.norm(x_star)), Gbar=gbar)
 
 
@@ -204,7 +203,7 @@ class Guarantee:
     """One guarantee: how its runs go, its constants, and what they give."""
 
     scheme: str  # the runs' order: "RR" (reshuffled) or "IG" (fixed)
-    # (ds, model, x_star, b, K, num_perms, seed, tol) -> BoundInputs, with
+    # (ds, model, x_star, b, K, num_perms, seed) -> BoundInputs, with
     # D = ||x_star||: runs start at the origin
     inputs: Callable
     step: Callable  # BoundInputs -> constant step
@@ -218,12 +217,12 @@ def _finite_sum(base: Guarantee) -> Guarantee:
     """base with the finite-sum constants of L_i = w_i ||a_i||^2 in hatL and
     tildeL (identity order for IG, else the sampled max). base's inputs
     still measure the data-matrix hat and tilde that these replace."""
-    def inputs(ds, model, x_star, b, K, num_perms, seed, tol):
-        inp = base.inputs(ds, model, x_star, b, K, num_perms, seed, tol)
+    def inputs(ds, model, x_star, b, K, num_perms, seed):
+        inp = base.inputs(ds, model, x_star, b, K, num_perms, seed)
         Lvals = regularity(model).values * row_sq_norms(ds)
         perms = ([np.arange(ds.n)] if base.scheme == "IG" else
                  [random_permutation(ds.n, seed, j) for j in range(num_perms)])
-        inp.hatL = max(constants.general_hat_L(Lvals, p, b, tol=tol) for p in perms)
+        inp.hatL = max(constants.general_hat_L(Lvals, p, b) for p in perms)
         inp.tildeL = max(constants.general_tilde_L(Lvals, p, b) for p in perms)
         return inp
 

@@ -13,14 +13,16 @@ verify-bound and optimize --step theoretical read their guarantee's record
 in bounds.GUARANTEES for its constants, step and right-hand side; every run
 starts at the origin, from which those records measure D = ||x*||. --loss
 defaults to squared, but verify-bound --bound nonsmooth runs the planted
-hinge and takes no other loss. --tol is for the commands that run Lanczos.
+hinge and takes no other loss. Every Lanczos solve stops at
+constants.LANCZOS_TOL, which analyze's JSON report records.
 
 Each flag is checked where it is declared, by its argparse type; rules that
 join two flags open their command. So every usage error returns 2 from main
 before any data is read, except a batch size that must divide the n of an
---input file. A ratio study whose estimated cost exceeds DEFAULT_COST_BUDGET
-is refused unless --force: over --gaussian N,D data before the data is
-generated, over an --input file once it is read.
+--input file, which is checked as soon as the file is read. A ratio study
+whose estimated cost exceeds DEFAULT_COST_BUDGET is refused unless --force:
+over --gaussian N,D data before the data is generated, over an --input file
+once it is read.
 
 Exit codes: 0 success, 1 verdict failure (a verified bound was violated or
 could not be certified), 2 usage / IO / parse errors.
@@ -81,11 +83,6 @@ def _checked(message, convert=int, ok=lambda v: v >= 1):
     return parse
 
 
-def _positive_finite(name):
-    return _checked(name + " must be positive and finite, got {}", float,
-                    lambda v: math.isfinite(v) and v > 0)
-
-
 def _ints(text) -> list:
     try:
         return [int(t) for t in text.split(",") if t != ""]
@@ -110,7 +107,9 @@ def _run_seeds(text) -> list:
 def _step(text):
     """optimize --step: 'theoretical' or a positive finite float."""
     try:
-        return text if text == "theoretical" else _positive_finite("step sizes")(text)
+        return text if text == "theoretical" else _checked(
+            "step sizes must be positive and finite, got {}", float,
+            lambda v: math.isfinite(v) and v > 0)(text)
     except ValueError:
         raise argparse.ArgumentTypeError("--step expects a float or 'theoretical'")
 
@@ -125,18 +124,23 @@ def _check_data_flags(args, batches):
             shuffle.check_batch(args.gaussian[0], b)
 
 
-def _load_dataset(args) -> SparseDataset:
+def _load_dataset(args, batches) -> SparseDataset:
+    """The --input or --gaussian data, refused at once unless every batch
+    size divides its n: before anything is computed from it."""
     if args.gaussian:
-        return gen_gaussian(*args.gaussian, args.seed)
-    path = args.input
-    if not path:
+        ds = gen_gaussian(*args.gaussian, args.seed)
+    elif not args.input:
         raise CliError("provide --input PATH or --gaussian N,D")
-    if not os.path.exists(path):
-        raise CliError(f"input file not found: {path}")
-    try:
-        return load_libsvm(path)
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}")
+    elif not os.path.exists(args.input):
+        raise CliError(f"input file not found: {args.input}")
+    else:
+        try:
+            ds = load_libsvm(args.input)
+        except ParseError as exc:
+            raise CliError(f"{args.input}: {exc}")
+    for b in batches:
+        shuffle.check_batch(ds.n, b)
+    return ds
 
 
 def _unit_regularity(ds: SparseDataset) -> losses.RegularityDiag:
@@ -160,9 +164,7 @@ def _load_ratio_study(args, num_perms, batches) -> SparseDataset:
     _check_data_flags(args, batches)
     if args.gaussian:  # nnz is N·D, so the cost needs no generated data
         check_cost(args.gaussian[0], math.prod(args.gaussian))
-    ds = _load_dataset(args)
-    for b in batches:
-        shuffle.check_batch(ds.n, b)
+    ds = _load_dataset(args, batches)
     if not np.any(ds.values):
         raise CliError("the data has no nonzero value, so every ratio is 0 / 0")
     check_cost(ds.n, ds.nnz)
@@ -196,9 +198,8 @@ def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     ds = _load_ratio_study(args, args.num_perms, [args.b])
     reg = _unit_regularity(ds)
-    L_full = consts.full_gradient_L(ds, reg, tol=args.tol)
-    report = consts.ratio_stats(ds, reg, b=args.b, num_perms=args.num_perms, seed=args.seed,
-                                tol=args.tol)
+    L_full = consts.full_gradient_L(ds, reg)
+    report = consts.ratio_stats(ds, reg, b=args.b, num_perms=args.num_perms, seed=args.seed)
     payload = {**report.to_json_dict(), "L_full": L_full,
                "runtime_sec": time.perf_counter() - t0}
     _write_json(args, payload)
@@ -253,20 +254,19 @@ def cmd_optimize(args) -> int:
     if theoretical and args.scheme != "IG":
         _check_sampled_perms(args)
     _check_data_flags(args, [args.b])
-    ds = _load_dataset(args)
+    ds = _load_dataset(args, [args.b])
     model = losses.LossModel.for_dataset(args.loss, ds)
-    shuffle.check_batch(ds.n, args.b)
     trace = not args.no_trace
 
     eta = args.step
-    ref = consts.reference_minimizer(ds, model, tol=1e-10) if model.smooth else None
+    ref = consts.reference_minimizer(ds, model) if model.smooth else None
     if theoretical:
         if not ref.converged:
             raise CliError(f"reference minimizer stopped ({ref.reason}); cannot size the step",
                            code=1)
         guarantee = bd.GUARANTEES["ig" if args.scheme == "IG" else "rr"]
         eta = guarantee.step(guarantee.inputs(ds, model, ref.x, args.b, args.epochs, args.perms,
-                                              args.seed, args.tol))
+                                              args.seed))
     f_star = ref.value if ref is not None and ref.converged else None
 
     rows = [("seed", "epoch", "f_x", "f_avg", "retraction_residual")]
@@ -376,15 +376,14 @@ def cmd_verify_bound(args) -> int:
             model = losses.LossModel.for_dataset(args.loss, ds)
             f_star = 0.0
         else:
-            ds = _load_dataset(args)
+            ds = _load_dataset(args, [args.b])
             model = losses.LossModel.for_dataset(args.loss, ds)
-            ref = consts.reference_minimizer(ds, model, tol=1e-10)
+            ref = consts.reference_minimizer(ds, model)
             if not ref.converged:
                 return _inconclusive(
                     args, f"reference minimizer stopped ({ref.reason}); cannot size the step", ref)
             x_star, f_star = ref.x, ref.value
-        inp = guarantee.inputs(ds, model, x_star, args.b, args.epochs, args.perms, args.seed,
-                               args.tol)
+        inp = guarantee.inputs(ds, model, x_star, args.b, args.epochs, args.perms, args.seed)
         eta = guarantee.step(inp)
         rhs = guarantee.rhs(inp, eta)
     except consts.ConvergenceError as exc:
@@ -436,12 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = flags()
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", required=True, help="output path prefix")
-    lanczos = flags()
-    lanczos.add_argument("--tol", type=_positive_finite("tol"), default=1e-6,
-                         help="Lanczos stops once the Ritz residual of the top eigenvalue "
-                         "is at most tol times that value (hat, full_gradient_L, and "
-                         "general_hat_L in verify-bound); a solve that does not get "
-                         "there is an error")
     data = flags()
     data.add_argument("--input")
     data.add_argument("--gaussian", type=_checked("--gaussian expects N,D >= 1, got {}", _ints,
@@ -451,12 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--b", type=_checked("--b must be >= 1, got {}"), default=1)
     budget = flags()
     budget.add_argument("--force", action="store_true")
-    run = flags(batch, lanczos)
+    run = flags(batch)
     run.add_argument("--loss", choices=losses.FAMILIES, default=None,
                      help="default squared; verify-bound --bound nonsmooth takes only hinge")
     run.add_argument("--epochs", type=_checked("--epochs must be >= 1, got {}"), default=10)
 
-    sp = sub.add_parser("analyze", parents=[data, batch, budget, lanczos, common],
+    sp = sub.add_parser("analyze", parents=[data, batch, budget, common],
                         help="per-permutation hat/tilde constants and L / hat ratios")
     sp.add_argument("--num-perms", type=_checked("num_perms must be >= 1, got {}"), default=1000)
     sp.set_defaults(func=cmd_analyze)

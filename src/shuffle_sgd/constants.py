@@ -19,10 +19,11 @@ and the general finite-sum variants reduce to the same masked structure on
 the 1-column matrix with rows sqrt(w_{perm_i}).
 
 ||M|| and ||B B^T|| come from Lanczos with full reorthogonalisation. A
-solve stops once the Ritz residual is at most tol times the Ritz value,
-and a constant whose solve did not get there raises ConvergenceError
-instead of returning a possibly low value. tilde is exact: a batched
-symmetric eigensolver takes the top eigenvalues of all m block Grams.
+solve stops once the Ritz residual is at most tol (by default LANCZOS_TOL)
+times the Ritz value, and a constant whose solve did not get there raises
+ConvergenceError instead of returning a possibly low value. tilde is exact:
+a batched symmetric eigensolver takes the top eigenvalues of all m block
+Grams.
 
 M and the block Grams have two representations, chosen by one size rule
 on n, d and nnz(B) alone (_dense_gram, applied once per permutation by
@@ -68,6 +69,10 @@ from .losses import (LossModel, RegularityDiag, conjugate_pair, full_gradient, o
 from .shuffle import check_batch, random_permutation
 
 SCHEMA_VERSION = 1
+
+# Lanczos stops by default once the Ritz residual is at most this times the
+# Ritz value: hat, full_gradient_L and general_hat_L (analyze's "tolerance")
+LANCZOS_TOL = 1e-6
 
 
 class StationarityError(ValueError):
@@ -157,14 +162,20 @@ def _weights(values) -> np.ndarray:
     return w
 
 
+def _row_weights(ds: SparseDataset, values) -> np.ndarray:
+    """_weights(values), which must hold one entry per row of ds."""
+    w = _weights(values)
+    if w.shape != (ds.n,):
+        raise ValueError(f"weights must have one entry per row: {w.shape} for n = {ds.n}")
+    return w
+
+
 def _gram_rows(ds: SparseDataset, weights, perm, b: int) -> DenseRows | ColumnRuns:
     """The weighted rows sqrt(w_{perm_i}) * a_{perm_i} of one permutation, in
     the form its Grams read: dense where _dense_gram forms them densely,
     else in (column, block) order for blocks of b rows. This is the one
     place the size rule is applied."""
-    w = _weights(weights)
-    if w.shape != (ds.n,):
-        raise ValueError("weights must have one entry per row")
+    w = _row_weights(ds, weights)
     if _dense_gram(ds.n, ds.d, ds.nnz):
         perm = check_permutation(perm, ds.n)
         A = ds.to_dense()[perm]
@@ -270,7 +281,7 @@ class ConvergenceError(RuntimeError):
 
 
 def operator_norm(
-    matvec: Callable[[np.ndarray], np.ndarray], dim: int, tol: float = 1e-6,
+    matvec: Callable[[np.ndarray], np.ndarray], dim: int, tol: float = LANCZOS_TOL,
     max_iter: int = 10_000,
 ) -> OperatorNormResult:
     """Largest eigenvalue of a symmetric PSD operator by Lanczos.
@@ -334,13 +345,13 @@ def _converged_value(solve: str, res: OperatorNormResult, tol: float) -> float:
 
 def classical_constant(ds: SparseDataset, reg: RegularityDiag) -> float:
     """max_i w_i ||a_i||^2 (the worst-row constant; permutation invariant)."""
-    return float(np.max(reg.values * row_sq_norms(ds)))
+    return float(np.max(_row_weights(ds, reg.values) * row_sq_norms(ds)))
 
 
-def full_gradient_L(ds: SparseDataset, reg: RegularityDiag, tol: float = 1e-6) -> float:
+def full_gradient_L(ds: SparseDataset, reg: RegularityDiag, tol: float = LANCZOS_TOL) -> float:
     """(1/n) || B B^T || for the weighted matrix B = diag(s) A, s = sqrt(w)
     (permutation invariant)."""
-    s = np.sqrt(reg.values)
+    s = np.sqrt(_row_weights(ds, reg.values))
 
     def mv(v):
         return s * ds.matvec(ds.rmatvec(s * v))
@@ -349,7 +360,7 @@ def full_gradient_L(ds: SparseDataset, reg: RegularityDiag, tol: float = 1e-6) -
     return _converged_value("full_gradient_L", res, tol) / ds.n
 
 
-def hat_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, tol: float = 1e-6,
+def hat_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, tol: float = LANCZOS_TOL,
                  B=None) -> float:
     """(1/(m n)) || prefix-masked Gram sum || for one permutation.
 
@@ -433,12 +444,13 @@ def tilde_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, B=None)
     At b = 1 each block Gram is the scalar w_i ||a_i||^2, so the value is
     exactly the classical constant. B is as for hat_constant."""
     check_batch(ds.n, b)
-    if b == 1:
+    if b == 1:  # perm picks no block, but it must still be one
+        check_permutation(perm, ds.n)
         return classical_constant(ds, reg)
     return float(np.max(block_top_eigenvalues(ds, reg.values, perm, b, B=B))) / b
 
 
-def general_hat_L(L_values, perm, b: int, tol: float = 1e-6) -> float:
+def general_hat_L(L_values, perm, b: int, tol: float = LANCZOS_TOL) -> float:
     """Finite-sum analogue of hat_constant: hat_constant of the n x 1 matrix
     of ones with weights L, to the bit, so the weighted matrix is the single
     column sqrt(L_{perm_i}) (the Kronecker identity factor contributes
@@ -548,7 +560,7 @@ def ratio_stats(
     b: int,
     num_perms: int,
     seed: int = 0,
-    tol: float = 1e-6,
+    tol: float = LANCZOS_TOL,
 ) -> ConstantsReport:
     """Sample uniform permutations and aggregate hat/tilde constants.
 
@@ -585,7 +597,7 @@ def ratio_stats(
 
 def gbar_estimate(
     ds: SparseDataset, reg: RegularityDiag, b: int, num_perms: int, seed: int = 0,
-    tol: float = 1e-6,
+    tol: float = LANCZOS_TOL,
 ) -> float:
     """Sample mean of sqrt(hat_pi * tilde_pi) over uniform permutations
     (the permutation expectation entering the nonsmooth guarantee), from

@@ -59,8 +59,8 @@ class RegularityDiag:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if np.any(self.values <= 0):
-            raise ValueError("regularity entries must be strictly positive")
+        if not np.all(np.isfinite(self.values) & (self.values > 0)):
+            raise ValueError("regularity entries must be finite and strictly positive")
 
 
 def value_vec(m: LossModel, idx: np.ndarray, z: np.ndarray) -> np.ndarray:

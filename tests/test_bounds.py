@@ -121,11 +121,11 @@ class TestIGInputs:
         x_star = np.linalg.lstsq(A, t, rcond=None)[0]
         reg, perm0 = ss.regularity(model), np.arange(n)
         with gram_path(path):
-            hat = ss.hat_constant(ds, reg, perm0, b, tol=1e-10)
+            hat = ss.hat_constant(ds, reg, perm0, b)
             tilde = ss.tilde_constant(ds, reg, perm0, b)
             built, real = [], constants._gram_rows
             monkeypatch.setattr(constants, "_gram_rows", lambda *a: built.append(a) or real(*a))
-            inp = bounds._ig_inputs(ds, model, x_star, b, 5, 1, 0, 1e-10)
+            inp = bounds._ig_inputs(ds, model, x_star, b, 5, 1, 0)
         assert len(built) == 1
         assert inp.hatL == hat
         assert inp.tildeL == tilde

@@ -51,7 +51,7 @@ class TestAnalyze:
         out = tmp_path / "report"
         code = main([
             "analyze", "--input", str(identity6), "--b", "1",
-            "--num-perms", "5", "--seed", "3", "--out", str(out), "--tol", "1e-10",
+            "--num-perms", "5", "--seed", "3", "--out", str(out),
         ])
         assert code == 0
         payload = json.loads((tmp_path / "report.json").read_text())
@@ -146,10 +146,11 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_tol_not_positive_finite_exit_2(self, identity6, tmp_path, capsys, tol):
+        # no command takes --tol: every Lanczos solve stops at constants.LANCZOS_TOL
         code = main(["analyze", "--input", str(identity6), "--num-perms", "2",
                      "--tol", tol, "--out", str(tmp_path / "r")])
         assert code == 2
-        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert f"unrecognized arguments: --tol {tol}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [identity6]
 
     @pytest.mark.parametrize("fail_from, solve", [(1, "full_gradient_L"), (2, "hat_constant")])
@@ -566,6 +567,23 @@ class TestVerifyBound:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("bound", ["rr", "ig", "general-rr", "general-ig"])
+    def test_batch_refused_before_minimizer(self, tmp_path, capsys, monkeypatch, bound):
+        # b must divide the n of an --input file; the check waits only for
+        # the data, not for the reference minimizer (minutes on a large file)
+        def no_minimizer(*args, **kwargs):
+            raise AssertionError("reference_minimizer ran before the batch size was checked")
+
+        monkeypatch.setattr(ss.constants, "reference_minimizer", no_minimizer)
+        p = tmp_path / "rows25.svm"
+        p.write_text("".join(f"{i % 3 - 1} 1:{i + 1} 2:1\n" for i in range(25)))
+        code = main(["verify-bound", "--bound", bound, "--input", str(p), "--b", "2",
+                     "--out", str(tmp_path / "v")])
+        assert code == 2
+        assert "batch size 2 must divide n = 25; valid divisors: [1, 5, 25]" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [p]
+
 
 def no_data(monkeypatch):
     """Make every way a command gets its data fail the test."""
@@ -630,10 +648,11 @@ class TestRefusedBeforeLoading:
     ])
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_tol_in_every_command(self, tmp_path, capsys, monkeypatch, argv, tol):
+        # no command takes --tol: the Lanczos tolerance is constants.LANCZOS_TOL
         no_data(monkeypatch)
         code = main(argv + ["--tol", tol, "--out", str(tmp_path / "r")])
         assert code == 2
-        assert f"tol must be positive and finite, got {float(tol)}" in capsys.readouterr().err
+        assert f"unrecognized arguments: --tol {tol}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, want", [

@@ -411,6 +411,17 @@ class TestClassicalAndFull:
         ds = ss.SparseDataset.from_dense(np.eye(2))
         assert ss.classical_constant(ds, RegularityDiag([4.0, 1.0])) == 4.0
 
+    @pytest.mark.parametrize("constant", [
+        ss.classical_constant,
+        ss.full_gradient_L,
+        lambda ds, reg: ss.tilde_constant(ds, reg, np.arange(ds.n), 1),
+    ], ids=["classical", "full_gradient_L", "tilde-b1"])
+    def test_weights_must_match_rows(self, constant):
+        # else one weight would be broadcast over all four rows
+        ds = ss.gen_gaussian(4, 2, 0)
+        with pytest.raises(ValueError, match="one entry per row"):
+            constant(ds, RegularityDiag([2.0]))
+
     def test_full_gradient_identity(self):
         ds = ss.SparseDataset.from_dense(np.eye(2))
         assert ss.full_gradient_L(ds, unit_reg(2), **TIGHT) == pytest.approx(0.5, rel=1e-9)
@@ -489,6 +500,13 @@ class TestTildeConstant:
             reg = RegularityDiag(rng.uniform(0.1, 10.0, ds.n))
             til = ss.tilde_constant(ds, reg, rng.permutation(ds.n), 1)
             assert til == pytest.approx(ss.classical_constant(ds, reg), rel=1e-12)
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_rejects_a_non_permutation(self, b):
+        # at b = 1 no block is read, but perm must still be a permutation
+        ds = ss.gen_gaussian(2, 2, 0)
+        with pytest.raises(ValueError, match="perm must be a permutation"):
+            ss.tilde_constant(ds, unit_reg(2), [7, 7], b)
 
     def test_identity_b2(self):
         ds = ss.SparseDataset.from_dense(np.eye(2))

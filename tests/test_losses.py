@@ -201,3 +201,9 @@ class TestValidation:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             model("huber", [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_regularity_entries_must_be_finite_and_positive(self, bad):
+        # a NaN weight would reach full_gradient_L, which would blame Lanczos
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            ss.RegularityDiag([bad, 1.0, 2.0, 3.0])
