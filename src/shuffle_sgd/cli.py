@@ -1,7 +1,8 @@
 """Command-line drivers: the per-permutation ratio study (analyze: L, L_full
-and the trace bound once, hat and tilde per permutation), the L / tilde
-study over batch sizes (batch-sweep), optimizer runs (optimize) and bound
-verification (verify-bound).
+and the trace bound once, hat and tilde per permutation), optimizer runs
+(optimize) and bound verification (verify-bound). The L / tilde study over
+batch sizes is analyze at each b: scripts/batch_size_sweep.py runs it over
+every divisor of n.
 
 Every command reads its data from an --input LIBSVM file, with as many
 columns as its largest feature index, or generates --gaussian N,D.
@@ -19,10 +20,10 @@ constants.LANCZOS_TOL, which analyze's JSON report records.
 Each flag is checked where it is declared, by its argparse type; rules that
 join two flags open their command. So every usage error returns 2 from main
 before any data is read, except a batch size that must divide the n of an
---input file, which is checked as soon as the file is read. A ratio study
-whose estimated cost exceeds DEFAULT_COST_BUDGET is refused unless --force:
-over --gaussian N,D data before the data is generated, over an --input file
-once it is read.
+--input file, which is checked as soon as the file is read. An analyze
+study whose estimated cost exceeds DEFAULT_COST_BUDGET is refused unless
+--force: over --gaussian N,D data before the data is generated, over an
+--input file once it is read.
 
 Exit codes: 0 success, 1 verdict failure (a verified bound was violated or
 could not be certified), 2 usage / IO / parse errors.
@@ -90,11 +91,6 @@ def _ints(text) -> list:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _positive_ints(name):
-    return _checked(name + " must be nonempty, each entry >= 1, got {}", _ints,
-                    lambda v: v and min(v) >= 1)
-
-
 def _run_seeds(text) -> list:
     """optimize --seeds: distinct run seeds, at least one."""
     seeds = _checked("provide at least one run seed", _ints, bool)(text)
@@ -114,19 +110,18 @@ def _step(text):
         raise argparse.ArgumentTypeError("--step expects a float or 'theoretical'")
 
 
-def _check_data_flags(args, batches):
+def _check_data_flags(args):
     """Rules that join the data flags, checked before any data is read:
-    one source of data, and for --gaussian N,D every batch size dividing N."""
+    one source of data, and for --gaussian N,D the batch size dividing N."""
     if args.gaussian:
         if args.input:
             raise CliError("give --input PATH or --gaussian N,D, not both")
-        for b in batches:
-            shuffle.check_batch(args.gaussian[0], b)
+        shuffle.check_batch(args.gaussian[0], args.b)
 
 
-def _load_dataset(args, batches) -> SparseDataset:
-    """The --input or --gaussian data, refused at once unless every batch
-    size divides its n: before anything is computed from it."""
+def _load_dataset(args) -> SparseDataset:
+    """The --input or --gaussian data, refused at once unless the batch size
+    divides its n: before anything is computed from it."""
     if args.gaussian:
         ds = gen_gaussian(*args.gaussian, args.seed)
     elif not args.input:
@@ -138,8 +133,7 @@ def _load_dataset(args, batches) -> SparseDataset:
             ds = load_libsvm(args.input)
         except ParseError as exc:
             raise CliError(f"{args.input}: {exc}")
-    for b in batches:
-        shuffle.check_batch(ds.n, b)
+    shuffle.check_batch(ds.n, args.b)
     return ds
 
 
@@ -149,22 +143,22 @@ def _unit_regularity(ds: SparseDataset) -> losses.RegularityDiag:
     return losses.RegularityDiag(np.ones(ds.n))
 
 
-def _load_ratio_study(args, num_perms, batches) -> SparseDataset:
-    """The data of a permutation study over the given batch sizes, once the
-    study passes every rule: the data flags, each batch size dividing n, some
-    nonzero value (else every L / hat and L / tilde ratio is 0 / 0), and an
-    estimated cost within DEFAULT_COST_BUDGET unless --force."""
+def _load_ratio_study(args) -> SparseDataset:
+    """The data of analyze's permutation study, once the study passes every
+    rule: the data flags, the batch size dividing n, some nonzero value (else
+    every L / hat and L / tilde ratio is 0 / 0), and an estimated cost within
+    DEFAULT_COST_BUDGET unless --force."""
     def check_cost(n, nnz):
-        S, b = _ASSUMED_LANCZOS_STEPS, max(batches)
-        est = num_perms * (S * nnz + 2 * S * S * n + n * b * b)
+        S, b = _ASSUMED_LANCZOS_STEPS, args.b
+        est = args.num_perms * (S * nnz + 2 * S * S * n + n * b * b)
         if est > DEFAULT_COST_BUDGET and not args.force:
             raise CliError(f"estimated cost {est:.2e} ops exceeds budget "
                            f"{DEFAULT_COST_BUDGET:.2e}; rerun with --force to proceed")
 
-    _check_data_flags(args, batches)
+    _check_data_flags(args)
     if args.gaussian:  # nnz is N·D, so the cost needs no generated data
         check_cost(args.gaussian[0], math.prod(args.gaussian))
-    ds = _load_dataset(args, batches)
+    ds = _load_dataset(args)
     if not np.any(ds.values):
         raise CliError("the data has no nonzero value, so every ratio is 0 / 0")
     check_cost(ds.n, ds.nnz)
@@ -196,7 +190,7 @@ def _check_sampled_perms(args):
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    ds = _load_ratio_study(args, args.num_perms, [args.b])
+    ds = _load_ratio_study(args)
     reg = _unit_regularity(ds)
     L_full = consts.full_gradient_L(ds, reg)
     report = consts.ratio_stats(ds, reg, b=args.b, num_perms=args.num_perms, seed=args.seed)
@@ -208,35 +202,6 @@ def cmd_analyze(args) -> int:
         f"L={report.L:.6g} mean(L/hatL)={report.ratio_summary['mean']:.4g} "
         f"std={report.ratio_summary['std']:.3g} runtime={payload['runtime_sec']:.2f}s"
     )
-    return 0
-
-
-def cmd_batch_sweep(args) -> int:
-    b_grid = args.b_grid
-    ds = _load_ratio_study(args, args.perms * len(b_grid), b_grid)
-    reg = _unit_regularity(ds)
-    L = consts.classical_constant(ds, reg)
-    rows = [("b", "perm_index", "ratio")]
-    summary = [("b", "num_perms", "mean_ratio", "std_ratio")]
-    means = []
-    for b in b_grid:
-        ratios = []
-        for j in range(args.perms):
-            perm = shuffle.random_permutation(ds.n, args.seed, j)
-            til = consts.tilde_constant(ds, reg, perm, b)
-            ratios.append(L / til)
-        for j, r in enumerate(ratios):
-            rows.append((b, j, repr(float(r))))
-        means.append(float(np.mean(ratios)))
-        summary.append((b, args.perms, repr(means[-1]), repr(float(np.std(ratios)))))
-    # log-log slope of the mean ratio against b; a single b has none
-    alpha = (float(np.polyfit(np.log(b_grid), np.log(np.maximum(means, 1e-300)), 1)[0])
-             if len(b_grid) > 1 else None)
-    _write_csv(args.out + ".csv", rows)
-    _write_csv(args.out + ".summary.csv", summary)
-    _write_json(args, {"b_grid": b_grid, "mean_ratios": means, "loglog_slope": alpha})
-    slope = "none" if alpha is None else f"{alpha:.4g}"
-    print(f"alpha={slope} " + " ".join(f"b={b}:{m:.4g}" for b, m in zip(b_grid, means)))
     return 0
 
 
@@ -253,8 +218,8 @@ def cmd_optimize(args) -> int:
                        f"got --loss {args.loss}")
     if theoretical and args.scheme != "IG":
         _check_sampled_perms(args)
-    _check_data_flags(args, [args.b])
-    ds = _load_dataset(args, [args.b])
+    _check_data_flags(args)
+    ds = _load_dataset(args)
     model = losses.LossModel.for_dataset(args.loss, ds)
     trace = not args.no_trace
 
@@ -366,7 +331,7 @@ def cmd_verify_bound(args) -> int:
             raise CliError(f"--bound {args.bound} needs a smooth loss, got --loss {args.loss}")
     if guarantee.scheme == "RR":
         _check_sampled_perms(args)
-    _check_data_flags(args, [args.b])
+    _check_data_flags(args)
 
     # a constant whose spectral solve did not converge cannot size the step
     ref = None  # stays None for --planted: the optimum is known
@@ -376,7 +341,7 @@ def cmd_verify_bound(args) -> int:
             model = losses.LossModel.for_dataset(args.loss, ds)
             f_star = 0.0
         else:
-            ds = _load_dataset(args, [args.b])
+            ds = _load_dataset(args)
             model = losses.LossModel.for_dataset(args.loss, ds)
             ref = consts.reference_minimizer(ds, model)
             if not ref.converged:
@@ -423,7 +388,7 @@ def cmd_verify_bound(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="shuffle-sgd",
-        description="Shuffled SGD constants, sweeps, runs, and bound verification. "
+        description="Shuffled SGD constants, runs, and bound verification. "
         "Desk-scale studies (small LIBSVM sets, Gaussian sweeps up to ~500x500) "
         "finish in seconds to minutes; larger inputs need --force.",
     )
@@ -442,23 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="N,D synthetic data instead of --input")
     batch = flags()
     batch.add_argument("--b", type=_checked("--b must be >= 1, got {}"), default=1)
-    budget = flags()
-    budget.add_argument("--force", action="store_true")
     run = flags(batch)
     run.add_argument("--loss", choices=losses.FAMILIES, default=None,
                      help="default squared; verify-bound --bound nonsmooth takes only hinge")
     run.add_argument("--epochs", type=_checked("--epochs must be >= 1, got {}"), default=10)
 
-    sp = sub.add_parser("analyze", parents=[data, batch, budget, common],
+    sp = sub.add_parser("analyze", parents=[data, batch, common],
                         help="per-permutation hat/tilde constants and L / hat ratios")
     sp.add_argument("--num-perms", type=_checked("num_perms must be >= 1, got {}"), default=1000)
+    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("batch-sweep", parents=[data, budget, common],
-                        help="L / tilde ratio against batch size")
-    sp.add_argument("--b-grid", type=_positive_ints("b-grid"), required=True)
-    sp.add_argument("--perms", type=_checked("num_perms must be >= 1, got {}"), default=20)
-    sp.set_defaults(func=cmd_batch_sweep)
 
     sp = sub.add_parser("optimize", parents=[data, run, common],
                         help="run shuffled SGD and trace objectives")

@@ -66,7 +66,7 @@ from .data import (SparseDataset, check_permutation, permuted_nonzeros, row_ids,
                    row_sq_norms)
 from .losses import (LossModel, RegularityDiag, conjugate_pair, full_gradient, objective,
                      regularity)
-from .shuffle import check_batch, random_permutation
+from .shuffle import check_batch, random_permutation, trial_stream
 
 SCHEMA_VERSION = 1
 
@@ -511,7 +511,7 @@ class ConstantsReport:
 
     @property
     def perm_seeds(self) -> list:
-        return [prng.substream(self.seed, prng.DOMAIN_TRIAL, j) for j in range(self.num_perms)]
+        return [trial_stream(self.seed, j) for j in range(self.num_perms)]
 
     @property
     def ratios(self) -> np.ndarray:

@@ -54,8 +54,14 @@ def permutation_for(plan: ShufflePlan, n: int, k: int) -> np.ndarray:
     return _draw(plan.seed, 1 if plan.scheme == "SO" else k, n)
 
 
+def trial_stream(seed: int, trial: int) -> int:
+    """The id of the stream that random_permutation(n, seed, trial) draws
+    from; analyze reports it as each permutation's perm_seed."""
+    return prng.substream(seed, prng.DOMAIN_TRIAL, trial)
+
+
 def random_permutation(n: int, seed: int, trial: int = 0) -> np.ndarray:
     """Standalone uniform permutation on the (seed, trial) stream, for
     permutation-sampling experiments outside any epoch schedule."""
-    rng = prng.generator(prng.substream(seed, prng.DOMAIN_TRIAL, trial))
+    rng = prng.generator(trial_stream(seed, trial))
     return rng.permutation(n).astype(np.int64, copy=False)

@@ -166,44 +166,41 @@ class TestAnalyze:
 
 
 class TestBatchSweep:
+    """The L / tilde study over batch sizes is analyze at each b;
+    scripts/batch_size_sweep.py runs it over every divisor of n
+    (TestBatchSizeScript)."""
+
     def test_non_divisor_rejected(self, identity6, tmp_path, capsys):
         code = main([
-            "batch-sweep", "--input", str(identity6), "--b-grid", "1,4",
-            "--out", str(tmp_path / "x"),
+            "analyze", "--input", str(identity6), "--b", "4", "--out", str(tmp_path / "x"),
         ])
         assert code == 2
         assert "divisors" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [identity6]
 
     def test_b1_ratio_one_and_bn_full_reduction(self, identity6, tmp_path):
-        out = tmp_path / "bs"
-        code = main([
-            "batch-sweep", "--input", str(identity6), "--b-grid", "1,2,3,6",
-            "--perms", "4", "--out", str(out),
-        ])
-        assert code == 0
-        payload = json.loads((tmp_path / "bs.json").read_text())
-        means = payload["mean_ratios"]
-        assert means[0] == pytest.approx(1.0, rel=1e-9)  # b=1 tightness
-        # b=n: ratio = L / L_full = 1 / (1/6) = 6 for identity rows
-        assert means[-1] == pytest.approx(6.0, rel=1e-6)
-        assert "loglog_slope" in payload
+        for b in (1, 6):
+            code = main([
+                "analyze", "--input", str(identity6), "--b", str(b),
+                "--num-perms", "4", "--out", str(tmp_path / f"b{b}"),
+            ])
+            assert code == 0
+        # b=1 tightness: every tilde is L
+        payload = strict_json(tmp_path / "b1.json")
+        assert payload["tildeL_values"] == [payload["L"]] * 4
+        # b=n: the one block's Gram is the identity, so L / tilde = n = 6
+        payload = strict_json(tmp_path / "b6.json")
+        assert [payload["L"] / t for t in payload["tildeL_values"]] == pytest.approx([6.0] * 4,
+                                                                                     rel=1e-12)
 
     def test_zero_perms_exit_2(self, identity6, tmp_path, capsys):
         code = main([
-            "batch-sweep", "--input", str(identity6), "--b-grid", "1,2",
-            "--perms", "0", "--out", str(tmp_path / "z"),
+            "analyze", "--input", str(identity6), "--b", "2",
+            "--num-perms", "0", "--out", str(tmp_path / "z"),
         ])
         assert code == 2
         assert "num_perms must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [identity6]
-
-
-    def test_empty_b_grid_exit_2_before_loading(self, tmp_path, capsys):
-        code = main(["batch-sweep", "--input", str(tmp_path / "absent.svm"), "--b-grid", "",
-                     "--out", str(tmp_path / "e")])
-        assert code == 2
-        assert "b-grid must be nonempty" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestOptimize:
@@ -680,16 +677,14 @@ class TestRefusedBeforeLoading:
          "unrecognized arguments: --features"),
         (["analyze", "--gaussian", "24,5", "--num-perms", "0"],
          "argument --num-perms: num_perms must be >= 1, got 0"),
-        (["batch-sweep", "--gaussian", "6,3", "--b-grid", "1", "--tol", "1e-6"],
+        (["analyze", "--gaussian", "6,3", "--tol", "1e-6"],
          "unrecognized arguments: --tol 1e-6"),
-        (["batch-sweep", "--gaussian", "6,3", "--b-grid", "1", "--perms", "0"],
-         "argument --perms: num_perms must be >= 1, got 0"),
+        (["analyze", "--gaussian", "6,3", "--perms", "0"],
+         "unrecognized arguments: --perms 0"),
         (["analyze", "--gaussian", "24,0"],
          "argument --gaussian: --gaussian expects N,D >= 1, got [24, 0]"),
         (["analyze", "--gaussian", "24,5,3"],
          "argument --gaussian: --gaussian expects N,D >= 1, got [24, 5, 3]"),
-        (["batch-sweep", "--gaussian", "6,3", "--b-grid", "0,2"],
-         "argument --b-grid: b-grid must be nonempty, each entry >= 1, got [0, 2]"),
     ])
     def test_flag_faults(self, tmp_path, capsys, monkeypatch, argv, want):
         no_data(monkeypatch)
@@ -718,7 +713,7 @@ class TestRefusedBeforeLoading:
         ["verify-bound", "--bound", "rr", "--gaussian", "7,3", "--b", "2"],
         ["optimize", "--gaussian", "7,3", "--b", "2", "--step", "0.1"],
         ["analyze", "--gaussian", "7,3", "--b", "2"],
-        ["batch-sweep", "--gaussian", "7,3", "--b-grid", "1,2"],
+        ["verify-bound", "--bound", "general-rr", "--gaussian", "7,3", "--b", "2"],
     ])
     def test_gaussian_batch_must_divide_n(self, tmp_path, capsys, monkeypatch, argv):
         # n comes from --gaussian N,D, so the rule needs no generated data
@@ -730,13 +725,14 @@ class TestRefusedBeforeLoading:
     @pytest.mark.parametrize("argv", [
         ["analyze", "--gaussian", "20000,5000", "--num-perms", "1000"],
         ["analyze", "--gaussian", "2000,500", "--num-perms", "1000"],
-        ["batch-sweep", "--gaussian", "20000,5000", "--b-grid", "1,2"],
+        ["analyze", "--gaussian", "20000,5000", "--num-perms", "10"],
     ])
     def test_gaussian_over_budget_refused_before_generating(self, tmp_path, capsys, monkeypatch,
                                                             argv):
         # --gaussian N,D has N * D nonzeros, so the cost needs no generated
-        # data; 20000 x 5000 would take about 2.4 GB to generate, and 2000 x
-        # 500 at 1000 permutations, about 1.4e11 ops, is just over budget
+        # data; 20000 x 5000 would take about 2.4 GB to generate (over budget
+        # even at 10 permutations), and 2000 x 500 at 1000 permutations,
+        # about 1.4e11 ops, is just over budget
         no_data(monkeypatch)
         assert main(argv + ["--out", str(tmp_path / "r")]) == 2
         assert "exceeds budget" in capsys.readouterr().err
@@ -749,8 +745,8 @@ class TestRefusedBeforeLoading:
          "unrecognized arguments: --bogus"),
         (["optimize", "--gaussian", "6,3", "--epochs", "two", "--out", "r"],
          "argument --epochs: invalid int value: 'two'"),
-        (["batch-sweep", "--gaussian", "6,3", "--b-grid", "1,x", "--out", "r"],
-         "argument --b-grid: expected a comma-separated integer list, got '1,x'"),
+        (["optimize", "--gaussian", "6,3", "--seeds", "0,x", "--out", "r"],
+         "argument --seeds: expected a comma-separated integer list, got '0,x'"),
     ])
     def test_usage_error_returns_2(self, tmp_path, capsys, monkeypatch, argv, want):
         # the parser reports to main instead of exiting the process
@@ -760,12 +756,30 @@ class TestRefusedBeforeLoading:
         assert capsys.readouterr().err == f"error: {want}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, want", [
+        *[(command + flag, "unrecognized arguments: " + " ".join(flag))
+          for command in (["analyze"], ["optimize", "--step", "0.1"],
+                          ["verify-bound", "--bound", "rr"])
+          for flag in (["--features", "7"], ["--b-grid", "1,2"])],
+        (["batch-sweep", "--b-grid", "1,2"], "argument command: invalid choice: 'batch-sweep'"),
+    ])
+    def test_removed_flag_refused_before_loading(self, tmp_path, capsys, monkeypatch, argv,
+                                                 want):
+        # the column count comes from the data, and the batch study is
+        # analyze at each b (--tol and --max-cost: the TestAnalyze cases and
+        # test_bad_tol_in_every_command)
+        no_data(monkeypatch)
+        code = main(argv + ["--gaussian", "6,3", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert want in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAllZeroData:
     @pytest.mark.parametrize("argv", [
         ["analyze", "--num-perms", "2"],
         ["analyze", "--num-perms", "2", "--b", "2"],
-        ["batch-sweep", "--b-grid", "1,2", "--perms", "2"],
+        ["analyze", "--num-perms", "2", "--b", "4"],
     ])
     def test_refused_before_any_constant(self, tmp_path, capsys, monkeypatch, argv):
         # every L / hat and L / tilde ratio of an all-zero matrix is 0 / 0
@@ -784,9 +798,11 @@ class TestAllZeroData:
 
 
 SCRIPTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts"
-# gaussian_ratio_sweeps.py reads the reports of the commands it runs, so it
-# runs end to end below (TestGaussianSweep) instead of against the parser
-SCRIPTS = sorted(p for p in SCRIPTS_DIR.glob("*.py") if p.name != "gaussian_ratio_sweeps.py")
+# gaussian_ratio_sweeps.py and batch_size_sweep.py read the reports of the
+# commands they run, so they run end to end below (TestGaussianSweep,
+# TestBatchSizeScript) at a small size instead of against the parser
+SCRIPTS = sorted(p for p in SCRIPTS_DIR.glob("*.py")
+                 if p.name not in ("gaussian_ratio_sweeps.py", "batch_size_sweep.py"))
 # ratio_histograms.py reads its reports too, so its command lines also run
 REPORT_READERS = ("ratio_histograms.py",)
 
@@ -947,6 +963,46 @@ class TestGaussianSweep:
         assert L == pytest.approx(float(np.max(np.sum(A * A, axis=1))), rel=1e-12)
 
 
+@pytest.fixture(scope="class")
+def batch_sweep_run(tmp_path_factory):
+    """scripts/batch_size_sweep.py at n = 12, d = 3."""
+    out = tmp_path_factory.mktemp("batch_sweep")
+    with pytest.MonkeyPatch.context() as mp:
+        run_script(mp, "batch_size_sweep.py", "12", "3", str(out))
+    return out
+
+
+class TestBatchSizeScript:
+    N, D, DIVISORS = 12, 3, [1, 2, 3, 4, 6, 12]
+
+    def test_every_ratio_is_L_over_tilde(self, batch_sweep_run):
+        # the data and the permutations of every b are those of seed 0
+        ds = ss.gen_gaussian(self.N, self.D, 0)
+        reg = ss.RegularityDiag(np.ones(self.N))
+        L = ss.classical_constant(ds, reg)
+        lines = (batch_sweep_run / "gaussian_12x3.csv").read_text().splitlines()
+        assert lines[0] == "b,perm_index,ratio"
+        assert lines[1:] == [
+            f"{b},{j},{L / ss.tilde_constant(ds, reg, ss.random_permutation(self.N, 0, j), b)!r}"
+            for b in self.DIVISORS for j in range(100)]
+
+    def test_summary_and_slope(self, batch_sweep_run):
+        rows = [line.split(",") for line in
+                (batch_sweep_run / "gaussian_12x3.csv").read_text().splitlines()[1:]]
+        summary = (batch_sweep_run / "gaussian_12x3.summary.csv").read_text().splitlines()
+        assert summary[0] == "b,num_perms,mean_ratio,std_ratio"
+        means = []
+        for b, line in zip(self.DIVISORS, summary[1:]):
+            ratios = [float(r) for rb, _, r in rows if int(rb) == b]
+            means.append(float(np.mean(ratios)))
+            assert line == f"{b},100,{means[-1]!r},{float(np.std(ratios))!r}"
+            assert (batch_sweep_run / "gaussian_12x3" / f"b{b}.json").exists()
+        result = strict_json(batch_sweep_run / "gaussian_12x3.json")
+        assert result["b_grid"] == self.DIVISORS and result["mean_ratios"] == means
+        assert result["loglog_slope"] == float(
+            np.polyfit(np.log(self.DIVISORS), np.log(means), 1)[0])
+
+
 def test_commands_run_without_scipy(tmp_path):
     """The package computes on numpy alone: after analyze on both Gram paths,
     optimize and three verify-bound kinds, no scipy module is loaded. It runs
@@ -988,11 +1044,11 @@ def test_commands_run_without_scipy(tmp_path):
     assert len(list(tmp_path.glob("out*.json"))) == len(commands)
 
 
-def test_help_lists_the_four_commands(capsys):
+def test_help_lists_the_three_commands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "{analyze,batch-sweep,optimize,verify-bound}" in capsys.readouterr().out
+    assert "{analyze,optimize,verify-bound}" in capsys.readouterr().out
 
 
 def test_readme_cli_lines_parse():
@@ -1004,17 +1060,16 @@ def test_readme_cli_lines_parse():
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("shuffle-sgd ")]
     for argv in commands:
         cli.build_parser().parse_args(argv)
-    assert {argv[0] for argv in commands} == {"analyze", "batch-sweep", "optimize",
-                                              "verify-bound"}
+    assert {argv[0] for argv in commands} == {"analyze", "optimize", "verify-bound"}
 
 
 class TestStrictJson:
-    def test_single_b_slope_is_null(self, identity6, tmp_path, capsys):
-        code = main(["batch-sweep", "--input", str(identity6), "--b-grid", "2",
-                     "--perms", "2", "--out", str(tmp_path / "one")])
-        assert code == 0
-        assert strict_json(tmp_path / "one.json")["loglog_slope"] is None
-        assert capsys.readouterr().out.startswith("alpha=none ")
+    def test_single_b_slope_is_null(self, tmp_path, capsys, monkeypatch):
+        # n = 1 has the one divisor b = 1, and one point fits no slope
+        run_script(monkeypatch, "batch_size_sweep.py", "1", "3", str(tmp_path))
+        summary = strict_json(tmp_path / "gaussian_1x3.json")
+        assert summary["b_grid"] == [1] and summary["loglog_slope"] is None
+        assert capsys.readouterr().out.splitlines()[-1] == "alpha=none b=1:1"
 
     def test_non_finite_payload_is_refused_unwritten(self, tmp_path):
         args = SimpleNamespace(out=str(tmp_path / "nan"), func=None)
