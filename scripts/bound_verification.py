@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end bound verification on small synthetic problems: one run per
-guarantee (uniform reshuffling, fixed order, nonsmooth, finite-sum variants).
+guarantee (uniform reshuffling, fixed order, nonsmooth, finite-sum variants),
+and uniform reshuffling again on the logistic loss.
 
 Usage: python scripts/bound_verification.py [out_dir]
 """
@@ -34,11 +35,15 @@ checks = [
      "--b", "3", "--epochs", "8"],
     ["verify-bound", "--bound", "nonsmooth", "--planted", "--gaussian", "50,5",
      "--b", "1", "--epochs", "16", "--seeds", "200", "--perms", "200"],
+    # +-1 labels that overlap: the logistic reference minimizer's path
+    ["verify-bound", "--bound", "rr", "--gaussian", "24,5", "--loss", "logistic",
+     "--b", "2", "--epochs", "10", "--seeds", "200", "--perms", "100"],
 ]
 
 failed = 0
 for args in checks:
-    tag = args[2] + ("_planted" if "--planted" in args else "")
+    tag = args[2] + ("_planted" if "--planted" in args else "") + (
+        "_logistic" if "logistic" in args else "")
     print(f"== {tag}")
     code = main(args + ["--out", str(out_dir / tag)])
     failed += code != 0

@@ -37,7 +37,10 @@ m x d buffer), and the block Grams are pair sums: entry (k, l) of a block's
 Gram adds v_k v_l over the pairs of nonzeros of rows k and l that share a
 column. The two agree to roundoff. All of it runs on the CSR arrays with
 numpy; only the logistic separability LP (_logistic_unbounded) builds a
-scipy matrix.
+scipy matrix, and reference_minimizer, which supplies the optimum that
+sigma_star and ystar_weighted_norm read (L-BFGS, no spectral solve), calls
+it only when its last iterate neither separates the data strictly nor
+certifies that a finite minimizer exists.
 
 Memory, above the dataset: the dense form holds the n x n Gram, at most
 128 bytes per nonzero under the size rule, plus the dense B (DenseRows)
@@ -55,7 +58,9 @@ call at about 65.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -64,8 +69,8 @@ import numpy as np
 from . import prng
 from .data import (SparseDataset, check_permutation, permuted_nonzeros, row_ids,
                    row_sq_norms)
-from .losses import (LossModel, RegularityDiag, conjugate_pair, full_gradient, objective,
-                     regularity)
+from .losses import (LossModel, RegularityDiag, conjugate_pair, derivative_vec, full_gradient,
+                     regularity, sigmoid, value_vec)
 from .shuffle import check_batch, random_permutation, trial_stream
 
 SCHEMA_VERSION = 1
@@ -450,6 +455,12 @@ def tilde_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, B=None)
     return float(np.max(block_top_eigenvalues(ds, reg.values, perm, b, B=B))) / b
 
 
+@functools.lru_cache(maxsize=4)
+def _ones_column(n: int) -> SparseDataset:
+    """The n x 1 matrix of ones, built once per n: a dataset is immutable."""
+    return SparseDataset(np.arange(n + 1), np.zeros(n, dtype=np.int64), np.ones(n), np.zeros(n), 1)
+
+
 def general_hat_L(L_values, perm, b: int, tol: float = LANCZOS_TOL) -> float:
     """Finite-sum analogue of hat_constant: hat_constant of the n x 1 matrix
     of ones with weights L, to the bit, so the weighted matrix is the single
@@ -458,8 +469,8 @@ def general_hat_L(L_values, perm, b: int, tol: float = LANCZOS_TOL) -> float:
     L = np.asarray(L_values, dtype=np.float64)
     n = len(L)
     m = check_batch(n, b)
-    ones = SparseDataset(np.arange(n + 1), np.zeros(n, dtype=np.int64), np.ones(n), np.zeros(n), 1)
-    res = operator_norm(MaskedGramOperator(_gram_rows(ones, L, perm, b), b).matvec, n, tol=tol)
+    B = _gram_rows(_ones_column(n), L, perm, b)
+    res = operator_norm(MaskedGramOperator(B, b).matvec, n, tol=tol)
     return _converged_value("general_hat_L", res, tol) / (m * n)
 
 
@@ -639,7 +650,7 @@ class MinimizerResult(NamedTuple):
     grad_norm: float
     iterations: int
     # why the run stopped: "converged" (||grad|| <= tol), "no_finite_minimizer"
-    # (the separability LP found a direction of unbounded descent) or
+    # (a logistic run whose last iterate shows that none exists) or
     # "max_iter" (out of iterations)
     reason: str
 
@@ -648,8 +659,8 @@ class MinimizerResult(NamedTuple):
         return self.reason == "converged"
 
 
-# Gradient-descent iterations before a logistic run checks for separability.
-_SEPARABILITY_CHECK_AT = 5_000
+# (step, gradient change) pairs that reference_minimizer's L-BFGS keeps
+_LBFGS_MEMORY = 10
 
 
 def _logistic_unbounded(ds: SparseDataset, m: LossModel) -> bool:
@@ -678,47 +689,58 @@ def _logistic_unbounded(ds: SparseDataset, m: LossModel) -> bool:
 
 
 def reference_minimizer(
-    ds: SparseDataset, m: LossModel, tol: float = 1e-10, max_iter: int = 200_000
+    ds: SparseDataset, m: LossModel, tol: float = 1e-10, max_iter: int = 2_000
 ) -> MinimizerResult:
-    """Full gradient descent with step 1/L_full and Armijo halving, run until
-    ||grad f|| <= tol. Supplies the optimum for variance/dual-norm constants.
+    """L-BFGS from the origin, Armijo halving from the unit step (the first
+    scaled by 1/||grad f||), to ||grad f|| <= tol. It carries z = A x: an
+    iteration makes one product A p and one A^T l'(z), a trial step costs
+    O(n), and x, f(x), ||grad f(x)|| are recomputed from x. max_iter is
+    about ten times the most iterations measured (215: rcv1-shaped, squared).
 
-    A logistic run still short of tol after _SEPARABILITY_CHECK_AT iterations
-    solves one LP; if it finds a direction of unbounded descent (separable
-    data) the run stops there with reason "no_finite_minimizer" instead of
-    iterating to max_iter. Runs that converge sooner never pay for it."""
+    A logistic run decides from its last x whether a finite minimizer exists.
+    If every margin t_i z_i clears a roundoff floor, f falls forever along x.
+    Else y = sigma(-t z) > 0 has sum_i y_i t_i a_i = -n grad f, so any u in
+    the LP's box with margins >= 0 has margin sum <= n ||grad f||_1 / min y
+    (Stiemke): below its 1e-6 * scale the LP would find no u; only between
+    does it run."""
     if not m.smooth:
         raise ValueError("reference minimizer requires a smooth loss family")
-    reg = regularity(m)
-    Lf = full_gradient_L(ds, reg, tol=1e-10)
-    x = np.zeros(ds.d)
-    fx = objective(m, ds, x)
-    if Lf == 0.0:
-        g = full_gradient(m, ds, x)
-        return MinimizerResult(x, fx, float(np.linalg.norm(g)), 0, "converged")
-    base_step = 1.0 / Lf
-    it = 0
-    for it in range(1, max_iter + 1):
-        g = full_gradient(m, ds, x)
-        gn = float(np.linalg.norm(g))
-        if gn <= tol:
-            return MinimizerResult(x, fx, gn, it - 1, "converged")
-        if (it == _SEPARABILITY_CHECK_AT and m.family == "logistic"
-                and _logistic_unbounded(ds, m)):
-            return MinimizerResult(x, fx, gn, it - 1, "no_finite_minimizer")
-        eta = base_step
-        gsq = gn * gn
+    idx, pairs = np.arange(ds.n), deque(maxlen=_LBFGS_MEMORY)  # (s, r, 1 / s.r), oldest first
+
+    def value_grad(z):  # f and grad f at the predictions z
+        return float(np.mean(value_vec(m, idx, z))), ds.rmatvec(derivative_vec(m, idx, z)) / ds.n
+
+    x, z, it = np.zeros(ds.d), np.zeros(ds.n), 0
+    fx, g = value_grad(z)
+    while it < max_iter and (gn := float(np.linalg.norm(g))) > tol:
+        it += 1
+        p, alphas = -g, []  # two-loop recursion: p = -H g, H0 = s.r / r.r of the newest pair
+        for s, r, rho in reversed(pairs):
+            alphas.append(rho * (s @ p))
+            p = p - alphas[-1] * r
+        p *= 1.0 / (pairs[-1][2] * (pairs[-1][1] @ pairs[-1][1])) if pairs else 1.0 / gn
+        for (s, r, rho), a in zip(pairs, reversed(alphas)):
+            p += (a - rho * (r @ p)) * s
+        Ap, slope, eta = ds.matvec(p), float(g @ p), 1.0
         for _ in range(60):
-            x_new = x - eta * g
-            f_new = objective(m, ds, x_new)
-            # Armijo sufficient decrease with roundoff slack: near the float
-            # resolution of f the decrease is unmeasurable, but the constant
-            # 1/L step still contracts the iterate, so accept non-increase.
+            f_new = float(np.mean(value_vec(m, idx, z + eta * Ap)))
+            # Armijo, with slack for roundoff: near f's float resolution accept non-increase
             slack = 8.0 * np.finfo(float).eps * max(abs(fx), abs(f_new))
-            if f_new <= fx - 1e-4 * eta * gsq + slack:
+            if f_new <= fx + 1e-4 * eta * slope + slack:
                 break
             eta *= 0.5
-        x, fx = x_new, f_new
-    g = full_gradient(m, ds, x)
-    gn = float(np.linalg.norm(g))
+        x, z, g_old = x + eta * p, z + eta * Ap, g
+        fx, g = value_grad(z)
+        s, r = eta * p, g - g_old
+        if s @ r > 0:
+            pairs.append((s, r, 1.0 / (s @ r)))
+    fx, g = value_grad(z := ds.matvec(x))
+    gn, t = float(np.linalg.norm(g)), m.targets
+    if m.family == "logistic":
+        # |roundoff in z_i| <= nnz_i eps sum_j |a_ij x_j| <= 1e-9 ||a_i|| ||x||
+        margins, floor = t * z, 1e-9 * np.abs(t) * np.sqrt(row_sq_norms(ds)) * np.linalg.norm(x)
+        scale = float(np.abs(ds.values * t[row_ids(ds)]).sum())
+        certified = ds.n * np.abs(g).sum() < 1e-6 * scale * sigmoid(-margins).min()
+        if np.all(margins > floor) or (not certified and _logistic_unbounded(ds, m)):
+            return MinimizerResult(x, fx, gn, it, "no_finite_minimizer")
     return MinimizerResult(x, fx, gn, it, "converged" if gn <= tol else "max_iter")

@@ -75,7 +75,7 @@ def value_vec(m: LossModel, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.abs(z - t)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) to a few ulp for every x, without overflow or a
     warning: the one exponential taken is e^-|x| <= 1."""
     e = np.exp(-np.abs(x))
@@ -88,7 +88,7 @@ def derivative_vec(m: LossModel, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
     if m.family == "squared":
         return z - t
     if m.family == "logistic":
-        return -t * _sigmoid(-t * z)
+        return -t * sigmoid(-t * z)
     if m.family == "hinge":
         return np.where(t * z < 1.0, -t, 0.0)
     return np.sign(z - t)

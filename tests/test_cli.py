@@ -318,13 +318,13 @@ class TestOptimize:
         assert list(tmp_path.iterdir()) == [identity6]
 
     def test_unconverged_constant_exit_1(self, identity6, tmp_path, capsys, monkeypatch):
-        unconverged_from(monkeypatch, 1)  # the reference minimizer's full_gradient_L
+        unconverged_from(monkeypatch, 1)  # the first sampled hat: the minimizer solves none
         code = main([
             "optimize", "--input", str(identity6), "--loss", "squared", "--b", "1",
             "--epochs", "2", "--step", "theoretical", "--out", str(tmp_path / "nc"),
         ])
         assert code == 1
-        assert "full_gradient_L: Lanczos did not converge" in capsys.readouterr().err
+        assert "hat_constant: Lanczos did not converge" in capsys.readouterr().err
         assert not (tmp_path / "nc.json").exists()
 
     def test_negative_epochs_exit_2(self, identity6, tmp_path, capsys):
@@ -509,10 +509,10 @@ class TestVerifyBound:
         assert payload["minimizer"]["reason"] == "no_finite_minimizer"
 
     @pytest.mark.parametrize("bound, fail_from, solve, minimizer", [
-        # calls: the minimizer's full_gradient_L, then the 4 sampled hats,
-        # then general_hat_L for the 4 permutations; the planted nonsmooth
-        # problem runs no minimizer, so its first solve is a sampled hat
-        ("rr", 1, "full_gradient_L", None),
+        # calls: the 4 sampled hats, then general_hat_L for the 4
+        # permutations (the reference minimizer solves none); the planted
+        # nonsmooth problem runs no minimizer
+        ("rr", 1, "hat_constant", "converged"),
         ("rr", 2, "hat_constant", "converged"),
         ("general-rr", 6, "general_hat_L", "converged"),
         ("nonsmooth", 1, "hat_constant", None),
@@ -1005,7 +1005,7 @@ class TestBatchSizeScript:
 
 def test_commands_run_without_scipy(tmp_path):
     """The package computes on numpy alone: after analyze on both Gram paths,
-    optimize and three verify-bound kinds, no scipy module is loaded. It runs
+    optimize and four verify-bound kinds, no scipy module is loaded. It runs
     in a fresh interpreter, because other test modules import scipy."""
     rng = np.random.default_rng(24)
     n, d, k = 400, 50, 3
@@ -1022,6 +1022,9 @@ def test_commands_run_without_scipy(tmp_path):
         ["optimize", "--loss", "squared", "--step", "theoretical", "--perms", "3", *small],
         ["verify-bound", "--bound", "rr", "--perms", "3", *small],
         ["verify-bound", "--bound", "general-rr", "--perms", "3", *small],
+        # overlapping +-1 labels: the minimizer's certificate decides, no LP
+        ["optimize", "--loss", "logistic", "--step", "theoretical", "--perms", "3", *small],
+        ["verify-bound", "--bound", "ig", "--loss", "logistic", *small],
         ["verify-bound", "--bound", "nonsmooth", "--planted", "--gaussian", "20,4", "--b", "1",
          "--epochs", "2", "--seeds", str(runs), "--perms", "3"],
         ["analyze", "--input", str(path), "--b", "4", "--num-perms", "2"],

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import shuffle_sgd as ss
 from shuffle_sgd import constants
 from shuffle_sgd.constants import (
-    _SEPARABILITY_CHECK_AT,
     ConvergenceError,
     MaskedGramOperator,
     StationarityError,
@@ -812,16 +811,41 @@ class TestReferenceMinimizer:
         assert res.converged
         assert np.allclose(res.x, x_ref, atol=1e-7)
 
-    def test_nonconvergence_flagged(self):
-        # separable logistic problem has no finite minimizer
+    def test_min_norm_solution_when_n_below_d(self, rng):
+        # from x0 = 0 every iterate stays in the row space, so the minimizer
+        # found is the min-norm one, pinv(A) t
+        A = rng.standard_normal((12, 30))
+        t = rng.standard_normal(12)
+        ds = ss.SparseDataset.from_dense(A, labels=t)
+        res = ss.reference_minimizer(ds, LossModel.for_dataset("squared", ds))
+        assert res.converged
+        assert np.allclose(res.x, np.linalg.pinv(A) @ t, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("family", ["squared", "logistic"])
+    def test_no_spectral_solve(self, rng, monkeypatch, family):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("reference_minimizer ran a Lanczos solve")
+
+        monkeypatch.setattr(constants, "operator_norm", no_solve)
+        ds = ss.SparseDataset.from_dense(rng.standard_normal((40, 6)),
+                                         labels=np.sign(rng.standard_normal(40)))
+        assert ss.reference_minimizer(ds, LossModel.for_dataset(family, ds)).converged
+
+    def test_nonconvergence_flagged(self, monkeypatch):
+        # separable logistic problem has no finite minimizer; the last
+        # iterate separates both rows strictly, which decides it with no LP
+        def no_lp(*args):
+            raise AssertionError("the separability LP ran")
+
+        monkeypatch.setattr(constants, "_logistic_unbounded", no_lp)
         ds = ss.SparseDataset.from_dense(np.array([[1.0], [2.0]]), labels=[1.0, 1.0])
         m = LossModel.for_dataset("logistic", ds)
         res = ss.reference_minimizer(ds, m, tol=1e-10, max_iter=200)
-        assert not res.converged and res.reason == "max_iter"
+        assert not res.converged and res.reason == "no_finite_minimizer"
 
     def test_overlapping_logistic_not_flagged_unbounded(self, rng):
         # noisy labels make the classes overlap: the separability LP finds no
-        # direction of unbounded descent, and gradient descent converges
+        # direction of unbounded descent, and the reference minimizer converges
         for _ in range(5):
             A = rng.standard_normal((12, 3))
             t = np.where(A @ np.array([1.0, -0.5, 0.25]) > 0, 1.0, -1.0)
@@ -835,11 +859,14 @@ class TestReferenceMinimizer:
             assert ref.reason == "converged"
 
     def test_separable_logistic_stops_at_separability_check(self):
+        # weakly separable: rows 2 and 3 have margin 0 along every direction
+        # of unbounded descent, so no iterate separates strictly, while the
+        # gradient falls below the tolerance; only the LP can tell
         ds = ss.SparseDataset.from_dense(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
                                          labels=[1.0, 1.0, 1.0])
         ref = ss.reference_minimizer(ds, LossModel.for_dataset("logistic", ds))
         assert not ref.converged and ref.reason == "no_finite_minimizer"
-        assert ref.iterations == _SEPARABILITY_CHECK_AT - 1
+        assert ref.grad_norm <= 1e-10 and ref.x[0] > 0 and ref.x[1] == 0.0
 
 
 class TestGbar:
