@@ -7,7 +7,6 @@ from .bounds import (
     bound_rhs_ig,
     bound_rhs_nonsmooth,
     bound_rhs_smooth_rr,
-    gradient_query_complexity,
     step_size_ig,
     step_size_nonsmooth,
     step_size_smooth_rr,

@@ -1,5 +1,5 @@
-"""Theoretical step sizes, convergence-bound right-hand sides, and gradient
-query counts for shuffled SGD on linear-predictor ERM.
+"""Theoretical step sizes and convergence-bound right-hand sides for
+shuffled SGD on linear-predictor ERM.
 
 Symbols: n components, batch b (with b | n), K epochs of one constant
 step eta, so H_K = K eta, D = ||x*|| the distance to the optimum from the
@@ -9,8 +9,8 @@ constants (worst-case or the sampled max), ystar_norm = ||y*|| weighted by
 inverse smoothness (fixed-order runs only), Gbar the permutation mean of
 sqrt(hatG * tildeG) (nonsmooth runs). GUARANTEES holds one record per
 kind: how its runs go, how its constants are measured into BoundInputs,
-and its step, RHS and query-count functions. The finite-sum kinds reuse the
-rr and ig functions, with the finite-sum constants in hatL/tildeL.
+and its step and RHS functions. The finite-sum kinds reuse the rr and ig
+functions, with the finite-sum constants in hatL/tildeL.
 
 All RHS helpers take the scalar eta and return the bound on the
 (expected) suboptimality of the averaged output, i.e. the raw telescoped
@@ -148,29 +148,6 @@ def bound_rhs_nonsmooth(inp: BoundInputs, eta: float) -> float:
     return (inp.b * inp.D**2 / (2.0 * inp.n) + err) / (K * eta)
 
 
-def _queries_rr(epsilon: float, inp: BoundInputs) -> float:
-    n, b, D2 = inp.n, inp.b, inp.D**2
-    first = n * math.sqrt(2.0 * inp.hatL * inp.tildeL) * D2 / epsilon
-    second = 0.0
-    if n > b and inp.sigma_star > 0:
-        second = (math.sqrt((n - b) * (n + b) / (n - 1))
-                  * 2.0**1.5 * math.sqrt(inp.tildeL) * inp.sigma_star * D2
-                  / (math.sqrt(3.0) * epsilon**1.5))
-    return max(first, second)
-
-
-def _queries_ig(epsilon: float, inp: BoundInputs) -> float:
-    n, b, D2 = inp.n, inp.b, inp.D**2
-    first = n * math.sqrt(2.0 * inp.hatL * inp.tildeL) * D2 / epsilon
-    term_y = 4.0 * math.sqrt(n * inp.hatL * inp.tildeL) * inp.ystar_norm * D2 / epsilon**1.5
-    term_s = 4.0 * (n - b) * math.sqrt(inp.tildeL) * inp.sigma_star * D2 / epsilon**1.5
-    return first + min(term_y, term_s)
-
-
-def _queries_nonsmooth(epsilon: float, inp: BoundInputs) -> float:
-    return 4.0 * inp.n * inp.Gbar * inp.D**2 / epsilon**2
-
-
 def _rr_inputs(ds, model, x_star, b, K, num_perms, seed) -> BoundInputs:
     """The sampled max of hat and tilde over num_perms random permutations:
     a deterministic constant step must cover every epoch."""
@@ -208,7 +185,6 @@ class Guarantee:
     inputs: Callable
     step: Callable  # BoundInputs -> constant step
     rhs: Callable  # (BoundInputs, eta) -> bound on the averaged output's gap
-    queries: Callable  # (epsilon, BoundInputs) -> gradient evaluations, unrounded
     general: bool = False  # runs take each component's gradient from an oracle
     planted: bool = False  # the problem is a planted hinge, whose optimum is known
 
@@ -229,19 +205,10 @@ def _finite_sum(base: Guarantee) -> Guarantee:
     return replace(base, inputs=inputs, general=True)
 
 
-_RR = Guarantee("RR", _rr_inputs, step_size_smooth_rr, bound_rhs_smooth_rr, _queries_rr)
-_IG = Guarantee("IG", _ig_inputs, step_size_ig, bound_rhs_ig, _queries_ig)
+_RR = Guarantee("RR", _rr_inputs, step_size_smooth_rr, bound_rhs_smooth_rr)
+_IG = Guarantee("IG", _ig_inputs, step_size_ig, bound_rhs_ig)
 _NONSMOOTH = Guarantee("RR", _nonsmooth_inputs, step_size_nonsmooth, bound_rhs_nonsmooth,
-                       _queries_nonsmooth, planted=True)
+                       planted=True)
 GUARANTEES = {"rr": _RR, "ig": _IG, "nonsmooth": _NONSMOOTH,
               "general_rr": _finite_sum(_RR), "general_ig": _finite_sum(_IG)}
 
-
-def gradient_query_complexity(kind: str, epsilon: float, inp: BoundInputs) -> int:
-    """Component gradient evaluations (n K) sufficient for target error epsilon,
-    using the explicit constants behind the guarantee GUARANTEES[kind]."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if kind not in GUARANTEES:
-        raise ValueError(f"kind must be one of {tuple(GUARANTEES)}")
-    return int(math.ceil(GUARANTEES[kind].queries(epsilon, inp)))

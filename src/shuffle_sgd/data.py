@@ -393,10 +393,10 @@ def parse_libsvm(source, d: int | None = None) -> SparseDataset:
     return _dataset(*parts, d)
 
 
-def load_libsvm(path, d: int | None = None) -> SparseDataset:
+def load_libsvm(path) -> SparseDataset:
     """Read a LIBSVM file (optionally gzipped) from disk."""
     with open(path, "rb") as fh:
-        return parse_libsvm(fh.read(), d=d)
+        return parse_libsvm(fh.read())
 
 
 def serialize_libsvm(ds: SparseDataset) -> str:

@@ -171,37 +171,6 @@ class TestGeneralVariants:
         )
 
 
-class TestQueryComplexity:
-    def test_interpolation_first_term_only(self):
-        inp = BoundInputs(n=2, b=1, K=1, hatL=0.5, tildeL=0.5, sigma_star=0.0, D=1.0)
-        assert ss.gradient_query_complexity("rr", 0.1, inp) == 15
-
-    def test_inverse_epsilon_scaling(self):
-        inp = BoundInputs(n=4, b=1, K=1, hatL=1.0, tildeL=1.0, sigma_star=0.0, D=1.0)
-        c1 = ss.gradient_query_complexity("rr", 0.2, inp)
-        c2 = ss.gradient_query_complexity("rr", 0.1, inp)
-        assert c2 == 2 * c1 or abs(c2 - 2 * c1) <= 1  # ceil rounding
-
-    def test_nonsmooth_formula(self):
-        inp = BoundInputs(n=10, b=1, K=1, Gbar=2.0, D=1.5)
-        assert ss.gradient_query_complexity("nonsmooth", 0.5, inp) == math.ceil(
-            4 * 10 * 2.0 * 2.25 / 0.25
-        )
-
-    def test_ig_takes_min_branch(self):
-        inp = BoundInputs(
-            n=8, b=2, K=1, hatL=1.0, tildeL=1.0, sigma_star=0.0, D=1.0, ystar_norm=0.0
-        )
-        # both error branches vanish: only the first term remains
-        first = 8 * math.sqrt(2.0) / 0.1
-        assert ss.gradient_query_complexity("ig", 0.1, inp) == math.ceil(first)
-
-    def test_unknown_kind(self):
-        inp = BoundInputs(n=2, b=1, K=1)
-        with pytest.raises(ValueError):
-            ss.gradient_query_complexity("sgd", 0.1, inp)
-
-
 class TestVarianceConstantFoundations:
     """The (n-b)(n+b)/(6 b^2 (n-1)) factor comes from summing the
     without-replacement batch variance over an epoch; both ingredients are
