@@ -362,8 +362,28 @@ def cmd_verify_bound(args) -> int:
     cfg = engine.RunConfig(batch=args.b, epochs=args.epochs, step=eta, epoch_objectives=False)
     gaps = []
     for s in seeds:
-        result = run(shuffle.ShufflePlan(guarantee.scheme, seed=s), cfg)
-        gaps.append(float(result.objective_avg - f_star))
+        try:
+            result = run(shuffle.ShufflePlan(guarantee.scheme, seed=s), cfg)
+        except engine.DivergenceError:
+            continue
+        gap = float(result.objective_avg - f_star)
+        if math.isfinite(gap):
+            gaps.append(gap)
+    diverged = len(seeds) - len(gaps)
+    if diverged:
+        # a diverged run's gap is unbounded: no mean to compare, and none to write
+        _write_json(args, {
+            "bound": kind,
+            "step_size": eta,
+            "rhs": rhs,
+            "num_runs": len(seeds),
+            "diverged_runs": diverged,
+            "verdict": "violated",
+            "reason": f"{diverged} of {len(seeds)} runs diverged",
+            "minimizer": _minimizer_record(ref),
+        })
+        print(f"verdict=violated diverged_runs={diverged} rhs={rhs:.6g}")
+        return 1
 
     mean_gap = float(np.mean(gaps))
     # the standard error of the mean, from the unbiased sample variance

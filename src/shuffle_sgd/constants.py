@@ -285,6 +285,15 @@ class ConvergenceError(RuntimeError):
         )
 
 
+@functools.lru_cache(maxsize=4)
+def _start_vector(dim: int) -> np.ndarray:
+    """operator_norm's seeded random unit start of length dim, drawn once
+    per dim and read-only."""
+    v = prng.random_unit_vector(prng.generator(prng.substream(0, prng.DOMAIN_POWER)), dim)
+    v.flags.writeable = False
+    return v
+
+
 def operator_norm(
     matvec: Callable[[np.ndarray], np.ndarray], dim: int, tol: float = LANCZOS_TOL,
     max_iter: int = 10_000,
@@ -308,12 +317,11 @@ def operator_norm(
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    rng = prng.generator(prng.substream(0, prng.DOMAIN_POWER))
     steps = min(dim, max_iter)
     # the basis rows; grown by doubling, so it holds O(k * dim) floats after
     # k steps rather than a min(dim, max_iter) * dim block allocated up front
     Q = np.empty((min(steps, 16), dim))
-    Q[0] = prng.random_unit_vector(rng, dim)
+    Q[0] = _start_vector(dim)
     # the tridiagonal T, alpha on its diagonal and beta below it; grown with Q
     T = np.zeros((len(Q), len(Q)))
     for k in range(1, steps + 1):

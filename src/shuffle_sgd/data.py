@@ -40,8 +40,9 @@ class SparseDataset:
 
     The products A x and A^T y (matvec, rmatvec) run on the CSR arrays with
     numpy alone. The row of every nonzero (row_ids), the squared row norms
-    (row_sq_norms) and whether every row stores the same columns
-    (rows_share_columns) are computed once, on first use."""
+    (row_sq_norms), the nonzero count every row stores, if they all store
+    as many (uniform_row_nnz), and whether every row stores the same
+    columns (rows_share_columns) are computed once, on first use."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -51,6 +52,7 @@ class SparseDataset:
     # derived from the arrays above on first use, never passed in
     _row_sq: np.ndarray | None = field(default=None, init=False, repr=False)
     _rows: np.ndarray | None = field(default=None, init=False, repr=False)
+    _row_nnz: int | None = field(default=None, init=False, repr=False)  # -1: rows differ
     _same_cols: bool | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -433,14 +435,23 @@ def row_ids(ds: SparseDataset) -> np.ndarray:
     return ds._rows
 
 
+def uniform_row_nnz(ds: SparseDataset) -> int | None:
+    """The nonzero count k that every row stores, explicit zeros counted, or
+    None when rows store different counts; cached on ds. With k, the values
+    and indices reshape to n x k, one row of the data per row."""
+    if ds._row_nnz is None:
+        k = ds.nnz // ds.n
+        ds._row_nnz = k if np.array_equal(ds.indptr, np.arange(ds.n + 1) * k) else -1
+    return None if ds._row_nnz < 0 else ds._row_nnz
+
+
 def rows_share_columns(ds: SparseDataset) -> bool:
     """Whether every row stores the same columns, explicit zeros counted as
     stored (so a dense n x d file does, whatever its values); cached on ds."""
     if ds._same_cols is None:
-        k = ds.nnz // ds.n
-        ds._same_cols = bool(
-            np.array_equal(ds.indptr, np.arange(ds.n + 1) * k)
-            and (ds.indices.reshape(ds.n, k) == ds.indices[:k]).all())
+        k = uniform_row_nnz(ds)
+        ds._same_cols = k is not None and bool(
+            (ds.indices.reshape(ds.n, k) == ds.indices[:k]).all())
     return ds._same_cols
 
 

@@ -9,12 +9,15 @@ data-weighted sum:
     x    <- x - (eta/b) sum_{j in block i} y^(i)_j a_{pi_j}
 
 The composition is exactly vanilla mini-batch shuffled SGD. Each epoch
-lays its nonzeros out once, block by block (BlockLayout). Where a block's
-rows store the same columns (always at b = 1, and at every b when all rows
-of the dataset do) the block is a small dense b x k matrix on those k
-columns; otherwise each block's nonzeros are sorted by column. Either way
-the primal step updates x in place on the block's distinct columns only:
-every block step costs O(nnz of the block), never O(d), traced or not.
+lays its nonzeros out once, block by block (BlockLayout), so that a block
+step slices nothing. Where a block's rows store the same columns (always
+at b = 1, and at every b when all rows of the dataset do) the block is a
+small dense b x k matrix on those k columns: one m x b x k stack, gathered
+once per epoch, when every row stores k nonzeros, else a view per row.
+Where k = d the steps read and update x whole, with no gather of x[cols].
+Otherwise each block's nonzeros are sorted by column. Either way the primal
+step updates x in place on the block's distinct columns only: every block
+step costs O(nnz of the block), never O(d), traced or not.
 Every run starts at the origin, from which the bounds measure D = ||x*||,
 and takes one constant step eta. Its output is the average of the epoch
 ends x_1..x_K, x_bar_K = (1/K) sum_k x_k; the loop keeps their running
@@ -42,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SparseDataset, permuted_nonzeros, rows_share_columns
+from .data import (SparseDataset, check_permutation, permuted_nonzeros, rows_share_columns,
+                   uniform_row_nnz)
 from .losses import LossModel, derivative_vec, objective
 from .shuffle import ConfigError, ShufflePlan, check_batch, permutation_for
 
@@ -95,38 +99,54 @@ class RunResult:
 class BlockLayout:
     """One epoch's nonzeros, block by block, in one of two forms.
 
-    Block i holds the rows perm[i*b:(i+1)*b] and the nonzeros
-    ptr[i]:ptr[i+1] of the epoch's permuted CSR arrays. The form follows
-    from the data and b alone, never from d:
+    Block i holds the rows perm[i*b:(i+1)*b]. The form follows from the
+    data and b alone, never from d:
 
     - Shared (`sorted` False), when every block's rows store the same
       columns: always at b = 1, and at any b when every row of the dataset
       stores the same columns (data.rows_share_columns, decided once per
-      dataset). The layout is just the permuted `values` and `indices`, with
-      `ptr` as Python ints, which the per-block slicing reads faster. Block
-      i's nonzeros are a row-major b x k_i matrix on the block's first k_i
-      indices (shared_block), so each block step is one small dense product.
-      It agrees with a dense step to roundoff.
+      dataset). Block i is the b x k_i matrix vals[i] on its k_i columns
+      cols[i], so each block step is one small dense product, which agrees
+      with a dense step to roundoff. When every row stores k nonzeros
+      (data.uniform_row_nnz: every dense file, and any file with rows
+      of one length) the epoch is one gather of whole rows: vals is the
+      m x b x k stack of the permuted rows and cols the m x k columns of
+      each block's first row. Otherwise (rows of different lengths, at
+      b = 1 only) vals[i] and cols[i] are views of row perm[i] in the
+      dataset's own arrays, listed once per epoch. With `full` (k = d,
+      every row stores every column) cols[i] is 0..d-1, and the block
+      steps read and update x whole, with no gather of x[cols].
     - Sorted (`sorted` True), for sparse data at b > 1: a stable sort on
-      (block, column). A row's entries stay in column order (the dataset
-      stores each row's columns increasing) and a column's entries in row
-      order, so every per-row and per-column sum adds the same terms in the
-      same order as on the permuted rows, and the iterates are the same to
-      the bit as a dense step's. `rows` gives each nonzero's row within
-      its block; the block's distinct columns are ucols[uptr[i]:uptr[i+1]],
-      and `seg` gives each nonzero its column's place among them. Four
-      nnz-length arrays in all: a nonzero's column is ucols[uptr[i] + seg].
+      (block, column) of the permuted CSR arrays, block i holding their
+      nonzeros ptr[i]:ptr[i+1]. A row's entries stay in column order (the
+      dataset stores each row's columns increasing) and a column's entries
+      in row order, so every per-row and per-column sum adds the same terms
+      in the same order as on the permuted rows, and the iterates are the
+      same to the bit as a dense step's. `rows` gives each nonzero's row
+      within its block; the block's distinct columns are
+      ucols[uptr[i]:uptr[i+1]], and `seg` gives each nonzero its column's
+      place among them. Four nnz-length arrays in all: a nonzero's column
+      is ucols[uptr[i] + seg].
     """
 
     def __init__(self, ds: SparseDataset, perm: np.ndarray, b: int):
         self.b = b
         self.sorted = b > 1 and not rows_share_columns(ds)
-        self.perm, indptr, src = permuted_nonzeros(ds, perm)
+        self.full = False
         if not self.sorted:
-            self.ptr = indptr[::b].tolist()
-            self.indices = ds.indices[src]
-            self.values = ds.values[src]
+            self.perm = check_permutation(perm, ds.n)
+            k = uniform_row_nnz(ds)
+            if k is not None:
+                self.full = k == ds.d
+                self.vals = ds.values.reshape(ds.n, k)[self.perm].reshape(ds.n // b, b, k)
+                self.cols = ds.indices.reshape(ds.n, k)[self.perm[::b]]
+                return
+            lo = ds.indptr[:-1][self.perm].tolist()  # b = 1: block i is row perm[i]
+            hi = ds.indptr[1:][self.perm].tolist()
+            self.vals = [ds.values[s:e].reshape(1, e - s) for s, e in zip(lo, hi)]
+            self.cols = [ds.indices[s:e] for s, e in zip(lo, hi)]
             return
+        self.perm, indptr, src = permuted_nonzeros(ds, perm)
         self.ptr = indptr[::b]
         rows = np.repeat(np.arange(ds.n, dtype=np.int64), np.diff(indptr))
         key = rows // b  # (block, column) as one integer
@@ -156,13 +176,7 @@ class BlockLayout:
         """The distinct columns of one block's rows."""
         if self.sorted:
             return self.ucols[self.uptr[block] : self.uptr[block + 1]]
-        return self.shared_block(block)[1]
-
-    def shared_block(self, block: int) -> tuple[np.ndarray, np.ndarray]:
-        """In the shared form, block i's b x k_i values and its k_i columns."""
-        s, e = self.ptr[block], self.ptr[block + 1]
-        k = (e - s) // self.b
-        return self.values[s:e].reshape(self.b, k), self.indices[s : s + k]
+        return self.cols[block]
 
 
 def dual_block_update(m: LossModel, layout: BlockLayout, block: int,
@@ -178,9 +192,10 @@ def dual_block_update(m: LossModel, layout: BlockLayout, block: int,
         s, e = layout.ptr[block], layout.ptr[block + 1]
         x_nz = x[layout.block_cols(block)][layout.seg[s:e]]
         z = np.bincount(layout.rows[s:e], weights=layout.values[s:e] * x_nz, minlength=b)
+    elif layout.full:
+        z = layout.vals[block].dot(x)
     else:
-        vals, cols = layout.shared_block(block)
-        z = vals.dot(x[cols])
+        z = layout.vals[block].dot(x[layout.cols[block]])
     return derivative_vec(m, layout.perm[block * b : (block + 1) * b], z)
 
 
@@ -197,8 +212,11 @@ def primal_block_step(x: np.ndarray, layout: BlockLayout, block: int,
         g = np.bincount(layout.seg[s:e], weights=layout.values[s:e] * y_block[layout.rows[s:e]])
         cols = layout.block_cols(block)
     else:
-        vals, cols = layout.shared_block(block)
-        g = y_block.dot(vals)
+        g = y_block.dot(layout.vals[block])
+        if layout.full:
+            x -= (step / layout.b) * g
+            return g
+        cols = layout.cols[block]
     x[cols] -= (step / layout.b) * g
     return g
 
@@ -217,7 +235,8 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
     traces = []
     objectives = []
     objectives_avg = []
-    # float overflow on a diverging run surfaces as DivergenceError, not warnings
+    # float overflow on a diverging run surfaces as DivergenceError or as a
+    # non-finite objective, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.epochs + 1):
             step, block_cols = start_epoch(permutation_for(plan, n, k))
@@ -238,7 +257,7 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
                     after -= x_start[cols]
                     g_dot += float(g @ after)
             del step, block_cols  # the epoch's layout goes before the next one is built
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise DivergenceError(k)
             if cfg.trace:
                 disp = x - x_start
@@ -251,15 +270,16 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
             if cfg.epoch_objectives:
                 objectives.append(objective_fn(x))
                 objectives_avg.append(objective_fn(x_sum / k))
+        avg = x_sum / cfg.epochs
+        objective_avg = objectives_avg[-1] if cfg.epoch_objectives else objective_fn(avg)
 
-    avg = x_sum / cfg.epochs
     return RunResult(
         final=x,
         averaged=avg,
         traces=traces,
         objectives=np.asarray(objectives),
         objectives_avg=np.asarray(objectives_avg),
-        objective_avg=objectives_avg[-1] if cfg.epoch_objectives else objective_fn(avg),
+        objective_avg=objective_avg,
     )
 
 

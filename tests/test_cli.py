@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -134,24 +135,6 @@ class TestAnalyze:
         assert main(argv + ["--b", "200"]) == 2
         assert "--force" in capsys.readouterr().err
         assert main(argv + ["--b", "1"]) == 0
-
-    @pytest.mark.parametrize("max_cost", ["0", "-1", "nan", "inf"])
-    def test_max_cost_not_positive_finite_exit_2(self, identity6, tmp_path, capsys, max_cost):
-        # --max-cost is gone: one fixed budget, and --force to pass it
-        code = main(["analyze", "--input", str(identity6), "--num-perms", "2",
-                     "--max-cost", max_cost, "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert f"unrecognized arguments: --max-cost {max_cost}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [identity6]
-
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-    def test_tol_not_positive_finite_exit_2(self, identity6, tmp_path, capsys, tol):
-        # no command takes --tol: every Lanczos solve stops at constants.LANCZOS_TOL
-        code = main(["analyze", "--input", str(identity6), "--num-perms", "2",
-                     "--tol", tol, "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert f"unrecognized arguments: --tol {tol}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [identity6]
 
     @pytest.mark.parametrize("fail_from, solve", [(1, "full_gradient_L"), (2, "hat_constant")])
     def test_unconverged_solve_exit_1(self, identity6, tmp_path, capsys, monkeypatch,
@@ -421,6 +404,43 @@ class TestVerifyBound:
         assert payload["verdict"] == "holds"
         # the report names the loss the runs used, not the smooth default
         assert payload["config"]["loss"] == "hinge"
+
+    @pytest.mark.parametrize("epochs, outcome", [(3, "returned"), (40, "raised")])
+    def test_diverged_runs_violate(self, tmp_path, capsys, monkeypatch, epochs, outcome):
+        # a step far above the ceiling: after 3 epochs every iterate is
+        # finite but f(x_bar_K) overflows; by epoch 40 an iterate does too
+        # and the engine raises DivergenceError
+        rr = ss.bounds.GUARANTEES["rr"]
+        monkeypatch.setitem(ss.bounds.GUARANTEES, "rr",
+                            dataclasses.replace(rr, step=lambda inp: 1e6))
+        real, outcomes = ss.engine.run, []
+
+        def run(*args):
+            try:
+                res = real(*args)
+            except ss.DivergenceError:
+                outcomes.append("raised")
+                raise
+            outcomes.append("returned")
+            return res
+
+        monkeypatch.setattr(ss.engine, "run", run)
+        with pytest.warns(UserWarning, match="the guarantee does not apply"):
+            code = main(["verify-bound", "--bound", "rr", "--gaussian", "24,5", "--b", "2",
+                         "--epochs", str(epochs), "--seeds", "5", "--perms", "3",
+                         "--out", str(tmp_path / "v")])
+        assert code == 1
+        assert outcomes == [outcome] * 5
+        assert "verdict=violated diverged_runs=5" in capsys.readouterr().out
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in strict JSON")
+
+        payload = json.loads((tmp_path / "v.json").read_text(), parse_constant=refuse)
+        assert payload["verdict"] == "violated"
+        assert payload["diverged_runs"] == payload["num_runs"] == 5
+        assert payload["step_size"] == 1e6
+        assert "empirical_mean_gap" not in payload
 
     def test_planted_hinge_optimum_on_a_tiny_margin(self):
         # seed 711 plants a direction whose smallest |a_i^T u| is 3.4e-7 and
@@ -762,12 +782,17 @@ class TestRefusedBeforeLoading:
                           ["verify-bound", "--bound", "rr"])
           for flag in (["--features", "7"], ["--b-grid", "1,2"])],
         (["batch-sweep", "--b-grid", "1,2"], "argument command: invalid choice: 'batch-sweep'"),
+        *[(command + flag, "unrecognized arguments: " + " ".join(flag))
+          for command in (["analyze"], ["optimize", "--step", "0.1"],
+                          ["verify-bound", "--bound", "rr"])
+          for flag in (["--tol", "1e-6"], ["--max-cost", "1e9"])],
     ])
     def test_removed_flag_refused_before_loading(self, tmp_path, capsys, monkeypatch, argv,
                                                  want):
-        # the column count comes from the data, and the batch study is
-        # analyze at each b (--tol and --max-cost: the TestAnalyze cases and
-        # test_bad_tol_in_every_command)
+        # the column count comes from the data, the batch study is analyze
+        # at each b, every Lanczos solve stops at constants.LANCZOS_TOL (bad
+        # --tol values: test_bad_tol_in_every_command), and analyze has one
+        # fixed budget, passed with --force
         no_data(monkeypatch)
         code = main(argv + ["--gaussian", "6,3", "--out", str(tmp_path / "r")])
         assert code == 2

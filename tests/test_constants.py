@@ -282,6 +282,18 @@ class TestOperatorNorm:
         res = ss.operator_norm(lambda v: M @ v, 3, tol=1e-10)
         assert res.converged and res.value == pytest.approx(3.0, rel=1e-6)
 
+    def test_start_drawn_once_per_dim(self):
+        # every solve of a given dim starts from the same seeded unit vector;
+        # it is drawn once, and no solve can write to it
+        starts = []
+        for dim in (5, 24, 5):
+            constants.operator_norm(lambda v: starts.append(v.copy()) or v, dim)
+            start = constants._start_vector(dim)
+            assert not start.flags.writeable and start is constants._start_vector(dim)
+            rng = ss.prng.generator(ss.prng.substream(0, ss.prng.DOMAIN_POWER))
+            assert np.array_equal(start, ss.prng.random_unit_vector(rng, dim))
+            assert np.array_equal(starts[-1], start)
+
     def test_zero_operator(self):
         res = ss.operator_norm(lambda v: np.zeros_like(v), 5)
         assert res.value == 0.0 and res.converged

@@ -383,11 +383,13 @@ class TestImmutability:
 
 
 class TestDerivedArrays:
-    """Row ids, squared row norms and the shared-columns flag come from the
-    CSR arrays alone: none can be passed in, and a copy recomputes them."""
+    """Row ids, squared row norms, the nonzero count of every row and the
+    shared-columns flag come from the CSR arrays alone: none can be passed
+    in, and a copy recomputes them."""
 
     @pytest.mark.parametrize("name, value", [
-        ("_row_sq", np.array([5.0, 25.0])), ("_rows", np.array([0, 0])), ("_same_cols", True)])
+        ("_row_sq", np.array([5.0, 25.0])), ("_rows", np.array([0, 0])), ("_same_cols", True),
+        ("_row_nnz", 2)])
     def test_cannot_be_passed_in(self, name, value):
         with pytest.raises(TypeError, match=name):
             ss.SparseDataset([0, 1, 2], [0, 1], [1.0, 2.0], [0.0, 0.0], 2, **{name: value})
@@ -395,13 +397,19 @@ class TestDerivedArrays:
     def test_replace_recomputes_them(self):
         ds = ss.SparseDataset([0, 2, 4], [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0], [0.0, 0.0], 2)
         assert ss.row_sq_norms(ds).tolist() == [5.0, 25.0]
+        assert data.uniform_row_nnz(ds) == 2
         assert data.rows_share_columns(ds)
         assert data.row_ids(ds).tolist() == [0, 0, 1, 1]
         changed = dataclasses.replace(ds, values=[10.0, 2.0, 3.0, 4.0])
         assert ss.row_sq_norms(changed).tolist() == [104.0, 25.0]
         # other columns in row 1, and rows of one and three nonzeros
         moved = dataclasses.replace(ds, indptr=[0, 1, 4], indices=[1, 0, 1, 2], d=3)
+        assert data.uniform_row_nnz(moved) is None
         assert not data.rows_share_columns(moved)
+        # two nonzeros a row again, on other columns in row 1
+        crossed = dataclasses.replace(ds, indices=[0, 1, 1, 2], d=3)
+        assert data.uniform_row_nnz(crossed) == 2
+        assert not data.rows_share_columns(crossed)
         assert data.row_ids(moved).tolist() == [0, 1, 1, 1]
         assert ss.row_sq_norms(moved).tolist() == [1.0, 29.0]
 

@@ -102,6 +102,15 @@ class TestBlockOps:
             assert np.max(np.abs(g - agg[cols]), initial=0.0) <= 1e-12 * (1.0 + np.abs(agg).max())
 
 
+def _uniform_rows(rng, n, d, k):
+    """n rows of k nonzeros each, rcv1-like: row i stores one column in
+    each of k bands whose widths grow quadratically across 0..d-1."""
+    edges = np.floor(d * (np.arange(k + 1) / k) ** 2).astype(np.int64)
+    cols = edges[:-1] + (rng.random((n, k)) * np.diff(edges)).astype(np.int64)
+    return ss.SparseDataset(np.arange(n + 1) * k, cols.ravel(), rng.standard_normal(n * k),
+                            rng.choice([-1.0, 1.0], n), d)
+
+
 class TestSharedForm:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -171,16 +180,14 @@ class TestSharedForm:
                 assert forms == {b not in shared_at}
 
     def test_layout_bytes_per_nonzero(self):
-        # rcv1-shaped rows, 74 sorted nonzeros each. The shared form holds the
-        # permuted values and indices, 16 bytes a nonzero, and peaks with
-        # their source positions besides. The sorted form (b = 10) holds four
-        # nnz-length arrays and never the shared form's arrays on top.
+        # rcv1-shaped rows, 74 sorted nonzeros each. The shared form (b = 1)
+        # holds the stack of permuted rows and each block's columns, 16 bytes
+        # a nonzero, gathered straight from the dataset's arrays with nothing
+        # besides. The sorted form (b = 10) holds four nnz-length arrays and
+        # never the shared form's arrays on top.
         rng = np.random.default_rng(8)
-        n, d, k = 2000, 23500, 74
-        edges = np.floor(d * (np.arange(k + 1) / k) ** 2).astype(np.int64)
-        cols = edges[:-1] + (rng.random((n, k)) * np.diff(edges)).astype(np.int64)
-        ds = ss.SparseDataset(np.arange(n + 1) * k, cols.ravel(), rng.random(n * k) + 0.05,
-                              np.ones(n), d)
+        n = 2000
+        ds = _uniform_rows(rng, n, 23500, 74)
         perm = rng.permutation(n)
 
         def per_nonzero(b):
@@ -191,9 +198,91 @@ class TestSharedForm:
             return layout.sorted, held / ds.nnz, peak / ds.nnz
 
         is_sorted, held, peak = per_nonzero(1)
-        assert not is_sorted and held <= 17 and peak <= 26
+        assert not is_sorted and held <= 17 and peak <= 17
         is_sorted, held, peak = per_nonzero(10)
         assert is_sorted and held <= 32 and peak <= 41.5
+
+
+def _reference_run(ds, m, plan, cfg):
+    """Shuffled SGD as a per-block step on the dense rows A[rows] restricted
+    to the columns the block's first row stores: the same products, of the
+    same shapes and on row-major blocks, as the shared form's, so the
+    iterates must agree to the bit. Returns the final iterate."""
+    A = ds.to_dense()
+    b, x = cfg.batch, np.zeros(ds.d)
+    for k in range(1, cfg.epochs + 1):
+        perm = ss.permutation_for(plan, ds.n, k)
+        for i in range(ds.n // b):
+            rows = perm[i * b : (i + 1) * b]
+            cols = ds.row(rows[0])[0]
+            blk = np.ascontiguousarray(A[rows][:, cols])
+            y = derivative_vec(m, rows, blk.dot(x[cols]))
+            x[cols] -= (cfg.step / b) * y.dot(blk)
+    return x
+
+
+class TestStackedLayout:
+    """The shared form's per-epoch layouts: one gather of whole rows into an
+    m x b x k stack where every row stores k nonzeros (full width where
+    k = d), else per-row views at b = 1."""
+
+    def _datasets(self, rng):
+        n, d = 12, 7
+        dense = ss.SparseDataset.from_dense(rng.standard_normal((n, d)),
+                                            labels=rng.choice([-1.0, 1.0], n))
+        stored = np.array([0, 3, 4])
+        shared = ss.SparseDataset(np.arange(n + 1) * 3, np.tile(stored, n),
+                                  rng.standard_normal(n * 3), rng.choice([-1.0, 1.0], n), d)
+        ragged = random_sparse_dataset(rng, n=n, d=d, density=0.5)
+        assert ss.data.uniform_row_nnz(ragged) is None
+        return [
+            ("dense", dense, divisors(n), True),
+            ("uniform", _uniform_rows(rng, n, 40, 5), [1], False),
+            ("shared", shared, divisors(n), False),
+            ("ragged", ragged, [1], False),
+        ]
+
+    @pytest.mark.parametrize("family", ["squared", "logistic", "hinge"])
+    def test_runs_match_reference_to_the_bit(self, rng, family):
+        for name, ds, batches, full in self._datasets(rng):
+            m = LossModel.for_dataset(family, ds)
+            for b in batches:
+                layout = ss.BlockLayout(ds, rng.permutation(ds.n), b)
+                assert not layout.sorted and layout.full == full, (name, b)
+                for scheme in ("RR", "IG"):
+                    plan = ShufflePlan(scheme, seed=b)
+                    cfg = RunConfig(b, 3, 0.05)
+                    want = _reference_run(ds, m, plan, cfg)
+                    for trace in (False, True):
+                        cfg.trace = trace
+                        res = ss.run(ds, m, plan, cfg)
+                        assert np.array_equal(res.final, want), (name, b, scheme, trace)
+                    for tr in res.traces:
+                        assert ss.retraction_residual(tr, b, ds.n) <= 1e-12
+
+    def test_layout_shapes(self, rng):
+        for name, ds, batches, full in self._datasets(rng):
+            perm = rng.permutation(ds.n)
+            for b in batches:
+                layout = ss.BlockLayout(ds, perm, b)
+                m = ds.n // b
+                for i in range(m):
+                    rows = perm[i * b : (i + 1) * b]
+                    cols = ds.row(rows[0])[0]
+                    # block_cols gives the real columns, also at full width
+                    assert np.array_equal(layout.block_cols(i), cols)
+                    assert np.array_equal(layout.vals[i], ds.to_dense()[rows][:, cols])
+                if name == "ragged":
+                    assert isinstance(layout.vals, list) and len(layout.vals) == m
+                else:
+                    k = ds.nnz // ds.n
+                    assert layout.vals.shape == (m, b, k) and layout.cols.shape == (m, k)
+
+    def test_layout_checks_its_permutation(self, rng):
+        for _, ds, batches, _ in self._datasets(rng):
+            for perm in ([0] * ds.n, np.arange(ds.n - 1)):
+                with pytest.raises(ValueError, match="permutation of range"):
+                    ss.BlockLayout(ds, perm, batches[-1])
 
 
 class TestRunConfig:
