@@ -15,7 +15,9 @@ in bounds.GUARANTEES for its constants, step and right-hand side; every run
 starts at the origin, from which those records measure D = ||x*||. --loss
 defaults to squared, but verify-bound --bound nonsmooth runs the planted
 hinge and takes no other loss. Every Lanczos solve stops at
-constants.LANCZOS_TOL, which analyze's JSON report records.
+constants.LANCZOS_TOL, which analyze's JSON report records as "tolerance";
+a masked Gram of at most constants._EXACT_MAX_N rows is solved exactly, so
+the tolerance does not apply to it.
 
 Each flag is checked where it is declared, by its argparse type; rules that
 join two flags open their command. So every usage error returns 2 from main
@@ -295,14 +297,21 @@ def _inconclusive(args, reason, ref) -> int:
 
 def _general_runs(ds, model):
     """(plan, cfg) -> engine.run_general on the GLM's component gradients
-    l_i'(a_i^T x) a_i. Each row's id, columns and values are sliced once,
-    for every run."""
-    rows = [(np.array([i]), *ds.row(i)) for i in range(ds.n)]
+    l_i'(a_i^T x) a_i. Each row's target, columns and values are taken once,
+    for every run; a row that stores every column reads x whole and its
+    values are the gradient's entries, with no gather or scatter."""
+    family = model.family
+    rows = []
+    for i, t in enumerate(model.targets.tolist()):
+        cols, vals = ds.row(i)
+        rows.append((t, None if len(cols) == ds.d else cols, vals))
 
     def glm_oracle(i, x):
-        ids, cols, vals = rows[i]
+        t, cols, vals = rows[i]
+        if cols is None:
+            return losses.derivative(family, t, vals @ x) * vals
         g = np.zeros(ds.d)
-        g[cols] = losses.derivative_vec(model, ids, vals @ x[cols]) * vals
+        g[cols] = losses.derivative(family, t, vals @ x[cols]) * vals
         return g
 
     def run(plan, cfg):

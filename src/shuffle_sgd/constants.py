@@ -21,16 +21,19 @@ the 1-column matrix with rows sqrt(w_{perm_i}).
 ||M|| and ||B B^T|| come from Lanczos with full reorthogonalisation. A
 solve stops once the Ritz residual is at most tol (by default LANCZOS_TOL)
 times the Ritz value, and a constant whose solve did not get there raises
-ConvergenceError instead of returning a possibly low value. tilde is exact:
-a batched symmetric eigensolver takes the top eigenvalues of all m block
-Grams.
+ConvergenceError instead of returning a possibly low value. Up to
+_EXACT_MAX_N rows a dense M needs no Lanczos: operator_norm takes its top
+eigenvalue exactly (eigvalsh), so hat and general_hat_L on such inputs are
+exact and tol does not apply to them. tilde is exact: a batched symmetric
+eigensolver takes the top eigenvalues of all m block Grams.
 
 M and the block Grams have two representations, chosen by one size rule
 on n, d and nnz(B) alone (_dense_gram, applied once per permutation by
 _gram_rows; no flag or environment variable selects one). Where n^2 is
-small against nnz(B) and the dense arrays fit a fixed cap, M is formed
-once as a dense n x n array, so a matvec is one BLAS product, and the
-block Grams are one batched product of the dense blocks.
+small against nnz(B), or n is at most _EXACT_MAX_N and the dense B is not
+much larger than its nonzeros, and the dense arrays fit a fixed cap, M is
+formed once as a dense n x n array, so a matvec is one BLAS product, and
+the block Grams are one batched product of the dense blocks.
 Elsewhere both stay matrix-free: the prefix-masked matvec costs O(nnz(B))
 time and memory per step (segmented prefix sums over the nonzeros; no
 m x d buffer), and the block Grams are pair sums: entry (k, l) of a block's
@@ -43,7 +46,8 @@ it only when its last iterate neither separates the data strictly nor
 certifies that a finite minimizer exists.
 
 Memory, above the dataset: the dense form holds the n x n Gram, at most
-128 bytes per nonzero under the size rule, plus the dense B (DenseRows)
+128 bytes per nonzero under the size rule (or 80 kB, up to _EXACT_MAX_N
+rows), plus the dense B (DenseRows)
 and, while the mask is applied, an int32 n x n array (at 208 x 60, b = 4,
 a hat call peaks at 55 bytes per nonzero, a tilde call at 16, once the
 dataset's row ids are cached: 8 more on a first call). The prefix-sum form
@@ -76,7 +80,8 @@ from .shuffle import check_batch, random_permutation, trial_stream
 SCHEMA_VERSION = 1
 
 # Lanczos stops by default once the Ritz residual is at most this times the
-# Ritz value: hat, full_gradient_L and general_hat_L (analyze's "tolerance")
+# Ritz value: hat, full_gradient_L and general_hat_L (analyze's "tolerance";
+# hat and general_hat_L up to _EXACT_MAX_N rows are exact and run no Lanczos)
 LANCZOS_TOL = 1e-6
 
 
@@ -107,11 +112,21 @@ class DenseRows(NamedTuple):
 # the speed; the int32 mask adds half the Gram while it is applied.
 _DENSE_COST = 16
 _DENSE_MAX_FLOATS = 1 << 23
+# Up to this many rows a dense masked Gram's top eigenvalue is taken exactly
+# (operator_norm), and the Gram is formed densely also where n^2 exceeds
+# _DENSE_COST * nnz, as long as the dense B holds at most _DENSE_COST floats
+# per nonzero (so the n x 1 column of general_hat_L qualifies, and a wide,
+# very sparse B keeps the prefix-sum form). On 2 cores eigvalsh took 30-40 us
+# at 24 x 5 against 150-200 us for Lanczos's 8 matvecs, and 360-540 us at
+# 100 x 30-60 against 650-1 250 us; from about 120 rows the two cost the same,
+# and at 208 x 60 eigvalsh took 1.6-2.2 ms against 0.8-1.5 ms.
+_EXACT_MAX_N = 100
 
 
 def _dense_gram(n: int, d: int, nnz: int) -> bool:
     """True when the n x n Gram of an n x d, nnz-nonzero B is formed densely."""
-    return n * n <= _DENSE_COST * nnz and n * (n + d) <= _DENSE_MAX_FLOATS
+    cheap = n * n <= _DENSE_COST * nnz or (n <= _EXACT_MAX_N and n * d <= _DENSE_COST * nnz)
+    return cheap and n * (n + d) <= _DENSE_MAX_FLOATS
 
 
 class ColumnRuns(NamedTuple):
@@ -198,8 +213,9 @@ def _gram_rows(ds: SparseDataset, weights, perm, b: int) -> DenseRows | ColumnRu
 class MaskedGramOperator:
     """The n x n prefix-masked Gram sum (B B^T) o C, in one of two forms.
 
-    Dense (DenseRows): the masked Gram is formed once as an n x n array
-    from the dense B, and a matvec is one BLAS product.
+    Dense (DenseRows): the masked Gram is formed once as the n x n array
+    `matrix` (None in the other form) from the dense B, and a matvec is one
+    BLAS product.
 
     Prefix-sum (ColumnRuns), matrix-free: with
     W[p] = sum_q (min(p, q) + 1) t_q, where t_q = B_q^T v_q is block q's
@@ -217,13 +233,13 @@ class MaskedGramOperator:
         dense = isinstance(B, DenseRows)
         self.n, self.d = B.A.shape if dense else (B.n, B.d)
         self.m = check_batch(self.n, batch)
-        self._M = None
+        self.matrix = None
         if dense:
             # C[k, l] = min(block(k), block(l)) + 1, as int32: half the size
             # of a float mask, and the multiply casts it in small buffers
             blk1 = np.arange(self.n, dtype=np.int32) // batch + 1
-            self._M = B.A @ B.A.T
-            self._M *= np.minimum.outer(blk1, blk1)
+            self.matrix = B.A @ B.A.T
+            self.matrix *= np.minimum.outer(blk1, blk1)
             return
         if B.batch != batch:
             raise ValueError(f"column runs were cut at batch {B.batch}, not {batch}")
@@ -241,8 +257,8 @@ class MaskedGramOperator:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}")
-        if self._M is not None:
-            return self._M @ v
+        if self.matrix is not None:
+            return self.matrix @ v
         B = self.B
         w, s1, s2 = self._work
         g, lens = self._grp_end, self._col_len
@@ -296,13 +312,19 @@ def _start_vector(dim: int) -> np.ndarray:
 
 def operator_norm(
     matvec: Callable[[np.ndarray], np.ndarray], dim: int, tol: float = LANCZOS_TOL,
-    max_iter: int = 10_000,
+    max_iter: int = 10_000, matrix: np.ndarray | None = None,
 ) -> OperatorNormResult:
-    """Largest eigenvalue of a symmetric PSD operator by Lanczos.
+    """Largest eigenvalue of a symmetric PSD operator, exactly or by Lanczos.
 
-    Starts from a seeded random unit vector (the same for every call of a
-    given dim) and keeps the Krylov basis fully reorthogonalised (two
-    classical Gram-Schmidt passes per step). The value is the top
+    matrix, if given, is the operator as a dense dim x dim array. Up to
+    _EXACT_MAX_N rows its top eigenvalue is then taken exactly by eigvalsh
+    (from the lower triangle), clamped at 0: converged, 0 matvecs, residual
+    0. A matrix with a NaN or inf entry goes to Lanczos, which stops
+    unconverged at its first matvec.
+
+    Lanczos starts from a seeded random unit vector (the same for every
+    call of a given dim) and keeps the Krylov basis fully reorthogonalised
+    (two classical Gram-Schmidt passes per step). The value is the top
     eigenvalue theta of the tridiagonal projection T_k, and the run stops
     once the Ritz residual beta_k |s_k| (s the top eigenvector of T_k) is at
     most tol * theta, or once the Krylov space is exhausted (k = dim or
@@ -317,6 +339,8 @@ def operator_norm(
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if matrix is not None and dim <= _EXACT_MAX_N and np.isfinite(matrix).all():
+        return OperatorNormResult(max(float(np.linalg.eigvalsh(matrix)[-1]), 0.0), True, 0, 0.0)
     steps = min(dim, max_iter)
     # the basis rows; grown by doubling, so it holds O(k * dim) floats after
     # k steps rather than a min(dim, max_iter) * dim block allocated up front
@@ -381,7 +405,7 @@ def hat_constant(ds: SparseDataset, reg: RegularityDiag, perm, b: int, tol: floa
     both constants of a permutation."""
     m = check_batch(ds.n, b)
     op = MaskedGramOperator(_gram_rows(ds, reg.values, perm, b) if B is None else B, b)
-    res = operator_norm(op.matvec, ds.n, tol=tol)
+    res = operator_norm(op.matvec, ds.n, tol=tol, matrix=op.matrix)
     return _converged_value("hat_constant", res, tol) / (m * ds.n)
 
 
@@ -477,8 +501,8 @@ def general_hat_L(L_values, perm, b: int, tol: float = LANCZOS_TOL) -> float:
     L = np.asarray(L_values, dtype=np.float64)
     n = len(L)
     m = check_batch(n, b)
-    B = _gram_rows(_ones_column(n), L, perm, b)
-    res = operator_norm(MaskedGramOperator(B, b).matvec, n, tol=tol)
+    op = MaskedGramOperator(_gram_rows(_ones_column(n), L, perm, b), b)
+    res = operator_norm(op.matvec, n, tol=tol, matrix=op.matrix)
     return _converged_value("general_hat_L", res, tol) / (m * n)
 
 

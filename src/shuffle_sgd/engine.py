@@ -14,7 +14,9 @@ step slices nothing. Where a block's rows store the same columns (always
 at b = 1, and at every b when all rows of the dataset do) the block is a
 small dense b x k matrix on those k columns: one m x b x k stack, gathered
 once per epoch, when every row stores k nonzeros, else a view per row.
-Where k = d the steps read and update x whole, with no gather of x[cols].
+Where k = d the steps read and update x whole, with no gather of x[cols],
+traced or not. Each epoch also gathers its rows' targets once, in block
+order, for the dual updates.
 Otherwise each block's nonzeros are sorted by column. Either way the primal
 step updates x in place on the block's distinct columns only: every block
 step costs O(nnz of the block), never O(d), traced or not.
@@ -34,7 +36,8 @@ aggregates g_i = (b/eta)(x_{i-1} - x_i),
 
 which holds exactly for every epoch. The left side is streamed as
 <sum_i g_i, x_m - x_0> - sum_i <g_i, x_i - x_0>, and each block adds its
-terms on its own columns, where g_i and x_{i-1} - x_i are nonzero. So a
+terms on its own columns, where g_i and x_{i-1} - x_i are nonzero (on
+all of x where the steps move x whole). So a
 traced epoch keeps O(d) state, stores no inner iterate and does O(d) work
 once, at its end; an untraced one does no trace work.
 """
@@ -47,7 +50,7 @@ import numpy as np
 
 from .data import (SparseDataset, check_permutation, permuted_nonzeros, rows_share_columns,
                    uniform_row_nnz)
-from .losses import LossModel, derivative_vec, objective
+from .losses import LossModel, derivative, objective
 from .shuffle import ConfigError, ShufflePlan, check_batch, permutation_for
 
 
@@ -99,7 +102,9 @@ class RunResult:
 class BlockLayout:
     """One epoch's nonzeros, block by block, in one of two forms.
 
-    Block i holds the rows perm[i*b:(i+1)*b]. The form follows from the
+    Block i holds the rows perm[i*b:(i+1)*b], whose targets are
+    targets[i] (gathered once from the given targets, by default the
+    dataset's labels; run passes its model's). The form follows from the
     data and b alone, never from d:
 
     - Shared (`sorted` False), when every block's rows store the same
@@ -129,12 +134,17 @@ class BlockLayout:
       is ucols[uptr[i] + seg].
     """
 
-    def __init__(self, ds: SparseDataset, perm: np.ndarray, b: int):
+    def __init__(self, ds: SparseDataset, perm: np.ndarray, b: int, targets=None):
         self.b = b
         self.sorted = b > 1 and not rows_share_columns(ds)
         self.full = False
-        if not self.sorted:
+        if self.sorted:
+            self.perm, indptr, src = permuted_nonzeros(ds, perm)
+        else:
             self.perm = check_permutation(perm, ds.n)
+        targets = ds.labels if targets is None else np.asarray(targets, dtype=np.float64)
+        self.targets = targets[self.perm].reshape(ds.n // b, b)
+        if not self.sorted:
             k = uniform_row_nnz(ds)
             if k is not None:
                 self.full = k == ds.d
@@ -146,7 +156,6 @@ class BlockLayout:
             self.vals = [ds.values[s:e].reshape(1, e - s) for s, e in zip(lo, hi)]
             self.cols = [ds.indices[s:e] for s, e in zip(lo, hi)]
             return
-        self.perm, indptr, src = permuted_nonzeros(ds, perm)
         self.ptr = indptr[::b]
         rows = np.repeat(np.arange(ds.n, dtype=np.int64), np.diff(indptr))
         key = rows // b  # (block, column) as one integer
@@ -183,20 +192,19 @@ def dual_block_update(m: LossModel, layout: BlockLayout, block: int,
                       x: np.ndarray) -> np.ndarray:
     """Loss (sub)derivatives for the rows of one block at the current point.
 
-    Returns the pre-chain-rule scalars l'_{pi_j}(a_{pi_j}^T x); the data
-    rows enter in the primal step. Blocks are numbered 0..m-1; the cost is
-    O(nnz of the block).
+    Returns the pre-chain-rule scalars l'_{pi_j}(a_{pi_j}^T x) of m's loss
+    family at the targets the layout gathered; the data rows enter in the
+    primal step. Blocks are numbered 0..m-1; the cost is O(nnz of the block).
     """
-    b = layout.b
     if layout.sorted:
         s, e = layout.ptr[block], layout.ptr[block + 1]
         x_nz = x[layout.block_cols(block)][layout.seg[s:e]]
-        z = np.bincount(layout.rows[s:e], weights=layout.values[s:e] * x_nz, minlength=b)
+        z = np.bincount(layout.rows[s:e], weights=layout.values[s:e] * x_nz, minlength=layout.b)
     elif layout.full:
         z = layout.vals[block].dot(x)
     else:
         z = layout.vals[block].dot(x[layout.cols[block]])
-    return derivative_vec(m, layout.perm[block * b : (block + 1) * b], z)
+    return derivative(m.family, layout.targets[block], z)
 
 
 def primal_block_step(x: np.ndarray, layout: BlockLayout, block: int,
@@ -227,7 +235,8 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
 
     start_epoch(perm) returns the epoch's block step, (i, x, eta) -> g_i,
     which moves x in place on the columns block_cols(i) and returns the
-    block's gradient aggregate on them, and that block_cols."""
+    block's gradient aggregate on them, and that block_cols, or None when
+    every step moves x whole and g_i is a full-length vector."""
     m_blocks = check_batch(n, cfg.batch)
     eta = cfg.step
     x = np.zeros(d)
@@ -246,15 +255,20 @@ def _epochs(n: int, d: int, plan: ShufflePlan, cfg: RunConfig, start_epoch,
                 g_sum = np.zeros(d)
             for i in range(m_blocks):
                 if cfg.trace:
-                    cols = block_cols(i)
-                    before = x[cols]
+                    cols = block_cols(i) if block_cols else None
+                    before = x.copy() if cols is None else x[cols]
                 g = step(i, x, eta)
                 if cfg.trace:
-                    after = x[cols]
-                    delta = after - before
+                    if cols is None:  # the whole of x, with no gather or scatter
+                        delta = x - before
+                        g_sum += g
+                        after = x - x_start
+                    else:
+                        after = x[cols]
+                        delta = after - before
+                        g_sum[cols] += g
+                        after -= x_start[cols]
                     sq_steps += float(delta @ delta)
-                    g_sum[cols] += g
-                    after -= x_start[cols]
                     g_dot += float(g @ after)
             del step, block_cols  # the epoch's layout goes before the next one is built
             if not np.isfinite(x).all():
@@ -288,13 +302,13 @@ def run(ds: SparseDataset, model: LossModel, plan: ShufflePlan, cfg: RunConfig) 
     b = cfg.batch
 
     def start_epoch(perm):
-        layout = BlockLayout(ds, perm, b)
+        layout = BlockLayout(ds, perm, b, model.targets)
 
         def step(i, x, eta):
             y_blk = dual_block_update(model, layout, i, x)
             return primal_block_step(x, layout, i, y_blk, eta)
 
-        return step, layout.block_cols
+        return step, None if layout.full else layout.block_cols
 
     return _epochs(ds.n, ds.d, plan, cfg, start_epoch, lambda x: objective(model, ds, x))
 
@@ -308,7 +322,6 @@ def run_general(grad_oracle, n: int, d: int, plan: ShufflePlan, cfg: RunConfig,
     Objectives are NaN without an objective_fn.
     """
     b = cfg.batch
-    every_col = np.arange(d)
 
     def start_epoch(perm):
         def step(i, x, eta):
@@ -318,7 +331,7 @@ def run_general(grad_oracle, n: int, d: int, plan: ShufflePlan, cfg: RunConfig,
             x -= (eta / b) * g
             return g
 
-        return step, lambda i: every_col
+        return step, None
 
     return _epochs(n, d, plan, cfg, start_epoch, objective_fn or (lambda x: float("nan")))
 

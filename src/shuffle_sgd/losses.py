@@ -82,16 +82,22 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def derivative_vec(m: LossModel, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Vectorized (sub)derivatives with the documented kink selections."""
-    t = m.targets[idx]
-    if m.family == "squared":
+def derivative(family: str, t, z):
+    """(Sub)derivatives l'(z) of components with targets t at
+    pre-activations z (arrays or scalars of one shape), with the documented
+    kink selections."""
+    if family == "squared":
         return z - t
-    if m.family == "logistic":
+    if family == "logistic":
         return -t * sigmoid(-t * z)
-    if m.family == "hinge":
+    if family == "hinge":
         return np.where(t * z < 1.0, -t, 0.0)
     return np.sign(z - t)
+
+
+def derivative_vec(m: LossModel, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Vectorized (sub)derivatives for components idx at pre-activations z."""
+    return derivative(m.family, m.targets[idx], z)
 
 
 def regularity(m: LossModel) -> RegularityDiag:

@@ -116,7 +116,7 @@ class TestMaskedGramMatvec:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert op._M is None  # the size rule keeps this input on the prefix-sum path
+        assert op.matrix is None  # the size rule keeps this input on the prefix-sum path
         assert op.m * op.d * 8 > 1e9
         assert peak < 16 * ds.nnz * 8
         assert setup_peak < 64 * ds.nnz * 8
@@ -170,6 +170,10 @@ class TestGramRepresentation:
 
     @pytest.mark.parametrize("n, d, nnz, dense", [
         (24, 5, 120, True),              # small-dense's verify input
+        (24, 10, 24, True),              # sparse, n^2 / nnz = 24, but n <= _EXACT_MAX_N
+        (100, 1, 100, True),             # general_hat_L's column of ones
+        (101, 1, 101, False),            # the same just above _EXACT_MAX_N
+        (100, 20_000, 500, False),       # wide and very sparse: n d / nnz = 4000
         (208, 60, 12_480, True),         # its analyze/optimize input
         (2000, 200, 400_000, True),
         (2100, 2100, 4_410_000, False),  # n (n + d) above the memory cap
@@ -190,7 +194,7 @@ class TestGramRepresentation:
             B = constants._gram_rows(ds, np.ones(ds.n), rng.permutation(ds.n), 4)
             assert isinstance(B, constants.DenseRows) is is_dense
             op = MaskedGramOperator(B, 4)
-            assert (op._M is not None) is is_dense
+            assert (op.matrix is not None) is is_dense
 
 
 class TestGramRows:
@@ -385,12 +389,78 @@ class TestOperatorNorm:
         assert peak <= 3 * res.iterations * n * 8
 
 
+class TestExactTopEigenvalue:
+    """Up to _EXACT_MAX_N rows a dense masked Gram's top eigenvalue is taken
+    by eigvalsh: no Lanczos step, no tolerance."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        real, results = constants.operator_norm, []
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(constants, "operator_norm", recording)
+        return results
+
+    @staticmethod
+    def rows(n, k, d=10):
+        rng = np.random.default_rng(n * k)
+        cols = np.sort(np.argsort(rng.random((n, d)), axis=1)[:, :k], axis=1)
+        ds = ss.SparseDataset(np.arange(n + 1) * k, cols.ravel(), rng.standard_normal(n * k),
+                              np.ones(n), d)
+        return ds, rng.uniform(0.5, 2.0, n), rng.permutation(n)
+
+    # k of d = 10 columns a row: by n^2 <= 16 nnz alone, k = 1 puts the Gram
+    # on the prefix-sum path and k = 10 on the dense one
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize("n", [24, 50, constants._EXACT_MAX_N])
+    def test_hat_and_general_hat_match_eigvalsh(self, solves, n, k):
+        ds, w, perm = self.rows(n, k)
+        assert (n * n <= constants._DENSE_COST * ds.nnz) is (k == 10)
+        for b in (1, 2, n // 2, n):
+            want = oracles.dense_hat(ds.to_dense(), w, perm, b)
+            assert ss.hat_constant(ds, RegularityDiag(w), perm, b) == pytest.approx(
+                want, rel=1e-13, abs=0.0)
+            want = oracles.dense_hat(np.ones((n, 1)), w, perm, b)
+            assert ss.general_hat_L(w, perm, b) == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert len(solves) == 8
+        assert all(r.converged and r.iterations == 0 and r.residual == 0.0 for r in solves)
+
+    def test_lanczos_above_the_cutoff(self, solves):
+        n = constants._EXACT_MAX_N + 1
+        ds, w, perm = self.rows(n, 10)
+        assert constants._dense_gram(n, ds.d, ds.nnz)  # a dense Gram, too large to solve exactly
+        hat = ss.hat_constant(ds, RegularityDiag(w), perm, 1)
+        general = ss.general_hat_L(w, perm, 1)
+        assert all(r.converged and r.iterations > 0 for r in solves) and len(solves) == 2
+        assert hat == pytest.approx(oracles.dense_hat(ds.to_dense(), w, perm, 1), rel=1e-6)
+        assert general == pytest.approx(oracles.dense_hat(np.ones((n, 1)), w, perm, 1), rel=1e-6)
+
+    def test_forced_prefix_sum_runs_lanczos(self, solves):
+        ds, w, perm = self.rows(24, 10)
+        with gram_path("prefix-sum"):
+            hat = ss.hat_constant(ds, RegularityDiag(w), perm, 2)
+        assert solves[0].converged and solves[0].iterations > 0
+        assert hat == pytest.approx(oracles.dense_hat(ds.to_dense(), w, perm, 2), rel=1e-6)
+
+    def test_operator_norm_clamps_and_refuses_non_finite(self):
+        M = -np.eye(3)
+        res = ss.operator_norm(lambda v: M @ v, 3, matrix=M)
+        assert res == (0.0, True, 0, 0.0)
+        # a NaN entry goes to Lanczos, which stops unconverged at its first matvec
+        M = np.full((3, 3), np.nan)
+        res = ss.operator_norm(lambda v: M @ v, 3, matrix=M)
+        assert not res.converged and res.iterations == 1
+
+
 class TestNonConvergedConstants:
     """A solve that stops short of its residual test must not become a constant."""
 
     @pytest.fixture
     def unconverged(self, monkeypatch):
-        def fake(matvec, dim, tol=1e-6, max_iter=10_000):
+        def fake(matvec, dim, tol=1e-6, max_iter=10_000, matrix=None):
             return ss.constants.OperatorNormResult(1.0, False, 7, 0.25)
 
         monkeypatch.setattr(constants, "operator_norm", fake)
@@ -592,7 +662,7 @@ class TestZeroColumns:
     # n x d with k nonzeros a row; the size rule puts each in one form
     @pytest.mark.parametrize("n, d, k, form", [
         pytest.param(24, 5, 5, "dense", id="dense"),
-        pytest.param(60, 40, 3, "prefix-sum", id="prefix-sum"),
+        pytest.param(120, 40, 3, "prefix-sum", id="prefix-sum"),  # above _EXACT_MAX_N
     ])
     def test_constants_and_runs_ignore_zero_columns(self, rng, n, d, k, form):
         """All-zero columns appended to A leave every constant and every

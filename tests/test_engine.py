@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shuffle_sgd as ss
+from shuffle_sgd import cli
 from shuffle_sgd.data import permuted_nonzeros
 from shuffle_sgd.engine import DivergenceError, RunConfig
 from shuffle_sgd.losses import LossModel, derivative_vec
@@ -41,6 +42,24 @@ class TestBlockOps:
         m = LossModel.for_dataset("logistic", ds)
         layout = ss.BlockLayout(ds, [0], 1)
         assert ss.dual_block_update(m, layout, 0, np.zeros(1))[0] == pytest.approx(-0.5)
+
+    def test_dual_update_reads_the_targets_the_layout_gathered(self, rng):
+        # every form gathers block i's targets once, as targets[i]: the
+        # dataset's labels by default, else the targets given (run passes
+        # its model's)
+        A = rng.standard_normal((4, 3))
+        m = LossModel("squared", [5.0, 6.0, 7.0, 8.0])
+        perm = np.array([2, 0, 3, 1])
+        for zero in (False, True):  # stacked; per-row views at b = 1, sorted at b = 2
+            A[0, 0] = 0.0 if zero else A[0, 0]
+            ds = ss.SparseDataset.from_dense(A, labels=[1.0, 2.0, 3.0, 4.0])
+            for b in (1, 2):
+                for targets, t in ((None, ds.labels), (m.targets, m.targets)):
+                    layout = ss.BlockLayout(ds, perm, b, targets)
+                    assert layout.sorted is (zero and b == 2)
+                    assert np.array_equal(layout.targets, t[perm].reshape(4 // b, b))
+                    y = [ss.dual_block_update(m, layout, i, np.zeros(3)) for i in range(4 // b)]
+                    assert np.array_equal(np.concatenate(y), -t[perm])
 
     def test_primal_step_scalar(self):
         ds = ss.SparseDataset.from_dense(np.array([[1.0]]))
@@ -645,35 +664,46 @@ class TestRunGeneral:
         assert np.array_equal(res.final, np.zeros(3))
         assert np.array_equal(res.averaged, np.zeros(3))
 
-    def test_glm_oracle_reproduces_run(self, rng):
+    def test_glm_oracle_reproduces_run(self, rng, monkeypatch):
+        """verify-bound's GLM oracle (cli._general_runs) through run_general
+        gives engine.run's inner iterates: on whole rows (squared loss), and
+        on a sparse input whose rows store 3, 2, 1 and 0 of the 3 columns
+        (logistic loss)."""
         ds, m = least_squares(rng, 6, 3)
-        A = ds.to_dense()
-
+        A = rng.standard_normal((6, 3))
+        A[1, 0] = A[2, :2] = A[3, 1:] = A[4] = 0.0
+        ragged = ss.SparseDataset.from_dense(A, labels=rng.choice([-1.0, 1.0], 6))
+        assert {len(ragged.row(i)[0]) for i in range(6)} == {0, 1, 2, 3}
         seen = []
+        run_general = ss.engine.run_general
 
-        def oracle(i, x):
-            seen.append(x.copy())
-            return derivative_vec(m, np.array([i]), np.array([A[i] @ x])) * A[i]
+        def recording(oracle, *args, **kwargs):
+            def spy(i, x):
+                seen.append(x.copy())
+                return oracle(i, x)
 
+            return run_general(spy, *args, **kwargs)
+
+        monkeypatch.setattr(ss.engine, "run_general", recording)
         plan = ShufflePlan("SO", seed=9)
         cfg = RunConfig(2, 2, 0.04, trace=True)
-        direct, direct_inner = oracles.run_recording_inner(ds, m, plan, cfg)
-        general = ss.run_general(
-            oracle, 6, 3, plan, cfg, objective_fn=lambda x: ss.objective(m, ds, x)
-        )
-        assert np.allclose(direct.final, general.final, rtol=1e-12, atol=1e-14)
-        assert np.allclose(direct.averaged, general.averaged, rtol=1e-12, atol=1e-14)
-        # every block calls the oracle b = 2 times at its starting point
-        assert len(seen) == 2 * 6
-        block_starts = seen[::2]
-        # epoch 1 ends where epoch 2's first block starts
-        general_inner = [block_starts[0:4], block_starts[3:6] + [general.final]]
-        for k, (td, tg) in enumerate(zip(direct.traces, general.traces, strict=True)):
-            assert len(direct_inner[k]) == len(general_inner[k]) == 6 // 2 + 1
-            for xd, xg in zip(direct_inner[k], general_inner[k]):
-                assert np.allclose(xd, xg, rtol=1e-12, atol=1e-14)
-            for name in ("squared_steps", "displacement_sq", "retraction_term"):
-                assert getattr(td, name) == pytest.approx(getattr(tg, name), rel=1e-12)
+        for ds, m in ((ds, m), (ragged, LossModel.for_dataset("logistic", ragged))):
+            seen.clear()
+            direct, direct_inner = oracles.run_recording_inner(ds, m, plan, cfg)
+            general = cli._general_runs(ds, m)(plan, cfg)
+            assert np.allclose(direct.final, general.final, rtol=1e-12, atol=1e-14)
+            assert np.allclose(direct.averaged, general.averaged, rtol=1e-12, atol=1e-14)
+            # every block calls the oracle b = 2 times at its starting point
+            assert len(seen) == 2 * 6
+            block_starts = seen[::2]
+            # epoch 1 ends where epoch 2's first block starts
+            general_inner = [block_starts[0:4], block_starts[3:6] + [general.final]]
+            for k, (td, tg) in enumerate(zip(direct.traces, general.traces, strict=True)):
+                assert len(direct_inner[k]) == len(general_inner[k]) == 6 // 2 + 1
+                for xd, xg in zip(direct_inner[k], general_inner[k]):
+                    assert np.allclose(xd, xg, rtol=1e-12, atol=1e-14)
+                for name in ("squared_steps", "displacement_sq", "retraction_term"):
+                    assert getattr(td, name) == pytest.approx(getattr(tg, name), rel=1e-12)
 
     def test_general_retraction_identity(self, rng):
         def oracle(i, x):
